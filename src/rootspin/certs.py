@@ -81,8 +81,9 @@ def _alternating_blocks(k: int, pair_idx, extra_idx) -> list[list[tuple[int, int
     return blocks
 
 
-def _blocks_a(n: int) -> list[list[tuple[int, int]]]:
-    idx = root_index_map(positive_roots(FamilyRank("A", n)))
+def _blocks_a(system: RootSystem) -> list[list[tuple[int, int]]]:
+    n = system.id.rank
+    idx = root_index_map(system)
 
     def pair(i: int, j: int) -> int:
         v = [0] * n
@@ -98,9 +99,9 @@ def _blocks_a(n: int) -> list[list[tuple[int, int]]]:
     return _alternating_blocks(n // 2, pair, extra)
 
 
-def _bcd_lookups(fr: FamilyRank):
-    n = fr.rank
-    idx = root_index_map(positive_roots(fr))
+def _bcd_lookups(system: RootSystem):
+    n = system.id.rank
+    idx = root_index_map(system)
 
     def minus(i: int, j: int) -> int:
         v = [0] * n
@@ -122,11 +123,12 @@ def _bcd_lookups(fr: FamilyRank):
     return minus, plus, double
 
 
-def _blocks_c(n: int) -> list[list[tuple[int, int]]]:
+def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
+    n = system.id.rank
     k, eps = divmod(n, 4)
     if eps not in (0, 3):
         raise AssertionError("C blocks exist only for n = 0, 3 mod 4")
-    minus, plus, double = _bcd_lookups(FamilyRank("C", n))
+    minus, plus, double = _bcd_lookups(system)
     blocks = []
     for l in range(k):
         a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
@@ -160,11 +162,12 @@ def _blocks_c(n: int) -> list[list[tuple[int, int]]]:
     return blocks
 
 
-def _blocks_d(n: int) -> list[list[tuple[int, int]]]:
+def _blocks_d(system: RootSystem) -> list[list[tuple[int, int]]]:
+    n = system.id.rank
     k, eps = divmod(n, 4)
     if eps not in (0, 1):
         raise AssertionError("D blocks exist only for n = 0, 1 mod 4")
-    minus, plus, _ = _bcd_lookups(FamilyRank("D", n))
+    minus, plus, _ = _bcd_lookups(system)
     blocks = []
     for l in range(k):
         a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
@@ -195,29 +198,22 @@ _E6_TRIPLE_SIGNS = (
     -1, -1, -1, -1, -1, 1, 1, 1, 1, -1,
     1, -1, 1, 1, -1, -1, 1, 1, -1, -1,
 )
+_E6_SIGNS = _E6_PAIR_SIGNS + _E6_TRIPLE_SIGNS + (1,)
 _F4_MINUS_SIGNS = (-1, -1, -1, -1, -1, -1)
 _F4_PLUS_SIGNS = (-1, 1, -1, 1, 1, -1)
 _F4_SINGLE_SIGNS = (1, -1, -1, -1)
 _F4_HALF_SIGNS = (1, 1, 1, 1, -1, 1, 1, 1)
+_F4_SIGNS = _F4_MINUS_SIGNS + _F4_PLUS_SIGNS + _F4_SINGLE_SIGNS + _F4_HALF_SIGNS
 _G2_SIGNS = (1, 1, 1, -1, -1, 1)
 
 
-def _blocks_e6() -> list[list[tuple[int, int]]]:
-    signs = _E6_PAIR_SIGNS + _E6_TRIPLE_SIGNS + (1,)
-    return [[(i, s) for i, s in enumerate(signs)]]
+def _one_block(signs: tuple[int, ...]):
+    """Builder for a certificate whose single block is the whole sign list."""
+    return lambda system: [list(enumerate(signs))]
 
 
-def _blocks_f4() -> list[list[tuple[int, int]]]:
-    signs = _F4_MINUS_SIGNS + _F4_PLUS_SIGNS + _F4_SINGLE_SIGNS + _F4_HALF_SIGNS
-    return [[(i, s) for i, s in enumerate(signs)]]
-
-
-def _blocks_g2() -> list[list[tuple[int, int]]]:
-    return [[(i, s) for i, s in enumerate(_G2_SIGNS)]]
-
-
-def _blocks_e8() -> list[list[tuple[int, int]]]:
-    idx = root_index_map(positive_roots(FamilyRank("E", 8)))
+def _blocks_e8(system: RootSystem) -> list[list[tuple[int, int]]]:
+    idx = root_index_map(system)
 
     def pair(i: int, j: int) -> int:
         v = [0] * 8
@@ -265,26 +261,26 @@ def _blocks_e8() -> list[list[tuple[int, int]]]:
 
 
 def certificate(fr: FamilyRank) -> CertificateFamily | None:
-    """Verified block certificate, or None exactly when no zero sum exists."""
+    """Verified block certificate, or None exactly when no zero sum exists.
+
+    The root system is built once; the blocks index into it and are
+    verified against it.
+    """
     n = fr.rank
-    if fr.family == "A":
-        blocks = _blocks_a(n) if n % 2 == 0 else None
-    elif fr.family == "B":
-        blocks = None
-    elif fr.family == "C":
-        blocks = _blocks_c(n) if n % 4 in (0, 3) else None
-    elif fr.family == "D":
-        blocks = _blocks_d(n) if n % 4 in (0, 1) else None
-    elif fr.family == "E":
-        blocks = {6: _blocks_e6, 7: lambda: None, 8: _blocks_e8}[n]()
-    elif fr.family == "F":
-        blocks = _blocks_f4()
-    else:
-        blocks = _blocks_g2()
-    if blocks is None:
+    build = {
+        "A": _blocks_a if n % 2 == 0 else None,
+        "B": None,
+        "C": _blocks_c if n % 4 in (0, 3) else None,
+        "D": _blocks_d if n % 4 in (0, 1) else None,
+        "E": {6: _one_block(_E6_SIGNS), 7: None, 8: _blocks_e8}.get(n),
+        "F": _one_block(_F4_SIGNS),
+        "G": _one_block(_G2_SIGNS),
+    }[fr.family]
+    if build is None:
         return None
-    cert = CertificateFamily(fr, tuple(tuple(b) for b in blocks))
-    ok, diagnostic = verify_report(positive_roots(fr), cert)
+    system = positive_roots(fr)
+    cert = CertificateFamily(fr, tuple(tuple(b) for b in build(system)))
+    ok, diagnostic = verify_report(system, cert)
     if not ok:
         raise InternalCheckError(f"certificate construction for {fr} is broken: {diagnostic}")
     return cert

@@ -16,7 +16,7 @@ import click
 
 from . import certs, sigsum
 from .errors import InternalCheckError, InvalidRankError, ResourceLimitError
-from .rootsys import FamilyRank, format_root_list, positive_roots
+from .rootsys import CATALOGUE, FamilyRank, format_root_list, positive_roots
 from .spinor import invariant_dimension
 
 EXIT_INTERNAL = 1
@@ -24,14 +24,6 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 _AUTO_BRUTE_MAX = 20  # auto method: brute force below, meet-in-the-middle above
-
-TABLE_IDS = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 7)]
-    + [("C", n) for n in range(3, 9)]
-    + [("D", n) for n in range(4, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 def _family_rank(family: str, rank: int) -> FamilyRank:
@@ -44,23 +36,6 @@ def _family_rank(family: str, rank: int) -> FamilyRank:
 
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _threads_option(fn):
-    def _validate(ctx, param, value):
-        if value is not None and value < 1:
-            raise click.BadParameter("must be a positive integer")
-        return value
-
-    return click.option(
-        "--threads",
-        type=int,
-        default=None,
-        envvar="ROOTSPIN_THREADS",
-        callback=_validate,
-        expose_value=False,
-        help="Accepted for compatibility (N >= 1); the kernels are single-threaded.",
-    )(fn)
 
 
 def _certificate_json(cert: certs.CertificateFamily | None):
@@ -76,31 +51,25 @@ def _certificate_json(cert: certs.CertificateFamily | None):
     }
 
 
-def _count_exact(system, method: str, max_r: int, explicit_max: bool) -> sigsum.CountResult:
-    if method == "brute":
-        limit = max_r if explicit_max else min(max_r, sigsum.DEFAULT_BRUTE_LIMIT)
-        return sigsum.count_bruteforce(system, limit_r=limit)
-    if method == "mitm":
-        return sigsum.count_mitm(system, limit_r=max_r)
-    if system.r <= min(_AUTO_BRUTE_MAX, max_r):
-        return sigsum.count_bruteforce(system, limit_r=max_r)
-    return sigsum.count_mitm(system, limit_r=max_r)
+def _count_exact(system, method: str, max_r: int | None) -> sigsum.CountResult:
+    """Run the chosen engine; ``max_r=None`` keeps each engine's own limit."""
+    limit = {} if max_r is None else {"limit_r": max_r}
+    auto_brute = system.r <= _AUTO_BRUTE_MAX and (max_r is None or system.r <= max_r)
+    if method == "brute" or (method == "auto" and auto_brute):
+        return sigsum.count_bruteforce(system, **limit)
+    return sigsum.count_mitm(system, **limit)
 
 
-def build_report(fr: FamilyRank, method: str = "auto", max_r: int = 48,
-                 explicit_max: bool = False) -> tuple[dict, int]:
-    """Assemble the analysis report; returns (report, exit_code)."""
+def build_report(fr: FamilyRank, method: str = "auto",
+                 max_r: int | None = None) -> tuple[dict, int]:
+    """Assemble the analysis report; returns (report, exit_code).
+
+    Existence and its two proofs come from ``sigsum.exists_strong_dependence``;
+    this adds the engine choice for the exact count and the JSON layout.
+    """
     t_start = time.perf_counter()
     system = positive_roots(fr)
-    obstruction = sigsum.obstruction_2L(system)
-    cert = certs.certificate(fr)
-
-    # Existence must be doubly certified; a mismatch is a hard error.
-    if obstruction.passed and cert is None:
-        raise InternalCheckError(f"{fr}: obstruction passed but no certificate exists")
-    if not obstruction.passed and cert is not None:
-        raise InternalCheckError(f"{fr}: certificate exists but the obstruction failed")
-    exists = cert is not None
+    existence = sigsum.exists_strong_dependence(system)
 
     report = {
         "family": fr.family,
@@ -108,23 +77,24 @@ def build_report(fr: FamilyRank, method: str = "auto", max_r: int = 48,
         "r": system.r,
         "ambient_dim": system.ambient_dim,
         "denominator": system.denominator,
-        "exists": exists,
-        "obstruction": "pass" if obstruction.passed else "fail",
-        "certificate": _certificate_json(cert),
+        "exists": existence.exists,
+        "obstruction": "pass" if existence.obstruction.passed else "fail",
+        "certificate": _certificate_json(existence.certificate),
     }
     timings: dict[str, float] = {}
     exit_code = 0
 
-    if not exists:
+    if not existence.exists:
         report["count"] = {"zero": True}
         report["method"] = sigsum.METHOD_OBSTRUCTION
     else:
         bound = certs.lower_bound(fr)
-        wants_exact = method != "auto" or system.r <= max_r
+        auto_max = sigsum.DEFAULT_MITM_LIMIT if max_r is None else max_r
+        wants_exact = method != "auto" or system.r <= auto_max
         result = None
         if wants_exact:
             try:
-                result = _count_exact(system, method, max_r, explicit_max)
+                result = _count_exact(system, method, max_r)
             except ResourceLimitError as exc:
                 click.echo(f"resource limit: {exc}", err=True)
                 exit_code = EXIT_RESOURCE
@@ -183,17 +153,15 @@ def cmd_roots(family: str, rank: int) -> None:
 @click.argument("family")
 @click.argument("rank", type=int)
 @click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
-@click.option("--max-r", "max_r", type=int, default=None,
-              help="Largest r for which exact counting is attempted (default 48).")
+@click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
+              help="Largest r to count exactly (default: 48 for auto, else the "
+                   "forced engine's own limit; 0 counts nothing).")
 @click.option("--json", "as_json", is_flag=True)
-@_threads_option
 def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json: bool) -> None:
     """Full existence/count/certificate report for one system."""
     fr = _family_rank(family, rank)
     try:
-        report, exit_code = build_report(
-            fr, method=method, max_r=max_r or 48, explicit_max=max_r is not None
-        )
+        report, exit_code = build_report(fr, method=method, max_r=max_r)
     except InternalCheckError as exc:
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
@@ -208,15 +176,15 @@ def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json:
 @click.argument("family")
 @click.argument("rank", type=int)
 @click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
-@click.option("--max-r", "max_r", type=int, default=None)
+@click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
+              help="Largest r the engine may count (default: brute 26, mitm 48).")
 @click.option("--json", "as_json", is_flag=True)
-@_threads_option
 def cmd_count(family: str, rank: int, method: str, max_r: int | None, as_json: bool) -> None:
     """Exact count of zero signed sums (no existence shortcuts)."""
     fr = _family_rank(family, rank)
     system = positive_roots(fr)
     try:
-        result = _count_exact(system, method, max_r or 48, max_r is not None)
+        result = _count_exact(system, method, max_r)
     except ResourceLimitError as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
@@ -251,8 +219,8 @@ def cmd_certify(family: str, rank: int) -> None:
 @main.command("oracle")
 @click.argument("family")
 @click.argument("rank", type=int)
-@click.option("--max-r", "max_r", type=int, default=14)
-@_threads_option
+@click.option("--max-r", "max_r", type=click.IntRange(0, 20), default=14,
+              help="Largest r the oracle runs on (at most 20: the work grows as r * 2^r).")
 def cmd_oracle(family: str, rank: int, max_r: int) -> None:
     """Invariant dimension through the exterior-algebra model."""
     fr = _family_rank(family, rank)
@@ -266,19 +234,16 @@ def cmd_oracle(family: str, rank: int, max_r: int) -> None:
 
 
 @main.command("table")
-@click.option("--max-r", "max_r", type=int, default=None)
+@click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
+              help="Largest r for which exact counting is attempted (default 48).")
 @click.option("--json", "as_json", is_flag=True)
-@_threads_option
 def cmd_table(max_r: int | None, as_json: bool) -> None:
     """Reports for the whole catalogue of systems."""
     reports = []
     worst_exit = 0
-    for family, rank in TABLE_IDS:
-        fr = FamilyRank(family, rank)
+    for fr in CATALOGUE:
         try:
-            report, exit_code = build_report(
-                fr, max_r=max_r or 48, explicit_max=max_r is not None
-            )
+            report, exit_code = build_report(fr, max_r=max_r)
         except InternalCheckError as exc:
             click.echo(f"internal error: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)

@@ -48,7 +48,7 @@ class FamilyRank:
         if self.family not in _RANK_RANGES:
             raise InvalidRankError(f"unknown family {self.family!r}")
         lo, hi = _RANK_RANGES[self.family]
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidRankError(f"{self.family}{self.rank} is outside the admissible range")
 
     @classmethod
@@ -82,6 +82,15 @@ class RootSystem:
     @property
     def ambient_dim(self) -> int:
         return self.roots.shape[1]
+
+
+# The results table: every system the CLI ``table`` reports, in print order.
+CATALOGUE: tuple[FamilyRank, ...] = tuple(
+    FamilyRank(family, n)
+    for family, ranks in (("A", range(1, 9)), ("B", range(2, 7)), ("C", range(3, 9)),
+                          ("D", range(4, 9)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
+    for n in ranks
+)
 
 
 def root_count(fr: FamilyRank) -> int:
@@ -199,7 +208,8 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
 
 def root_index_map(system: RootSystem) -> dict[tuple[int, ...], int]:
     """Map each scaled coordinate tuple to its position in the canonical order."""
-    return {tuple(int(x) for x in row): i for i, row in enumerate(system.roots)}
+    # Row by row, so no second full copy of the roots is held at once.
+    return {tuple(row.tolist()): i for i, row in enumerate(system.roots)}
 
 
 def format_root_list(system: RootSystem) -> str:

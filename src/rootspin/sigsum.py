@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, certs
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -103,6 +103,7 @@ class ExistenceResult:
     witness: np.ndarray | None
     obstruction: ObstructionResult
     method: str
+    certificate: certs.CertificateFamily | None = None
 
 
 def _roots_matrix(system) -> np.ndarray:
@@ -207,10 +208,7 @@ def count_mitm(
         )
     if deltas is not None:
         left = _kernels.signed_sum_keys(deltas[:k])
-        if k == r:
-            right = np.zeros(1, dtype=np.int64)
-        else:
-            right = _kernels.signed_sum_keys(deltas[k:])
+        right = _kernels.signed_sum_keys(deltas[k:])
         value = _join_counts(left, right)
     else:
         # Key overflow: generic vector-keyed multiplicity map.
@@ -315,10 +313,7 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     deltas = _kernels.key_packing(roots)
     if deltas is not None:
         left = _kernels.signed_sum_keys(deltas[:k])
-        if k == r:
-            right = np.zeros(1, dtype=np.int64)
-        else:
-            right = _kernels.signed_sum_keys(deltas[k:])
+        right = _kernels.signed_sum_keys(deltas[k:])
         common = np.intersect1d(np.unique(left), np.unique(-right))
         if common.size == 0:
             return None
@@ -351,23 +346,28 @@ def exists_strong_dependence(
 ) -> ExistenceResult:
     """Decide existence of a zero signed sum, with a proof either way.
 
-    Pipeline: the 2L obstruction first (Fail proves non-existence), then a
-    family certificate when the input is a catalogued root system, then a
-    meet-in-the-middle early-exit search.
+    The 2L obstruction runs first; its failure proves non-existence.  A
+    catalogued root system is then proved both ways: the obstruction must
+    pass exactly when its family has a verified block certificate, which
+    supplies the witness.  Any other matrix that passes the obstruction goes
+    to a meet-in-the-middle early-exit search.
     """
     roots = _roots_matrix(system)
     obstruction = obstruction_2L(roots)
+    if isinstance(system, RootSystem):
+        cert = certs.certificate(system.id)
+        if obstruction.passed and cert is None:
+            raise InternalCheckError(f"{system.id}: obstruction passed but no certificate exists")
+        if cert is not None and not obstruction.passed:
+            raise InternalCheckError(f"{system.id}: certificate exists but the obstruction failed")
+        if cert is None:
+            return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
+        witness = certs.assembled_witness(cert)
+        if np.any(signed_sum(system, witness) != 0):
+            raise InternalCheckError(f"certificate witness for {system.id} does not verify")
+        return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-    if isinstance(system, RootSystem):
-        from . import certs  # deferred: certs verifies its blocks through this module
-
-        cert = certs.certificate(system.id)
-        if cert is not None:
-            witness = certs.assembled_witness(cert)
-            if np.any(signed_sum(system, witness) != 0):
-                raise InternalCheckError(f"certificate witness for {system.id} does not verify")
-            return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"witness search needs r <= {limit_r}, got r = {r}")

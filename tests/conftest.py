@@ -1,16 +1,10 @@
 import pytest
 
-from rootspin import FamilyRank, positive_roots
+from rootspin import positive_roots
+from rootspin.rootsys import CATALOGUE
 
 
 @pytest.fixture(scope="session")
 def catalogue():
     """id -> RootSystem for the whole results-table range."""
-    ids = (
-        [("A", n) for n in range(1, 9)]
-        + [("B", n) for n in range(2, 7)]
-        + [("C", n) for n in range(3, 9)]
-        + [("D", n) for n in range(4, 9)]
-        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    )
-    return {f"{fam}{n}": positive_roots(FamilyRank(fam, n)) for fam, n in ids}
+    return {str(fr): positive_roots(fr) for fr in CATALOGUE}

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All tolerances are stated inline; exact values are exact integer
-equalities, timings are wall-clock after JIT warm-up.
+equalities, timings are wall-clock.
 """
 
 import itertools
@@ -290,22 +290,31 @@ def test_criterion_7_e8_partial_reproduction():
 def test_criterion_8_determinism():
     runner = CliRunner()
 
-    def stripped(argv):
-        result = runner.invoke(cli_main, argv)
+    def invoke(argv, env=None):
+        result = runner.invoke(cli_main, argv, env=env)
         assert result.exit_code == 0
-        data = json.loads(result.output)
-        data.pop("timings", None)
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return json.loads(result.output)
 
-    base = stripped(["analyze", "E", "6", "--json"])
-    repeat = stripped(["analyze", "E", "6", "--json"])
-    one_thread = stripped(["analyze", "E", "6", "--json", "--threads", "1"])
-    many_threads = stripped(["analyze", "E", "6", "--json", "--threads", "4"])
-    ok = base == repeat == one_thread == many_threads
+    def stripped(report):
+        report = {k: v for k, v in report.items() if k != "timings"}
+        return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+    analyze_e6 = ["analyze", "E", "6", "--json"]
+    base = stripped(invoke(analyze_e6))
+    repeat = stripped(invoke(analyze_e6))
+    env_threads = stripped(invoke(analyze_e6, env={"ROOTSPIN_THREADS": "4"}))
+    from_table = stripped(
+        next(
+            row
+            for row in invoke(["table", "--json"])
+            if (row["family"], row["rank"]) == ("E", 6)
+        )
+    )
+    ok = base == repeat == env_threads == from_table
     _report(
         8,
         "determinism",
         ok,
-        "analyze JSON byte-identical across repeated runs and --threads 1 vs 4 "
-        "(timings excluded)",
+        "analyze E6 JSON byte-identical across repeated runs, with ROOTSPIN_THREADS=4 "
+        "set, and as the E6 row of table (timings excluded)",
     )

@@ -8,6 +8,7 @@ Claims covered:
     - non-existence families return None
     - verify rejects mismatched systems, tampered signs and broken covers
     - the assembled witnesses are genuine zero signed sums, including E8
+    - a certificate builds its root system once and none for non-existence
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from rootspin import (
     signed_sum,
     verify,
 )
+from rootspin import certs
 from rootspin.certs import verify_report
 
 EXISTENCE_IDS = (
@@ -164,6 +166,20 @@ def test_verify_rejects_overlapping_blocks():
     bad = CertificateFamily(fr, (cert.blocks[0], cert.blocks[0]))
     ok, diagnostic = verify_report(positive_roots(fr), bad)
     assert not ok and "overlaps" in diagnostic
+
+
+@pytest.mark.parametrize("family,rank,builds", [("A", 6, 1), ("C", 7, 1), ("D", 8, 1), ("E", 8, 1),
+                                                ("G", 2, 1), ("B", 4, 0), ("E", 7, 0)])
+def test_roots_built_once_per_certificate(monkeypatch, family, rank, builds):
+    calls = []
+
+    def counting(fr):
+        calls.append(fr)
+        return positive_roots(fr)
+
+    monkeypatch.setattr(certs, "positive_roots", counting)
+    certificate(FamilyRank(family, rank))
+    assert len(calls) == builds
 
 
 def test_every_block_sums_to_zero_individually(catalogue):

@@ -7,9 +7,12 @@ Claims covered:
     - forced methods that exceed limits exit 3 with a partial report
     - `certify` emits verified block certificates or available:false
     - `oracle` agrees with `analyze`'s exact count and respects --max-r
+    - `--max-r` is a non-negative bound (at most 20 for `oracle`), and 0
+      means no exact count is attempted
     - `table` covers the whole catalogue and encodes the existence pattern
-    - JSON output is byte-identical across runs and thread counts
-      once the timings block is stripped
+    - JSON output is byte-identical across runs once the timings block is
+      stripped; the removed `--threads` option and `ROOTSPIN_THREADS` have
+      no effect
 """
 
 import json
@@ -42,6 +45,12 @@ def run_json(*argv):
     result = run(*argv)
     assert result.exit_code == 0, result.output
     return json.loads(result.stdout)
+
+
+def strip_timings(raw: str) -> str:
+    data = json.loads(raw)
+    data.pop("timings", None)
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 class TestRoots:
@@ -150,6 +159,31 @@ class TestOracle:
     def test_over_limit_exits_3(self):
         assert run("oracle", "E", "6").exit_code == 3
 
+    def test_max_r_capped_at_20(self):
+        assert run("oracle", "G", "2", "--max-r", "21").exit_code == 2
+
+
+class TestMaxR:
+    def test_zero_reports_lower_bound_only(self):
+        report = run_json("analyze", "A", "4", "--max-r", "0", "--json")
+        assert report["count"] == {"lower_bound": 4}
+        assert report["method"] == "certificate"
+
+    def test_zero_count_exits_3(self):
+        assert run("count", "A", "4", "--max-r", "0").exit_code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "A", "4"),
+            ("count", "A", "4"),
+            ("table",),
+            ("oracle", "G", "2"),
+        ],
+    )
+    def test_negative_exits_2(self, argv):
+        assert run(*argv, "--max-r", "-1").exit_code == 2
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -191,32 +225,27 @@ class TestExitCodes:
         result = run("analyze", "G", "2", "--json")
         assert result.exit_code == 1
 
-    def test_threads_env_var_fallback(self, monkeypatch):
+    def test_threads_env_var_fallback(self):
+        # ROOTSPIN_THREADS is no longer read: even an invalid value is ignored.
+        plain = run("analyze", "G", "2", "--json")
         result = CliRunner().invoke(
-            main, ["analyze", "G", "2", "--json"], env={"ROOTSPIN_THREADS": "2"}
+            main, ["analyze", "G", "2", "--json"], env={"ROOTSPIN_THREADS": "0"}
         )
         assert result.exit_code == 0
+        assert strip_timings(result.stdout) == strip_timings(plain.stdout)
 
     def test_rejects_non_positive_threads(self):
-        result = run("analyze", "G", "2", "--json", "--threads", "0")
+        # The --threads option is gone; click rejects it as unknown.
+        result = run("analyze", "G", "2", "--json", "--threads", "2")
         assert result.exit_code == 2
+        assert "No such option" in result.output
 
 
 class TestDeterminism:
-    def strip_timings(self, raw: str) -> str:
-        data = json.loads(raw)
-        data.pop("timings", None)
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
     def test_repeat_runs_byte_identical(self):
         a = run("analyze", "D", "4", "--json").stdout
         b = run("analyze", "D", "4", "--json").stdout
-        assert self.strip_timings(a) == self.strip_timings(b)
-
-    def test_thread_count_does_not_change_output(self):
-        one = run("analyze", "F", "4", "--json", "--threads", "1").stdout
-        many = run("analyze", "F", "4", "--json", "--threads", "4").stdout
-        assert self.strip_timings(one) == self.strip_timings(many)
+        assert strip_timings(a) == strip_timings(b)
 
     def test_roots_byte_identical(self):
         assert run("roots", "E", "7").stdout == run("roots", "E", "7").stdout

@@ -5,7 +5,8 @@ Claims covered:
     - cardinalities match the closed forms for every family
     - scaled coordinates stay within {-2..2}; F4 is the only denominator-2 system
     - the canonical order is deterministic and roots are pairwise distinct
-    - inadmissible ranks are rejected, never remapped
+    - inadmissible ranks are rejected, never remapped; a bool is not a rank
+    - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from rootspin import FamilyRank, InvalidRankError, format_root_list, positive_roots, root_count
+from rootspin.rootsys import CATALOGUE
 
 G2_ROOTS = [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]
 
@@ -92,11 +94,18 @@ def test_roots_are_read_only():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 4)],
+    [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 4),
+     ("A", True)],
 )
 def test_inadmissible_ranks_rejected(family, rank):
     with pytest.raises(InvalidRankError):
         FamilyRank(family, rank)
+
+
+def test_catalogue_ids():
+    labels = [str(fr) for fr in CATALOGUE]
+    assert len(labels) == len(set(labels)) == 29
+    assert labels[:2] == ["A1", "A2"] and labels[-5:] == ["E6", "E7", "E8", "F4", "G2"]
 
 
 def test_parse_labels():

@@ -10,7 +10,9 @@ Claims covered:
     - every generator lies in the lattice spanned by its own HNF basis
     - obstruction fails exactly where parity arguments say it must,
       and a Fail always implies a zero brute-force count
-    - the existence pipeline returns verified witnesses or obstruction proofs
+    - the existence pipeline returns verified witnesses or obstruction proofs,
+      and on catalogued systems the certificate, after checking that the
+      obstruction passes exactly when a certificate exists
     - resource limits and the key-overflow fallback are exercised
 """
 
@@ -19,6 +21,7 @@ import pytest
 
 from rootspin import (
     FamilyRank,
+    InternalCheckError,
     LengthMismatchError,
     ResourceLimitError,
     count_bruteforce,
@@ -30,7 +33,7 @@ from rootspin import (
     positive_roots,
     signed_sum,
 )
-from rootspin import _kernels, sigsum
+from rootspin import _kernels, certs, sigsum
 
 
 def _sys(family, rank):
@@ -260,9 +263,24 @@ class TestExistence:
         if expected:
             assert result.witness is not None
             assert not signed_sum(_sys(family, rank), result.witness).any()
+            assert result.certificate == certs.certificate(FamilyRank(family, rank))
         else:
             assert result.witness is None
+            assert result.certificate is None
             assert not result.obstruction.passed
+
+    def test_obstruction_pass_without_certificate_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(certs, "certificate", lambda fr: None)
+        with pytest.raises(InternalCheckError, match="no certificate"):
+            exists_strong_dependence(_sys("G", 2))
+
+    def test_certificate_despite_obstruction_failure_is_an_internal_error(self, monkeypatch):
+        # B3 fails the obstruction; a certificate there must be refused even
+        # though the obstruction alone would already settle non-existence.
+        g2_cert = certs.certificate(FamilyRank("G", 2))
+        monkeypatch.setattr(certs, "certificate", lambda fr: g2_cert)
+        with pytest.raises(InternalCheckError, match="obstruction failed"):
+            exists_strong_dependence(_sys("B", 3))
 
     def test_e8_via_certificate(self):
         result = exists_strong_dependence(_sys("E", 8))
