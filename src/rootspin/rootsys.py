@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRankError
+from .errors import DimensionMismatchError, InvalidRankError
 
 # Admissible rank ranges; anything else is rejected, never remapped to an
 # isomorphic family (e.g. C2 is not treated as B2).
@@ -91,6 +91,32 @@ CATALOGUE: tuple[FamilyRank, ...] = tuple(
                           ("D", range(4, 9)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
     for n in ranks
 )
+
+
+def int64_array(values, error: type[Exception]) -> np.ndarray:
+    """``values`` as an int64 array, raising ``error`` unless every entry is
+    an integer (not a bool) that int64 holds exactly: floats are refused,
+    never truncated, and large unsigned values never wrap."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "O"
+        and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in arr.flat)
+    ):
+        raise error("entries must be integers")
+    if arr.size and not -(1 << 63) <= int(arr.min()) <= int(arr.max()) < 1 << 63:
+        raise error("entries must fit in int64")
+    return arr.astype(np.int64, copy=False)
+
+
+def system_parts(system) -> tuple[np.ndarray, int]:
+    """Roots and denominator of a RootSystem, or of any integer matrix of
+    row vectors (denominator 1)."""
+    if isinstance(system, RootSystem):
+        return system.roots, system.denominator
+    roots = int64_array(system, DimensionMismatchError)
+    if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
+        raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
+    return roots, 1
 
 
 def root_count(fr: FamilyRank) -> int:

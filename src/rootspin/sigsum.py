@@ -5,8 +5,10 @@ whether signs e_i in {+1, -1} exist with sum(e_i * a_i) = 0, and in how many
 ways.  Three routes are implemented and cross-checked:
 
 * ``count_bruteforce``: full 2^r enumeration (blocked prefix x suffix scans).
-* ``count_mitm``: meet-in-the-middle; enumerate both halves, join signed
-  sums of one half against negated sums of the other via multiplicity maps.
+* ``count_mitm``: meet-in-the-middle; enumerate both halves and join their
+  key tables by multiplicity.  A half's table is closed under negation, so
+  a left sum meets the negated right sum exactly where both tables hold its
+  key (see ``_kernels``, which decides the one key kind of a system).
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L; membership is decided exactly
@@ -18,7 +20,6 @@ All counts are exact Python integers; no floating point enters any path.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, int64_array, system_parts
 
 KIND_EXACT = "exact"
 KIND_LOWER_BOUND = "lower_bound"
@@ -106,18 +107,8 @@ class ExistenceResult:
     certificate: certs.CertificateFamily | None = None
 
 
-def _roots_matrix(system) -> np.ndarray:
-    """Accept a RootSystem or any integer matrix of row vectors."""
-    if isinstance(system, RootSystem):
-        return system.roots
-    roots = np.asarray(system, dtype=np.int64)
-    if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
-        raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
-    return roots
-
-
 def signs_vector(signs) -> np.ndarray:
-    arr = np.asarray(signs, dtype=np.int64)
+    arr = int64_array(signs, LengthMismatchError)
     if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
         raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
     return arr
@@ -130,7 +121,7 @@ def signs_from_mask(mask: int, r: int) -> np.ndarray:
 
 def signed_sum(system, signs) -> np.ndarray:
     """Exact signed sum of the scaled roots (length-m integer vector)."""
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     eps = signs_vector(signs)
     if eps.shape[0] != roots.shape[0]:
         raise LengthMismatchError(f"expected {roots.shape[0]} signs, got {eps.shape[0]}")
@@ -142,12 +133,12 @@ def count_bruteforce(
     limit_r: int = DEFAULT_BRUTE_LIMIT,
 ) -> CountResult:
     """Exact count of zero signed sums by full 2^r enumeration."""
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
-    value = _kernels.count_zero_full(roots)
+    value = _kernels.count_zero_full(roots, DEFAULT_MEMORY_BUDGET)
     return CountResult(KIND_EXACT, value, METHOD_BRUTE, time.perf_counter() - start)
 
 
@@ -176,9 +167,9 @@ def mitm_split(roots: np.ndarray) -> int:
 
 
 def _join_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Sum of multiplicity products over matching keys (left = -right)."""
+    """Sum of multiplicity products over the keys both tables hold."""
     ul, cl = np.unique(left_keys, return_counts=True)
-    ur, cr = np.unique(-right_keys, return_counts=True)
+    ur, cr = np.unique(right_keys, return_counts=True)
     _, il, ir = np.intersect1d(ul, ur, assume_unique=True, return_indices=True)
     return sum(int(a) * int(b) for a, b in zip(cl[il], cr[ir]))
 
@@ -189,52 +180,25 @@ def count_mitm(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> CountResult:
     """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
-    k = mitm_split(roots)
-    deltas = _kernels.key_packing(roots)
-    if deltas is not None:
-        unit = 8
-    else:
-        unit = 8 * roots.shape[1]
-    # keys/tables plus sort and unique copies
-    estimate = ((1 << k) + (1 << (r - k))) * unit * 3
-    if estimate > memory_budget:
-        raise ResourceLimitError(
-            f"meet-in-the-middle would need about {estimate} bytes (> budget {memory_budget})"
-        )
-    if deltas is not None:
-        left = _kernels.signed_sum_keys(deltas[:k])
-        right = _kernels.signed_sum_keys(deltas[k:])
-        value = _join_counts(left, right)
-    else:
-        # Key overflow: generic vector-keyed multiplicity map.
-        left_rows = _kernels.signed_sum_table(roots[:k])
-        right_rows = _kernels.signed_sum_table(roots[k:])
-        counter = Counter(row.tobytes() for row in np.ascontiguousarray(left_rows))
-        value = 0
-        for row in np.ascontiguousarray(-right_rows):
-            value += counter.get(row.tobytes(), 0)
+    left, right, estimate = _kernels.key_tables(roots, mitm_split(roots), memory_budget)
+    value = _join_counts(left, right)
     return CountResult(KIND_EXACT, value, METHOD_MITM, time.perf_counter() - start, estimate)
 
 
 def enumerate_zero_signs(system, limit_r: int = 16) -> list[np.ndarray]:
     """All sign vectors with zero signed sum, for small systems."""
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"witness enumeration needs r <= {limit_r}, got r = {r}")
-    deltas = _kernels.key_packing(roots)
-    if deltas is not None:
-        keys = _kernels.signed_sum_keys(deltas)
-        masks = np.flatnonzero(keys == 0)
-    else:
-        table = _kernels.signed_sum_table(roots)
-        masks = np.flatnonzero(np.all(table == 0, axis=1))
-    return [signs_from_mask(int(mask), r) for mask in masks]
+    # The table of the empty half holds one key: that of the zero sum.
+    keys, zero, _ = _kernels.key_tables(roots, r, DEFAULT_MEMORY_BUDGET)
+    return [signs_from_mask(int(mask), r) for mask in np.flatnonzero(keys == zero)]
 
 
 def hnf(vectors) -> LatticeBasis:
@@ -291,7 +255,7 @@ def obstruction_2L(system) -> ObstructionResult:
 
     Fail certifies non-existence; Pass never asserts existence.
     """
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     total = [int(x) for x in np.asarray(roots, dtype=object).sum(axis=0)]
     basis = hnf(roots)
     if basis.contains(total, multiple=2):
@@ -301,40 +265,19 @@ def obstruction_2L(system) -> ObstructionResult:
     )
 
 
-def _first_index(keys: np.ndarray, value: int) -> int:
-    idx = np.flatnonzero(keys == value)
-    return int(idx[0])
-
-
 def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     """Meet-in-the-middle early-exit search for one zero signed sum."""
     r = roots.shape[0]
     k = mitm_split(roots)
-    deltas = _kernels.key_packing(roots)
-    if deltas is not None:
-        left = _kernels.signed_sum_keys(deltas[:k])
-        right = _kernels.signed_sum_keys(deltas[k:])
-        common = np.intersect1d(np.unique(left), np.unique(-right))
-        if common.size == 0:
-            return None
-        key = int(common[0])
-        mask_l = _first_index(left, key)
-        mask_r = _first_index(right, -key)
-    else:
-        left_rows = np.ascontiguousarray(_kernels.signed_sum_table(roots[:k]))
-        right_rows = np.ascontiguousarray(_kernels.signed_sum_table(roots[k:]))
-        seen = {}
-        for i, row in enumerate(left_rows):
-            seen.setdefault(row.tobytes(), i)
-        mask_l = mask_r = None
-        for i, row in enumerate(-right_rows):
-            j = seen.get(row.tobytes())
-            if j is not None:
-                mask_l, mask_r = j, i
-                break
-        if mask_l is None:
-            return None
-    signs = np.concatenate((signs_from_mask(mask_l, k), signs_from_mask(mask_r, r - k)))
+    left, right, _ = _kernels.key_tables(roots, k, DEFAULT_MEMORY_BUDGET)
+    common = np.intersect1d(left, right)
+    if common.size == 0:
+        return None
+    # Reversing the right table negates its sums: the last right index
+    # holding the key is the complement of the first one holding its negation.
+    mask_l = int(np.flatnonzero(left == common[:1])[0])
+    mask_r = int(np.flatnonzero(right == common[:1])[-1])
+    signs = np.concatenate((signs_from_mask(mask_l, k), -signs_from_mask(mask_r, r - k)))
     if np.any(signs @ roots != 0):
         raise InternalCheckError("witness reconstruction produced a non-zero sum")
     return signs
@@ -352,7 +295,7 @@ def exists_strong_dependence(
     supplies the witness.  Any other matrix that passes the obstruction goes
     to a meet-in-the-middle early-exit search.
     """
-    roots = _roots_matrix(system)
+    roots, _ = system_parts(system)
     obstruction = obstruction_2L(roots)
     if isinstance(system, RootSystem):
         cert = certs.certificate(system.id)

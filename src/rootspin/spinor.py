@@ -28,7 +28,7 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import RootSystem
+from .rootsys import system_parts
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -233,18 +233,9 @@ def _rotation_term(j: int, eta: SpinorElement) -> SpinorElement:
     return term
 
 
-def _system_parts(system) -> tuple[np.ndarray, int]:
-    if isinstance(system, RootSystem):
-        return system.roots, system.denominator
-    roots = np.asarray(system, dtype=np.int64)
-    if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
-        raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
-    return roots, 1
-
-
 def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
     """Action of the torus direction X: (1/2) sum_j a_j(X) e^{(j)}_1 e^{(j)}_2."""
-    roots, den = _system_parts(system)
+    roots, den = system_parts(system)
     r, m = roots.shape
     xs = [Fraction(v) for v in X]
     if len(xs) != m:
@@ -274,7 +265,7 @@ def invariant_dimension(system, limit_r: int = 14) -> int:
     the action really is diagonal with purely imaginary eigenvalue), and
     tests annihilation exactly.
     """
-    roots, _ = _system_parts(system)
+    roots, _ = system_parts(system)
     r, m = roots.shape
     if r > limit_r:
         raise ResourceLimitError(f"representation dimension 2^{r} exceeds limit 2^{limit_r}")

@@ -4,7 +4,7 @@ Claims covered:
     - signed_sum reproduces the hand-checked zero combinations (G2, A2)
     - brute force and meet-in-the-middle agree with the published counts
       (G2=4, F4=34432, E6=13697920) and with each other on small systems
-    - the packed-key and unpacked-vector kernels give identical brute and
+    - packed int64 keys and unpacked row keys give identical brute and
       MITM counts, and identical signed sums for every sign mask
     - HNF examples: the index-3 planar lattice, diagonal and identity input
     - every generator lies in the lattice spanned by its own HNF basis
@@ -13,13 +13,18 @@ Claims covered:
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
       obstruction passes exactly when a certificate exists
-    - resource limits and the key-overflow fallback are exercised
+    - resource limits are exercised, and every engine checks the memory
+      budget before it builds a table
+    - every engine runs on row keys past the key budget: counts, zero sign
+      vectors and a verified witness
+    - matrix and sign entries must be integers that int64 holds exactly
 """
 
 import numpy as np
 import pytest
 
 from rootspin import (
+    DimensionMismatchError,
     FamilyRank,
     InternalCheckError,
     LengthMismatchError,
@@ -29,6 +34,7 @@ from rootspin import (
     enumerate_zero_signs,
     exists_strong_dependence,
     hnf,
+    invariant_dimension,
     obstruction_2L,
     positive_roots,
     signed_sum,
@@ -59,6 +65,53 @@ class TestSignedSum:
     def test_signs_must_be_unit(self):
         with pytest.raises(LengthMismatchError):
             signed_sum(_sys("A", 2), [1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "signs",
+        [[1.9, 1, 1, -1, -1, 1], [True, 1, 1, -1, -1, 1], ["1", 1, 1, -1, -1, 1],
+         [2**64 + 1, 1, 1, -1, -1, 1]],
+        ids=["float", "bool", "str", "huge"],
+    )
+    def test_signs_must_be_integers(self, signs):
+        with pytest.raises(LengthMismatchError):
+            signed_sum(_sys("G", 2), signs)
+
+
+# Entries that are not integers int64 holds exactly.  A float must be
+# refused, not truncated: [[1.9, 0], [1, 0]] has no zero signed sum, but
+# truncated to [[1, 0], [1, 0]] it has two.
+_BAD_MATRICES = {
+    "float": [[1.9, 0], [1, 0]],
+    "half": [[0.5, 0], [0.5, 0]],
+    "bool": [[True, 1], [1, 0]],
+    "str": [["1", 0], [1, 0]],
+    "two_to_63": [[2**63, 0], [1, 0]],
+    "uint64_two_to_63": np.array([[2**63, 0], [1, 0]], dtype=np.uint64),
+    "float_array": np.array([[1.0, 0.0], [1.0, 0.0]]),
+}
+_MATRIX_ENTRY_POINTS = {
+    "count_bruteforce": count_bruteforce,
+    "count_mitm": count_mitm,
+    "exists_strong_dependence": exists_strong_dependence,
+    "enumerate_zero_signs": enumerate_zero_signs,
+    "obstruction_2L": obstruction_2L,
+    "signed_sum": lambda roots: signed_sum(roots, [1, -1]),
+    "invariant_dimension": invariant_dimension,
+}
+
+
+class TestInputEntries:
+    @pytest.mark.parametrize("entry", _MATRIX_ENTRY_POINTS)
+    @pytest.mark.parametrize("matrix", _BAD_MATRICES)
+    def test_non_int64_entries_refused(self, entry, matrix):
+        with pytest.raises(DimensionMismatchError):
+            _MATRIX_ENTRY_POINTS[entry](_BAD_MATRICES[matrix])
+
+    def test_integer_dtypes_accepted(self):
+        roots = [[1, 1], [1, 1], [2, 2]]
+        for matrix in (roots, np.array(roots, dtype=np.int8), np.array(roots, dtype=np.uint64),
+                       np.array(roots, dtype=object)):
+            assert count_bruteforce(matrix).value == count_mitm(matrix).value == 2
 
 
 class TestCounting:
@@ -111,6 +164,28 @@ class TestCounting:
         with pytest.raises(ResourceLimitError):
             count_mitm(_sys("E", 6), memory_budget=1 << 10)
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            lambda: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
+            lambda: count_bruteforce(_sys("G", 2)),
+            lambda: enumerate_zero_signs(_sys("G", 2)),
+        ],
+        ids=["witness_search", "brute_force", "enumeration"],
+    )
+    def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
+        # 64 bytes: below the smallest of the three estimates, the witness
+        # search's 144 (tables of 4 and 2 keys, 8 bytes each, times 3).
+        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 64)
+
+        def refuse(_):
+            raise AssertionError("a table was built before the budget check")
+
+        monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
+        monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
+        with pytest.raises(ResourceLimitError):
+            engine()
+
 
 def _stretch_past_key_budget(roots):
     """Multiply the first coordinate by the least power of two that makes
@@ -126,10 +201,11 @@ def _stretch_past_key_budget(roots):
 
 
 class TestBackends:
-    # Two kernel families ship: packed int64 keys (``_keys_np`` and the
-    # ``np.unique`` join) and unpacked int64 vectors (``_table_np`` and the
-    # ``Counter`` join).  The packed side runs on the system as given, the
-    # unpacked side on its stretch past the 62-bit key budget.
+    # Two key kinds ship, both built by ``_kernels.key_tables`` and run
+    # through the same join and scan: packed int64 keys
+    # (``signed_sum_keys``) and row keys, the unpacked int64 vectors of
+    # ``signed_sum_table`` viewed as ``np.void``.  The packed side runs on the
+    # system as given, the row side on its stretch past the 62-bit key budget.
     @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "G2", "F4"])
     def test_counts_identical_across_backends(self, name, catalogue):
         roots = catalogue[name].roots
@@ -185,6 +261,26 @@ class TestKeyOverflow:
 
     def test_unpacked_matches_small_equivalent(self):
         assert count_bruteforce(self.BIG).value == count_bruteforce(self.SMALL).value
+
+    # SMALL fails the obstruction, so its engines only ever agree on 0; the
+    # stretch of G2 has zero sums and reaches every engine on row keys.
+    G2 = positive_roots(FamilyRank("G", 2)).roots
+    G2_BIG = _stretch_past_key_budget(G2)
+
+    def test_zero_sums_counted_unpacked(self):
+        assert count_bruteforce(self.G2_BIG).value == 4
+        assert count_mitm(self.G2_BIG).value == 4
+
+    def test_zero_signs_enumerated_unpacked(self):
+        found = {tuple(s) for s in enumerate_zero_signs(self.G2_BIG)}
+        assert found == {tuple(s) for s in enumerate_zero_signs(self.G2)}
+        assert len(found) == 4
+
+    def test_witness_found_unpacked(self):
+        result = exists_strong_dependence(self.G2_BIG)
+        assert result.exists and result.method == sigsum.METHOD_MITM
+        assert not signed_sum(self.G2_BIG, result.witness).any()
+        assert not signed_sum(self.G2, result.witness).any()
 
 
 class TestHNF:
