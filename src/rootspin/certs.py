@@ -260,12 +260,13 @@ def _blocks_e8(system: RootSystem) -> list[list[tuple[int, int]]]:
     return [bulk, fan] + shifted
 
 
-def certificate(fr: FamilyRank) -> CertificateFamily | None:
+def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     """Verified block certificate, or None exactly when no zero sum exists.
 
-    The root system is built once; the blocks index into it and are
-    verified against it.
+    Takes a root system already built, or an id whose system is then built
+    once; the blocks index into it and are verified against it.
     """
+    fr = system.id if isinstance(system, RootSystem) else system
     n = fr.rank
     build = {
         "A": _blocks_a if n % 2 == 0 else None,
@@ -278,7 +279,8 @@ def certificate(fr: FamilyRank) -> CertificateFamily | None:
     }[fr.family]
     if build is None:
         return None
-    system = positive_roots(fr)
+    if not isinstance(system, RootSystem):
+        system = positive_roots(fr)
     cert = CertificateFamily(fr, tuple(tuple(b) for b in build(system)))
     ok, diagnostic = verify_report(system, cert)
     if not ok:

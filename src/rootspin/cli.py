@@ -69,7 +69,9 @@ def build_report(fr: FamilyRank, method: str = "auto",
     """
     t_start = time.perf_counter()
     system = positive_roots(fr)
+    t_existence = time.perf_counter()
     existence = sigsum.exists_strong_dependence(system)
+    timings: dict[str, float] = {"existence_ms": (time.perf_counter() - t_existence) * 1000.0}
 
     report = {
         "family": fr.family,
@@ -81,7 +83,6 @@ def build_report(fr: FamilyRank, method: str = "auto",
         "obstruction": "pass" if existence.obstruction.passed else "fail",
         "certificate": _certificate_json(existence.certificate),
     }
-    timings: dict[str, float] = {}
     exit_code = 0
 
     if not existence.exists:
@@ -134,7 +135,21 @@ def _print_report_text(report: dict) -> None:
     click.echo(f"time         {report['timings']['total_ms']} ms")
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns the library's refusals into exit codes 1 and 3 for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InternalCheckError as exc:
+            click.echo(f"internal error: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
+        except ResourceLimitError as exc:
+            click.echo(f"resource limit: {exc}", err=True)
+            sys.exit(EXIT_RESOURCE)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="rootspin")
 def main() -> None:
     """Exact invariant-spinor dimensions from positive root combinatorics."""
@@ -159,12 +174,7 @@ def cmd_roots(family: str, rank: int) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json: bool) -> None:
     """Full existence/count/certificate report for one system."""
-    fr = _family_rank(family, rank)
-    try:
-        report, exit_code = build_report(fr, method=method, max_r=max_r)
-    except InternalCheckError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    report, exit_code = build_report(_family_rank(family, rank), method=method, max_r=max_r)
     if as_json:
         _emit(report)
     else:
@@ -183,11 +193,7 @@ def cmd_count(family: str, rank: int, method: str, max_r: int | None, as_json: b
     """Exact count of zero signed sums (no existence shortcuts)."""
     fr = _family_rank(family, rank)
     system = positive_roots(fr)
-    try:
-        result = _count_exact(system, method, max_r)
-    except ResourceLimitError as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+    result = _count_exact(system, method, max_r)
     if as_json:
         _emit({
             "family": fr.family,
@@ -207,13 +213,7 @@ def cmd_count(family: str, rank: int, method: str, max_r: int | None, as_json: b
 @click.argument("rank", type=int)
 def cmd_certify(family: str, rank: int) -> None:
     """Emit the verified block certificate, or available:false."""
-    fr = _family_rank(family, rank)
-    try:
-        cert = certs.certificate(fr)
-    except InternalCheckError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
-    _emit(_certificate_json(cert))
+    _emit(_certificate_json(certs.certificate(_family_rank(family, rank))))
 
 
 @main.command("oracle")
@@ -223,14 +223,8 @@ def cmd_certify(family: str, rank: int) -> None:
               help="Largest r the oracle runs on (at most 20: the work grows as r * 2^r).")
 def cmd_oracle(family: str, rank: int, max_r: int) -> None:
     """Invariant dimension through the exterior-algebra model."""
-    fr = _family_rank(family, rank)
-    system = positive_roots(fr)
-    try:
-        dim = invariant_dimension(system, limit_r=max_r)
-    except ResourceLimitError as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    _emit({"dimension": dim})
+    system = positive_roots(_family_rank(family, rank))
+    _emit({"dimension": invariant_dimension(system, limit_r=max_r)})
 
 
 @main.command("table")
@@ -242,11 +236,7 @@ def cmd_table(max_r: int | None, as_json: bool) -> None:
     reports = []
     worst_exit = 0
     for fr in CATALOGUE:
-        try:
-            report, exit_code = build_report(fr, max_r=max_r)
-        except InternalCheckError as exc:
-            click.echo(f"internal error: {exc}", err=True)
-            sys.exit(EXIT_INTERNAL)
+        report, exit_code = build_report(fr, max_r=max_r)
         worst_exit = max(worst_exit, exit_code)
         reports.append(report)
     if as_json:

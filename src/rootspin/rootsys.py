@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRankError
+from .errors import DimensionMismatchError, InvalidRankError, ResourceLimitError
 
 # Admissible rank ranges; anything else is rejected, never remapped to an
 # isomorphic family (e.g. C2 is not treated as B2).
@@ -222,8 +222,18 @@ def _build_rows(fr: FamilyRank) -> tuple[list[list[int]], int]:
 def positive_roots(fr: FamilyRank) -> RootSystem:
     """Construct the ordered positive root system for an admissible id.
 
-    Deterministic: repeated calls return identical ordered lists.
+    Deterministic: repeated calls return identical ordered lists.  The size
+    is checked against ``sigsum.DEFAULT_MEMORY_BUDGET`` before anything is
+    built: the row lists and the int64 matrix take about 16 bytes an entry.
     """
+    from . import sigsum  # sigsum imports this module
+
+    estimate = 16 * root_count(fr) * fr.rank
+    if estimate > sigsum.DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"the roots of {fr} would need about {estimate} bytes "
+            f"(> budget {sigsum.DEFAULT_MEMORY_BUDGET})"
+        )
     rows, denominator = _build_rows(fr)
     roots = np.array(rows, dtype=np.int64)
     roots.setflags(write=False)

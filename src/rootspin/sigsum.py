@@ -11,8 +11,11 @@ ways.  Three routes are implemented and cross-checked:
   key (see ``_kernels``, which decides the one key kind of a system).
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
-  zero signed sum forces sum(a_i) into 2L; membership is decided exactly
-  with a Hermite-normal-form basis and integer back-substitution.
+  zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
+  at a time into a Hermite-normal-form basis of at most m vectors, kept
+  reduced after every change, so a root already in the lattice reduces to
+  zero in a few steps and is skipped; membership in 2L is decided exactly
+  by reducing sum(a_i) against the doubled basis down to zero.
 
 All counts are exact Python integers; no floating point enters any path.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -201,51 +205,93 @@ def enumerate_zero_signs(system, limit_r: int = 16) -> list[np.ndarray]:
     return [signs_from_mask(int(mask), r) for mask in np.flatnonzero(keys == zero)]
 
 
+def _subtract(v: dict[int, int], q: int, b: dict[int, int]) -> None:
+    """v -= q * b in place, on sparse {row: entry} vectors without zeros."""
+    for row, x in b.items():
+        y = v.get(row, 0) - q * x
+        if y:
+            v[row] = y
+        else:
+            del v[row]
+
+
+def _reduce_at(v: dict[int, int], rows: list[int], basis: dict[int, dict[int, int]]) -> None:
+    """Reduce the entries of ``v`` at the given pivot rows, in increasing
+    order, into [0, pivot): each step changes only rows after its own."""
+    for row in rows:
+        q = v.get(row, 0) // basis[row][row]
+        if q:
+            _subtract(v, q, basis[row])
+
+
+def _rereduce(basis: dict[int, dict[int, int]], i: int) -> None:
+    """Restore the reduced form after the basis vector at pivot ``i`` changed.
+
+    Vectors with later pivots are untouched; the vector at ``i`` and every
+    earlier one whose entry at ``i`` leaves [0, pivot) are reduced again.
+    """
+    pivots = sorted(basis)
+    at = pivots.index(i)
+    later = pivots[at + 1:]
+    b = basis[i]
+    _reduce_at(b, later, basis)
+    for k in pivots[:at]:
+        q = basis[k].get(i, 0) // b[i]
+        if q:
+            _subtract(basis[k], q, b)
+            _reduce_at(basis[k], later, basis)
+
+
 def hnf(vectors) -> LatticeBasis:
-    """Column HNF of the integer lattice generated by the given vectors.
+    """Reduced column Hermite normal form of the lattice the vectors generate.
+
+    The vectors are inserted one at a time into a basis of at most m sparse
+    vectors, one per pivot row.  A vector is reduced at its leading row by
+    the basis vector with that pivot; when the pivot does not divide the
+    entry, Euclid's steps between the two leave their gcd as the new pivot
+    and the remainder goes on.  A vector reduced to zero already lies in the
+    lattice and is skipped; one whose leading row has no pivot becomes a
+    basis vector with a positive pivot.  After every change the entries at
+    later pivot rows are reduced back into [0, pivot), so the basis is the
+    unique reduced HNF at every step, whatever the input order, and a
+    difference of two basis vectors reduces to zero in a few steps.
 
     Pure Python integer arithmetic throughout; intermediates never overflow.
     """
-    cols = [[int(x) for x in v] for v in vectors]
-    if not cols:
+    if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu":
+        rows = vectors.tolist()
+    else:
+        rows = [[int(x) for x in v] for v in vectors]
+    if not rows:
         raise DimensionMismatchError("need at least one vector")
-    m = len(cols[0])
-    if any(len(c) != m for c in cols):
+    m = len(rows[0])
+    if any(len(v) != m for v in rows):
         raise DimensionMismatchError("vectors must share a common length")
-    ncols = len(cols)
-    pivot_col = 0
-    pivot_rows: list[int] = []
-    for row in range(m):
-        if pivot_col == ncols:
-            break
-        if all(cols[j][row] == 0 for j in range(pivot_col, ncols)):
-            continue
-        # Euclidean elimination until a single non-zero entry remains in this
-        # row among the unpivoted columns.
-        while True:
-            nz = [j for j in range(pivot_col, ncols) if cols[j][row] != 0]
-            j_min = min(nz, key=lambda j: abs(cols[j][row]))
-            cols[pivot_col], cols[j_min] = cols[j_min], cols[pivot_col]
-            if len(nz) == 1:
+    basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
+    for row in rows:
+        v = dict(zip(compress(range(m), row), filter(None, row)))
+        while v:
+            i = min(v)
+            b = basis.get(i)
+            if b is None:
+                basis[i] = v if v[i] > 0 else {k: -x for k, x in v.items()}
+                _rereduce(basis, i)
                 break
-            p = cols[pivot_col][row]
-            for j in range(pivot_col + 1, ncols):
-                if cols[j][row]:
-                    q = cols[j][row] // p
-                    if q:
-                        cols[j] = [a - q * b for a, b in zip(cols[j], cols[pivot_col])]
-        if cols[pivot_col][row] < 0:
-            cols[pivot_col] = [-x for x in cols[pivot_col]]
-        p = cols[pivot_col][row]
-        for j in range(pivot_col):
-            q = cols[j][row] // p
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[pivot_col])]
-        pivot_rows.append(row)
-        pivot_col += 1
+            merged = False
+            while True:
+                q, rem = divmod(v[i], b[i])
+                if q:
+                    _subtract(v, q, b)
+                if not rem:
+                    break
+                b, v, merged = v, b, True
+            if merged:
+                basis[i] = b
+                _rereduce(basis, i)
+    pivots = sorted(basis)
     return LatticeBasis(
-        columns=tuple(tuple(c) for c in cols[:pivot_col]),
-        pivot_rows=tuple(pivot_rows),
+        columns=tuple(tuple(basis[p].get(k, 0) for k in range(m)) for p in pivots),
+        pivot_rows=tuple(pivots),
         ambient_dim=m,
     )
 
@@ -298,7 +344,7 @@ def exists_strong_dependence(
     roots, _ = system_parts(system)
     obstruction = obstruction_2L(roots)
     if isinstance(system, RootSystem):
-        cert = certs.certificate(system.id)
+        cert = certs.certificate(system)
         if obstruction.passed and cert is None:
             raise InternalCheckError(f"{system.id}: obstruction passed but no certificate exists")
         if cert is not None and not obstruction.passed:

@@ -8,7 +8,8 @@ Claims covered:
     - non-existence families return None
     - verify rejects mismatched systems, tampered signs and broken covers
     - the assembled witnesses are genuine zero signed sums, including E8
-    - a certificate builds its root system once and none for non-existence
+    - a certificate builds its root system once and none for non-existence,
+      and none when it is given the system already built
 """
 
 import numpy as np
@@ -178,8 +179,13 @@ def test_roots_built_once_per_certificate(monkeypatch, family, rank, builds):
         return positive_roots(fr)
 
     monkeypatch.setattr(certs, "positive_roots", counting)
-    certificate(FamilyRank(family, rank))
+    fr = FamilyRank(family, rank)
+    by_id = certificate(fr)
     assert len(calls) == builds
+    # A system already built is reused: no roots are built again.
+    calls.clear()
+    assert certificate(positive_roots(fr)) == by_id
+    assert calls == []
 
 
 def test_every_block_sums_to_zero_individually(catalogue):

@@ -5,6 +5,9 @@ Claims covered:
     - `analyze` JSON carries the fixed schema keys and the published values
       for E6 / E7 / E8, with the documented exit codes
     - forced methods that exceed limits exit 3 with a partial report
+    - a root system over the memory budget is refused before it is built:
+      every command that builds roots exits 3 with a `resource limit:` line
+    - `analyze` times the existence proof in `timings.existence_ms`
     - `certify` emits verified block certificates or available:false
     - `oracle` agrees with `analyze`'s exact count and respects --max-r
     - `--max-r` is a non-negative bound (at most 20 for `oracle`), and 0
@@ -109,6 +112,11 @@ class TestAnalyze:
 
     def test_invalid_input_exits_2(self):
         assert run("analyze", "C", "2", "--json").exit_code == 2
+
+    def test_existence_timed(self):
+        timings = run_json("analyze", "E", "6", "--json")["timings"]
+        assert {"count_ms", "existence_ms", "total_ms"} <= set(timings)
+        assert 0 <= timings["existence_ms"] <= timings["total_ms"]
 
 
 class TestCount:
@@ -239,6 +247,33 @@ class TestExitCodes:
         result = run("analyze", "G", "2", "--json", "--threads", "2")
         assert result.exit_code == 2
         assert "No such option" in result.output
+
+
+class TestRootBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("roots", "A", "100"),
+            ("analyze", "A", "100", "--json"),
+            ("count", "A", "100"),
+            ("oracle", "A", "100"),
+            ("certify", "A", "100"),
+        ],
+    )
+    def test_over_budget_exits_3_before_building(self, argv, monkeypatch):
+        # A100 has 5050 roots of length 100: about 8 MB by the estimate.
+        from rootspin import rootsys, sigsum
+
+        def refuse(_):
+            raise AssertionError("roots were built before the budget check")
+
+        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        monkeypatch.setattr(rootsys, "_build_rows", refuse)
+        result = run(*argv)
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("resource limit: the roots of A100 would need")
 
 
 class TestDeterminism:

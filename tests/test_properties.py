@@ -11,6 +11,9 @@ root matrices where exhaustive counting is cheap:
       the positivity of the exact count
     - the solution set is closed under global sign flip
     - the torus action stays diagonal with purely imaginary eigenvalues
+    - the HNF is the unique reduced basis of the lattice: unchanged under a
+      row permutation, under appending an integer combination of the rows
+      and when recomputed from its own basis (entries past 2^63 included)
 """
 
 from fractions import Fraction
@@ -118,6 +121,58 @@ def test_generators_lie_in_own_hnf_lattice(roots):
     for row in roots.tolist():
         assert basis.contains(row)
     assert basis.contains(roots.sum(axis=0))
+
+
+@st.composite
+def lattice_generators(draw):
+    """Up to 8 vectors of length up to 6, entries in +-50, zero rows allowed;
+    half the time a list whose entries are shifted past 2^63."""
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=m, max_size=m),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        shift = draw(st.integers(58, 72))
+        return [[x << shift for x in row] for row in rows]
+    return np.array(rows, dtype=np.int64)
+
+
+def assert_reduced_hnf(basis):
+    assert list(basis.pivot_rows) == sorted(set(basis.pivot_rows))
+    for j, (col, row) in enumerate(zip(basis.columns, basis.pivot_rows)):
+        pivot = col[row]
+        assert pivot > 0
+        assert all(col[i] == 0 for i in range(row))
+        for left in basis.columns[:j]:
+            assert 0 <= left[row] < pivot
+
+
+@common
+@given(lattice_generators(), st.randoms(use_true_random=False))
+def test_hnf_unique_under_row_permutation(vectors, rng):
+    basis = hnf(vectors)
+    assert_reduced_hnf(basis)
+    order = list(range(len(vectors)))
+    rng.shuffle(order)
+    assert hnf([vectors[i] for i in order]) == basis
+
+
+@common
+@given(lattice_generators(), st.data())
+def test_hnf_unique_when_a_combination_is_appended(vectors, data):
+    rows = [[int(x) for x in v] for v in vectors]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    combination = [sum(c * v[k] for c, v in zip(coeffs, rows)) for k in range(len(rows[0]))]
+    assert hnf(rows + [combination]) == hnf(vectors)
+
+
+@common
+@given(lattice_generators())
+def test_hnf_of_its_own_basis_is_itself(vectors):
+    basis = hnf(vectors)
+    if basis.columns:
+        assert hnf(basis.columns) == basis
+    else:
+        assert not any(any(v) for v in vectors)
 
 
 @common

@@ -6,6 +6,7 @@ Claims covered:
     - scaled coordinates stay within {-2..2}; F4 is the only denominator-2 system
     - the canonical order is deterministic and roots are pairwise distinct
     - inadmissible ranks are rejected, never remapped; a bool is not a rank
+    - a system over the memory budget is refused before any root is built
     - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
 """
@@ -13,7 +14,14 @@ Claims covered:
 import numpy as np
 import pytest
 
-from rootspin import FamilyRank, InvalidRankError, format_root_list, positive_roots, root_count
+from rootspin import (
+    FamilyRank,
+    InvalidRankError,
+    ResourceLimitError,
+    format_root_list,
+    positive_roots,
+    root_count,
+)
 from rootspin.rootsys import CATALOGUE
 
 G2_ROOTS = [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]
@@ -100,6 +108,18 @@ def test_roots_are_read_only():
 def test_inadmissible_ranks_rejected(family, rank):
     with pytest.raises(InvalidRankError):
         FamilyRank(family, rank)
+
+
+def test_oversized_system_refused_before_building(monkeypatch):
+    # A2000: 2 001 000 roots of length 2000, about 64 GB by the estimate.
+    from rootspin import rootsys
+
+    def refuse(_):
+        raise AssertionError("roots were built before the budget check")
+
+    monkeypatch.setattr(rootsys, "_build_rows", refuse)
+    with pytest.raises(ResourceLimitError, match="the roots of A2000"):
+        positive_roots(FamilyRank("A", 2000))
 
 
 def test_catalogue_ids():

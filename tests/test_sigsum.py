@@ -7,9 +7,12 @@ Claims covered:
     - packed int64 keys and unpacked row keys give identical brute and
       MITM counts, and identical signed sums for every sign mask
     - HNF examples: the index-3 planar lattice, diagonal and identity input
+    - the HNF of every catalogue system, and of A72, B69, C68 and D69, has
+      full rank and the root lattice's index
     - every generator lies in the lattice spanned by its own HNF basis
     - obstruction fails exactly where parity arguments say it must,
       and a Fail always implies a zero brute-force count
+    - the obstruction on A160 and C120 passes within 3 s each
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
       obstruction passes exactly when a certificate exists
@@ -19,6 +22,9 @@ Claims covered:
       vectors and a verified witness
     - matrix and sign entries must be integers that int64 holds exactly
 """
+
+import math
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +46,7 @@ from rootspin import (
     signed_sum,
 )
 from rootspin import _kernels, certs, sigsum
+from rootspin.rootsys import CATALOGUE
 
 
 def _sys(family, rank):
@@ -167,13 +174,15 @@ class TestCounting:
     @pytest.mark.parametrize(
         "engine",
         [
-            lambda: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
-            lambda: count_bruteforce(_sys("G", 2)),
-            lambda: enumerate_zero_signs(_sys("G", 2)),
+            lambda _: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
+            count_bruteforce,
+            enumerate_zero_signs,
         ],
         ids=["witness_search", "brute_force", "enumeration"],
     )
     def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
+        # G2 is built first: its roots alone exceed the budget below.
+        g2 = _sys("G", 2)
         # 64 bytes: below the smallest of the three estimates, the witness
         # search's 144 (tables of 4 and 2 keys, 8 bytes each, times 3).
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 64)
@@ -183,8 +192,8 @@ class TestCounting:
 
         monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
         monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
-        with pytest.raises(ResourceLimitError):
-            engine()
+        with pytest.raises(ResourceLimitError, match="signed-sum tables"):
+            engine(g2)
 
 
 def _stretch_past_key_budget(roots):
@@ -322,6 +331,20 @@ class TestHNF:
         assert basis.contains([4, -2], multiple=2)
         assert not basis.contains([3, 0], multiple=2)
 
+    @pytest.mark.parametrize(
+        "fr",
+        list(CATALOGUE) + [FamilyRank(f, n) for f, n in (("A", 72), ("B", 69), ("C", 68), ("D", 69))],
+        ids=str,
+    )
+    def test_rank_and_index(self, fr):
+        # The root lattice has full rank; its index in Z^n (the product of
+        # the pivots) is n + 1 for A_n in these coordinates, 1 for B_n and
+        # G2, 2 for C_n and D_n, 3 for E6..E8 and 8 for the doubled F4.
+        index = {"A": fr.rank + 1, "B": 1, "C": 2, "D": 2, "E": 3, "F": 8, "G": 1}[fr.family]
+        basis = hnf(positive_roots(fr).roots)
+        assert len(basis.columns) == fr.rank
+        assert math.prod(col[row] for col, row in zip(basis.columns, basis.pivot_rows)) == index
+
 
 class TestObstruction:
     def test_b4_fails(self):
@@ -346,6 +369,17 @@ class TestObstruction:
         for name, system in catalogue.items():
             if system.r <= 26 and not obstruction_2L(system).passed:
                 assert count_bruteforce(system).value == 0, name
+
+    @pytest.mark.parametrize("family,rank", [("A", 160), ("C", 120)])
+    def test_large_rank_time_budget(self, family, rank):
+        # 12 880 and 14 400 roots: about 0.3 s each with the incremental HNF
+        # on a 2-core Xeon, where whole-matrix elimination took 6 to 12 s.
+        system = _sys(family, rank)
+        start = time.perf_counter()
+        result = obstruction_2L(system)
+        elapsed = time.perf_counter() - start
+        assert result.passed
+        assert elapsed < 3.0, f"{family}{rank} obstruction took {elapsed:.2f} s"
 
 
 class TestExistence:
