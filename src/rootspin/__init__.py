@@ -16,6 +16,7 @@ from .sigsum import (
     ExistenceResult,
     LatticeBasis,
     ObstructionResult,
+    count,
     count_bruteforce,
     count_mitm,
     enumerate_zero_signs,
@@ -51,6 +52,7 @@ __all__ = [
     "assembled_witness",
     "cartan_act",
     "certificate",
+    "count",
     "count_bruteforce",
     "count_mitm",
     "enumerate_zero_signs",

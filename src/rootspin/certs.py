@@ -81,46 +81,31 @@ def _alternating_blocks(k: int, pair_idx, extra_idx) -> list[list[tuple[int, int
     return blocks
 
 
+def _lookup(system: RootSystem):
+    """Signed-index root lookup, with 1-based indices into the coordinates.
+
+    ``at(*terms, base=0)`` starts from ``base`` in every coordinate and adds
+    l_i for each term i and subtracts l_j for each term -j: ``at(i, -j)`` is
+    l_i - l_j, ``at(i, i)`` is 2 l_i and ``at(-i, -j, base=1)`` is
+    nu - l_i - l_j.
+    """
+    n = system.ambient_dim
+    idx = root_index_map(system)
+
+    def at(*terms: int, base: int = 0) -> int:
+        v = [base] * n
+        for t in terms:
+            v[abs(t) - 1] += 1 if t > 0 else -1
+        return idx[tuple(v)]
+
+    return at
+
+
 def _blocks_a(system: RootSystem) -> list[list[tuple[int, int]]]:
-    n = system.id.rank
-    idx = root_index_map(system)
-
-    def pair(i: int, j: int) -> int:
-        v = [0] * n
-        v[i - 1] += 1
-        v[j - 1] -= 1
-        return idx[tuple(v)]
-
-    def extra(i: int) -> int:
-        v = [1] * n
-        v[i - 1] += 1
-        return idx[tuple(v)]
-
-    return _alternating_blocks(n // 2, pair, extra)
-
-
-def _bcd_lookups(system: RootSystem):
-    n = system.id.rank
-    idx = root_index_map(system)
-
-    def minus(i: int, j: int) -> int:
-        v = [0] * n
-        v[i - 1] += 1
-        v[j - 1] -= 1
-        return idx[tuple(v)]
-
-    def plus(i: int, j: int) -> int:
-        v = [0] * n
-        v[i - 1] += 1
-        v[j - 1] += 1
-        return idx[tuple(v)]
-
-    def double(i: int) -> int:
-        v = [0] * n
-        v[i - 1] = 2
-        return idx[tuple(v)]
-
-    return minus, plus, double
+    at = _lookup(system)
+    return _alternating_blocks(
+        system.id.rank // 2, lambda i, j: at(i, -j), lambda i: at(i, base=1)
+    )
 
 
 def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
@@ -128,35 +113,35 @@ def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
     k, eps = divmod(n, 4)
     if eps not in (0, 3):
         raise AssertionError("C blocks exist only for n = 0, 3 mod 4")
-    minus, plus, double = _bcd_lookups(system)
+    at = _lookup(system)
     blocks = []
     for l in range(k):
         a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
-        block = [(minus(a, b), 1), (plus(a, b), 1)]
+        block = [(at(a, -b), 1), (at(a, b), 1)]
         for j in range(a + 2, n + 1):
-            block += [(plus(a, j), 1), (minus(a, j), -1)]
-        block += [(minus(b, c), 1), (plus(b, c), 1)]
+            block += [(at(a, j), 1), (at(a, -j), -1)]
+        block += [(at(b, -c), 1), (at(b, c), 1)]
         for j in range(b + 2, n + 1):
-            block += [(plus(b, j), -1), (minus(b, j), 1)]
+            block += [(at(b, j), -1), (at(b, -j), 1)]
         for j in range(c + 1, n + 1):
-            block += [(plus(c, j), 1), (minus(c, j), -1)]
+            block += [(at(c, j), 1), (at(c, -j), -1)]
         for j in range(d + 1, n + 1):
-            block += [(plus(d, j), -1), (minus(d, j), 1)]
-        block += [(double(a), -1), (double(b), -1), (double(c), -1), (double(d), -1)]
+            block += [(at(d, j), -1), (at(d, -j), 1)]
+        block += [(at(a, a), -1), (at(b, b), -1), (at(c, c), -1), (at(d, d), -1)]
         blocks.append(block)
     if eps == 3:
         p, q, s = 4 * k + 1, 4 * k + 2, 4 * k + 3
         blocks.append(
             [
-                (minus(p, q), 1),
-                (minus(p, s), -1),
-                (minus(q, s), 1),
-                (plus(p, q), 1),
-                (plus(p, s), 1),
-                (plus(q, s), 1),
-                (double(p), -1),
-                (double(q), -1),
-                (double(s), -1),
+                (at(p, -q), 1),
+                (at(p, -s), -1),
+                (at(q, -s), 1),
+                (at(p, q), 1),
+                (at(p, s), 1),
+                (at(q, s), 1),
+                (at(p, p), -1),
+                (at(q, q), -1),
+                (at(s, s), -1),
             ]
         )
     return blocks
@@ -167,7 +152,7 @@ def _blocks_d(system: RootSystem) -> list[list[tuple[int, int]]]:
     k, eps = divmod(n, 4)
     if eps not in (0, 1):
         raise AssertionError("D blocks exist only for n = 0, 1 mod 4")
-    minus, plus, _ = _bcd_lookups(system)
+    at = _lookup(system)
     blocks = []
     for l in range(k):
         a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
@@ -175,18 +160,18 @@ def _blocks_d(system: RootSystem) -> list[list[tuple[int, int]]]:
         # Alternating signs use the literal global subscript j.
         for j in range(a + 1, n + 1):
             s = (-1) ** j
-            block += [(minus(a, j), s), (plus(a, j), -s)]
-        block += [(minus(b, c), 1), (plus(b, c), 1)]
+            block += [(at(a, -j), s), (at(a, j), -s)]
+        block += [(at(b, -c), 1), (at(b, c), 1)]
         for j in range(b + 2, n + 1):
             s = (-1) ** j
-            block += [(minus(b, j), -s), (plus(b, j), s)]
-        block += [(minus(c, d), -1), (plus(c, d), -1)]
+            block += [(at(b, -j), -s), (at(b, j), s)]
+        block += [(at(c, -d), -1), (at(c, d), -1)]
         for j in range(c + 2, n + 1):
             s = (-1) ** j
-            block += [(minus(c, j), s), (plus(c, j), -s)]
+            block += [(at(c, -j), s), (at(c, j), -s)]
         for j in range(d + 1, n + 1):
             s = (-1) ** j
-            block += [(minus(d, j), -s), (plus(d, j), s)]
+            block += [(at(d, -j), -s), (at(d, j), s)]
         blocks.append(block)
     return blocks
 
@@ -213,49 +198,27 @@ def _one_block(signs: tuple[int, ...]):
 
 
 def _blocks_e8(system: RootSystem) -> list[list[tuple[int, int]]]:
-    idx = root_index_map(system)
-
-    def pair(i: int, j: int) -> int:
-        v = [0] * 8
-        v[i - 1] += 1
-        v[j - 1] -= 1
-        return idx[tuple(v)]
-
-    def triple(i: int, j: int, k: int) -> int:
-        v = [0] * 8
-        v[i - 1] = v[j - 1] = v[k - 1] = 1
-        return idx[tuple(v)]
-
-    def nu_plus(i: int) -> int:
-        v = [1] * 8
-        v[i - 1] += 1
-        return idx[tuple(v)]
-
-    def nu_minus(i: int, j: int) -> int:
-        v = [1] * 8
-        v[i - 1] -= 1
-        v[j - 1] -= 1
-        return idx[tuple(v)]
+    at = _lookup(system)
 
     # All triples minus all (nu - l_i - l_j): both sum to 21*nu.
     bulk = [
-        (triple(i, j, k), 1)
+        (at(i, j, k), 1)
         for i in range(1, 9)
         for j in range(i + 1, 9)
         for k in range(j + 1, 9)
     ]
-    bulk += [(nu_minus(i, j), -1) for i in range(1, 9) for j in range(i + 1, 9)]
+    bulk += [(at(-i, -j, base=1), -1) for i in range(1, 9) for j in range(i + 1, 9)]
 
     # Alternating identity tying the l_1 - l_j fan to the nu + l_i fan.
-    fan = [(pair(1, j), (-1) ** j) for j in range(2, 9)]
-    fan += [(nu_plus(i), (-1) ** i) for i in range(1, 9)]
+    fan = [(at(1, -j), (-1) ** j) for j in range(2, 9)]
+    fan += [(at(i, base=1), (-1) ** i) for i in range(1, 9)]
 
     # The 21 remaining differences among indices 2..8 carry the shifted
     # even-rank-6 construction, reading l_{i+1} - l_8 for the extra roots.
     shifted = _alternating_blocks(
         3,
-        lambda i, j: pair(i + 1, j + 1),
-        lambda i: pair(i + 1, 8),
+        lambda i, j: at(i + 1, -(j + 1)),
+        lambda i: at(i + 1, -8),
     )
     return [bulk, fan] + shifted
 

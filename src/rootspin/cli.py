@@ -23,15 +23,9 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
-_AUTO_BRUTE_MAX = 20  # auto method: brute force below, meet-in-the-middle above
-
 
 def _family_rank(family: str, rank: int) -> FamilyRank:
-    try:
-        return FamilyRank(family.strip().upper(), rank)
-    except InvalidRankError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
+    return FamilyRank(family.strip().upper(), rank)
 
 
 def _emit(obj) -> None:
@@ -51,21 +45,12 @@ def _certificate_json(cert: certs.CertificateFamily | None):
     }
 
 
-def _count_exact(system, method: str, max_r: int | None) -> sigsum.CountResult:
-    """Run the chosen engine; ``max_r=None`` keeps each engine's own limit."""
-    limit = {} if max_r is None else {"limit_r": max_r}
-    auto_brute = system.r <= _AUTO_BRUTE_MAX and (max_r is None or system.r <= max_r)
-    if method == "brute" or (method == "auto" and auto_brute):
-        return sigsum.count_bruteforce(system, **limit)
-    return sigsum.count_mitm(system, **limit)
-
-
 def build_report(fr: FamilyRank, method: str = "auto",
                  max_r: int | None = None) -> tuple[dict, int]:
     """Assemble the analysis report; returns (report, exit_code).
 
     Existence and its two proofs come from ``sigsum.exists_strong_dependence``;
-    this adds the engine choice for the exact count and the JSON layout.
+    the exact count comes from ``sigsum.count``; this adds the JSON layout.
     """
     t_start = time.perf_counter()
     system = positive_roots(fr)
@@ -90,12 +75,12 @@ def build_report(fr: FamilyRank, method: str = "auto",
         report["method"] = sigsum.METHOD_OBSTRUCTION
     else:
         bound = certs.lower_bound(fr)
-        auto_max = sigsum.DEFAULT_MITM_LIMIT if max_r is None else max_r
-        wants_exact = method != "auto" or system.r <= auto_max
+        # A forced engine past its limit refuses (exit 3); auto just skips.
+        _, limit = sigsum.choose_engine(system.r, method, max_r)
         result = None
-        if wants_exact:
+        if method != "auto" or system.r <= limit:
             try:
-                result = _count_exact(system, method, max_r)
+                result = sigsum.count(system, method, max_r)
             except ResourceLimitError as exc:
                 click.echo(f"resource limit: {exc}", err=True)
                 exit_code = EXIT_RESOURCE
@@ -136,11 +121,14 @@ def _print_report_text(report: dict) -> None:
 
 
 class _Main(click.Group):
-    """Turns the library's refusals into exit codes 1 and 3 for every command."""
+    """Turns the library's refusals into exit codes 1, 2 and 3 for every command."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except InvalidRankError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INVALID)
         except InternalCheckError as exc:
             click.echo(f"internal error: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
@@ -193,7 +181,7 @@ def cmd_count(family: str, rank: int, method: str, max_r: int | None, as_json: b
     """Exact count of zero signed sums (no existence shortcuts)."""
     fr = _family_rank(family, rank)
     system = positive_roots(fr)
-    result = _count_exact(system, method, max_r)
+    result = sigsum.count(system, method, max_r)
     if as_json:
         _emit({
             "family": fr.family,

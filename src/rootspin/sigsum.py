@@ -17,6 +17,11 @@ ways.  Three routes are implemented and cross-checked:
   zero in a few steps and is skipped; membership in 2L is decided exactly
   by reducing sum(a_i) against the doubled basis down to zero.
 
+``count(system, method, max_r)`` is the one counting entry point.
+``choose_engine`` holds the ``auto`` rule (brute force when r <= 20 and
+r <= max_r, meet-in-the-middle otherwise) and each engine's default limit
+(26 and 48); a caller that needs the limit asks it.
+
 All counts are exact Python integers; no floating point enters any path.
 """
 
@@ -37,11 +42,6 @@ from .errors import (
 )
 from .rootsys import RootSystem, int64_array, system_parts
 
-KIND_EXACT = "exact"
-KIND_LOWER_BOUND = "lower_bound"
-KIND_EXISTS_ONLY = "exists_only"
-KIND_ZERO = "zero"
-
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
 METHOD_OBSTRUCTION = "obstruction"
@@ -49,24 +49,24 @@ METHOD_CERTIFICATE = "certificate"
 
 DEFAULT_BRUTE_LIMIT = 26
 DEFAULT_MITM_LIMIT = 48
+AUTO_BRUTE_MAX = 20  # auto: brute force up to this r, meet-in-the-middle above
+ENUMERATION_LIMIT = 16
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
 
 
 @dataclass(frozen=True)
 class CountResult:
-    """Outcome of a counting run, with method and resource metadata."""
+    """Exact count of a counting run, with method and resource metadata."""
 
-    kind: str
     value: int
     method: str
     elapsed: float
     memory_peak: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == KIND_EXACT and self.value % 2 != 0:
+        # Negating every sign maps zero sums to zero sums without fixed points.
+        if self.value % 2 != 0:
             raise InternalCheckError(f"exact count {self.value} is odd")
-        if self.kind == KIND_ZERO and self.value != 0:
-            raise InternalCheckError("zero result carries a non-zero value")
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,7 @@ def signed_sum(system, signs) -> np.ndarray:
     return eps @ roots
 
 
-def count_bruteforce(
-    system,
-    limit_r: int = DEFAULT_BRUTE_LIMIT,
-) -> CountResult:
+def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     """Exact count of zero signed sums by full 2^r enumeration."""
     roots, _ = system_parts(system)
     r = roots.shape[0]
@@ -143,31 +140,14 @@ def count_bruteforce(
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
     value = _kernels.count_zero_full(roots, DEFAULT_MEMORY_BUDGET)
-    return CountResult(KIND_EXACT, value, METHOD_BRUTE, time.perf_counter() - start)
+    return CountResult(value, METHOD_BRUTE, time.perf_counter() - start)
 
 
 def mitm_split(roots: np.ndarray) -> int:
-    """Contiguous split point for the meet-in-the-middle halves.
-
-    Enumeration cost fixes the candidates to the count-optimal points
-    floor(r/2) and ceil(r/2); between those, the one balancing the halves'
-    total coordinate magnitude wins (smaller packed key ranges), and a tie
-    takes the first ceil(r/2) roots.
-    """
-    r = roots.shape[0]
-    if r < 2:
-        return r
-    weights = [int(w) for w in np.abs(roots.astype(object)).sum(axis=1)]
-    total = sum(weights)
-    half_point = (r + 1) // 2
-    best_k = half_point
-    best = None
-    for k in {r // 2, half_point}:
-        score = (abs(total - 2 * sum(weights[:k])), abs(k - half_point))
-        if best is None or score < best:
-            best = score
-            best_k = k
-    return best_k
+    """Contiguous split point for the meet-in-the-middle halves: the first
+    ceil(r/2) roots, which minimises the enumeration.  The key strides come
+    from all roots, so no split changes the key range or the table sizes."""
+    return (roots.shape[0] + 1) // 2
 
 
 def _join_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
@@ -178,28 +158,50 @@ def _join_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
     return sum(int(a) * int(b) for a, b in zip(cl[il], cr[ir]))
 
 
-def count_mitm(
-    system,
-    limit_r: int = DEFAULT_MITM_LIMIT,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> CountResult:
+def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
     """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
     roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
-    left, right, estimate = _kernels.key_tables(roots, mitm_split(roots), memory_budget)
+    left, right, estimate = _kernels.key_tables(roots, mitm_split(roots), DEFAULT_MEMORY_BUDGET)
     value = _join_counts(left, right)
-    return CountResult(KIND_EXACT, value, METHOD_MITM, time.perf_counter() - start, estimate)
+    return CountResult(value, METHOD_MITM, time.perf_counter() - start, estimate)
 
 
-def enumerate_zero_signs(system, limit_r: int = 16) -> list[np.ndarray]:
-    """All sign vectors with zero signed sum, for small systems."""
+def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tuple[str, int]:
+    """The engine ``count`` runs on r roots, and the largest r it may count.
+
+    ``auto`` takes brute force when r <= 20 and r <= max_r, otherwise
+    meet-in-the-middle.  ``max_r=None`` keeps the engine's own limit
+    (26 for brute force, 48 for meet-in-the-middle).
+    """
+    if method not in ("auto", "brute", "mitm"):
+        raise ValueError(f"unknown counting method {method!r}")
+    if method == "auto":
+        brute = r <= AUTO_BRUTE_MAX and (max_r is None or r <= max_r)
+        method = "brute" if brute else "mitm"
+    default = DEFAULT_BRUTE_LIMIT if method == "brute" else DEFAULT_MITM_LIMIT
+    return method, default if max_r is None else max_r
+
+
+def count(system, method: str = "auto", max_r: int | None = None) -> CountResult:
+    """Exact count by the engine ``choose_engine`` picks, within its limit."""
+    roots, _ = system_parts(system)
+    engine, limit = choose_engine(roots.shape[0], method, max_r)
+    # Looked up as module globals at call time, so a wrapped engine runs.
+    if engine == "brute":
+        return count_bruteforce(system, limit)
+    return count_mitm(system, limit)
+
+
+def enumerate_zero_signs(system) -> list[np.ndarray]:
+    """All sign vectors with zero signed sum, for r <= ENUMERATION_LIMIT."""
     roots, _ = system_parts(system)
     r = roots.shape[0]
-    if r > limit_r:
-        raise ResourceLimitError(f"witness enumeration needs r <= {limit_r}, got r = {r}")
+    if r > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
     # The table of the empty half holds one key: that of the zero sum.
     keys, zero, _ = _kernels.key_tables(roots, r, DEFAULT_MEMORY_BUDGET)
     return [signs_from_mask(int(mask), r) for mask in np.flatnonzero(keys == zero)]
@@ -296,13 +298,21 @@ def hnf(vectors) -> LatticeBasis:
     )
 
 
+def _column_sums(roots: np.ndarray) -> list[int]:
+    """Exact column sums of an int64 matrix with r < 2^31 rows: the parts
+    ``roots >> 31`` sum to below r * 2^32, the low 31 bits to below r * 2^31."""
+    high = (roots >> 31).sum(axis=0).tolist()
+    low = (roots & (2**31 - 1)).sum(axis=0).tolist()
+    return [(h << 31) + lo for h, lo in zip(high, low)]
+
+
 def obstruction_2L(system) -> ObstructionResult:
     """Necessary condition for a zero signed sum: sum(a_i) must lie in 2L.
 
     Fail certifies non-existence; Pass never asserts existence.
     """
     roots, _ = system_parts(system)
-    total = [int(x) for x in np.asarray(roots, dtype=object).sum(axis=0)]
+    total = _column_sums(roots)
     basis = hnf(roots)
     if basis.contains(total, multiple=2):
         return ObstructionResult(True)
@@ -329,10 +339,7 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     return signs
 
 
-def exists_strong_dependence(
-    system,
-    limit_r: int = DEFAULT_MITM_LIMIT,
-) -> ExistenceResult:
+def exists_strong_dependence(system) -> ExistenceResult:
     """Decide existence of a zero signed sum, with a proof either way.
 
     The 2L obstruction runs first; its failure proves non-existence.  A
@@ -358,9 +365,7 @@ def exists_strong_dependence(
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
     r = roots.shape[0]
-    if r > limit_r:
-        raise ResourceLimitError(f"witness search needs r <= {limit_r}, got r = {r}")
+    if r > DEFAULT_MITM_LIMIT:
+        raise ResourceLimitError(f"witness search needs r <= {DEFAULT_MITM_LIMIT}, got r = {r}")
     witness = _search_witness(roots)
-    if witness is None:
-        return ExistenceResult(False, None, obstruction, METHOD_MITM)
-    return ExistenceResult(True, witness, obstruction, METHOD_MITM)
+    return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Claims covered:
-    - `roots` emits the bit-exact text format; invalid input exits 2
+    - `roots` emits the bit-exact text format; invalid input exits 2, as an
+      invalid rank does on `certify` and `oracle`
     - `analyze` JSON carries the fixed schema keys and the published values
       for E6 / E7 / E8, with the documented exit codes
     - forced methods that exceed limits exit 3 with a partial report
@@ -241,6 +242,21 @@ class TestExitCodes:
         )
         assert result.exit_code == 0
         assert strip_timings(result.stdout) == strip_timings(plain.stdout)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "A", "0"),
+            ("certify", "C", "2"),
+            ("oracle", "X", "4"),
+            ("oracle", "E", "9"),
+        ],
+    )
+    def test_invalid_rank_exits_2(self, argv):
+        result = run(*argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
 
     def test_rejects_non_positive_threads(self):
         # The --threads option is gone; click rejects it as unknown.

@@ -14,9 +14,14 @@ root matrices where exhaustive counting is cheap:
     - the HNF is the unique reduced basis of the lattice: unchanged under a
       row permutation, under appending an integer combination of the rows
       and when recomputed from its own basis (entries past 2^63 included)
+    - under the project's warning filters, a failing property fails its own
+      test and the session goes on (no INTERNALERROR)
 """
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -188,3 +193,30 @@ def test_cartan_action_diagonal_purely_imaginary(roots, mask_seed, xs):
     assert set(out.terms) <= {mask}
     for coeff in out.terms.values():
         assert coeff.a == 0 and coeff.c == 0 and coeff.d == 0
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_runs_after_the_failure():
+    pass
+"""
+
+
+def test_failing_property_fails_one_test(tmp_path):
+    # Run under this project's pytest configuration (its filterwarnings).
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "-q", str(tmp_path / "test_failing.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -12,10 +12,14 @@ Claims covered:
     - every generator lies in the lattice spanned by its own HNF basis
     - obstruction fails exactly where parity arguments say it must,
       and a Fail always implies a zero brute-force count
+    - the obstruction's column sums are exact for every int64 entry
     - the obstruction on A160 and C120 passes within 3 s each
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
       obstruction passes exactly when a certificate exists
+    - ``count`` runs brute force up to r = 20 (and r <= max_r) and
+      meet-in-the-middle above, with each engine's limit, and looks the
+      engines up at call time
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
     - every engine runs on row keys past the key budget: counts, zero sign
@@ -152,7 +156,6 @@ class TestCounting:
 
     def test_result_metadata(self):
         result = count_bruteforce(_sys("G", 2))
-        assert result.kind == sigsum.KIND_EXACT
         assert result.method == sigsum.METHOD_BRUTE
         assert result.elapsed >= 0.0
 
@@ -167,23 +170,20 @@ class TestCounting:
         with pytest.raises(ResourceLimitError):
             count_mitm(_sys("E", 8))
 
-    def test_mitm_memory_budget(self):
-        with pytest.raises(ResourceLimitError):
-            count_mitm(_sys("E", 6), memory_budget=1 << 10)
-
     @pytest.mark.parametrize(
         "engine",
         [
             lambda _: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
             count_bruteforce,
             enumerate_zero_signs,
+            count_mitm,
         ],
-        ids=["witness_search", "brute_force", "enumeration"],
+        ids=["witness_search", "brute_force", "enumeration", "mitm"],
     )
     def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
         # G2 is built first: its roots alone exceed the budget below.
         g2 = _sys("G", 2)
-        # 64 bytes: below the smallest of the three estimates, the witness
+        # 64 bytes: below the smallest of the four estimates, the witness
         # search's 144 (tables of 4 and 2 keys, 8 bytes each, times 3).
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 64)
 
@@ -194,6 +194,50 @@ class TestCounting:
         monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
         with pytest.raises(ResourceLimitError, match="signed-sum tables"):
             engine(g2)
+
+
+class TestCountEntryPoint:
+    # ``sigsum.count`` picks the engine; ``choose_engine`` is its rule.
+    def test_auto_rule_at_the_brute_force_boundary(self):
+        assert sigsum.choose_engine(20) == ("brute", 26)
+        assert sigsum.choose_engine(21) == ("mitm", 48)
+        assert sigsum.choose_engine(20, max_r=20) == ("brute", 20)
+        assert sigsum.choose_engine(21, max_r=30) == ("mitm", 30)
+
+    def test_auto_rule_with_max_r_below_r(self):
+        assert sigsum.choose_engine(20, max_r=19) == ("mitm", 19)
+        assert sigsum.choose_engine(10, max_r=0) == ("mitm", 0)
+
+    def test_forced_engines_keep_their_limits(self):
+        assert sigsum.choose_engine(36, "brute") == ("brute", 26)
+        assert sigsum.choose_engine(6, "mitm") == ("mitm", 48)
+        assert sigsum.choose_engine(6, "brute", max_r=3) == ("brute", 3)
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError):
+            sigsum.choose_engine(6, "dp")
+
+    def test_count_runs_the_chosen_engine(self):
+        d5, a6 = _sys("D", 5), _sys("A", 6)  # r = 20 and r = 21
+        assert sigsum.count(d5).method == sigsum.METHOD_BRUTE
+        assert sigsum.count(a6).method == sigsum.METHOD_MITM
+        assert sigsum.count(d5).value == sigsum.count(d5, "mitm").value
+        assert sigsum.count(a6).value == sigsum.count(a6, "brute").value
+        with pytest.raises(ResourceLimitError, match="meet-in-the-middle needs r <= 19"):
+            sigsum.count(d5, max_r=19)
+
+    def test_engines_looked_up_at_call_time(self, monkeypatch):
+        # A wrapper put on the module attribute must be the one that runs.
+        calls = []
+        for name in ("count_bruteforce", "count_mitm"):
+            engine = getattr(sigsum, name)
+            monkeypatch.setattr(
+                sigsum, name,
+                lambda *args, engine=engine, name=name: calls.append(name) or engine(*args),
+            )
+        sigsum.count(_sys("G", 2))
+        sigsum.count(_sys("G", 2), "mitm")
+        assert calls == ["count_bruteforce", "count_mitm"]
 
 
 def _stretch_past_key_budget(roots):
@@ -369,6 +413,18 @@ class TestObstruction:
         for name, system in catalogue.items():
             if system.r <= 26 and not obstruction_2L(system).passed:
                 assert count_bruteforce(system).value == 0, name
+
+    def test_column_sums_exact_over_int64(self):
+        rows = [[-2**63, 2**62 + 3 * k, 2**63 - 1 - k] for k in range(40)]
+        rng = np.random.default_rng(5)
+        rows += rng.integers(-2**63, 2**63 - 1, size=(24, 3), endpoint=True).tolist()
+        expected = [sum(col) for col in zip(*rows)]
+        # Every total lies outside int64, where a plain int64 sum would wrap.
+        assert all(abs(total) > 2**63 for total in expected)
+        assert sigsum._column_sums(np.array(rows, dtype=np.int64)) == expected
+        # The obstruction sees the exact total: 2 * -2^63 lies in 2L = 2^64 Z.
+        assert obstruction_2L([[-2**63], [-2**63]]).passed
+        assert not obstruction_2L([[-2**63], [2**62]]).passed
 
     @pytest.mark.parametrize("family,rank", [("A", 160), ("C", 120)])
     def test_large_rank_time_budget(self, family, rank):
