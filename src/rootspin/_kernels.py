@@ -1,8 +1,11 @@
 """Enumeration kernels behind the exact counters.
 
-Every engine works on key tables built by ``key_tables``: the signed sums
-of a run of roots over all 2^h sign masks, one key per sum, so that equal
-keys mean equal sums.  Each system gets one key kind, decided here alone:
+The engines work on key tables of signed sums, one key per sum, so that
+equal keys mean equal sums.  ``key_tables`` enumerates a run of roots over
+all 2^h sign masks (brute force, enumeration and the witness search);
+``pruned_tables`` walks each meet-in-the-middle half one root at a time,
+keeping the distinct sums that can still reach zero with their
+multiplicities.  Each system gets one key kind, decided here alone:
 
 * packed keys: whenever the coordinate box fits, a signed sum vector is
   packed into a single int64 key.  Coordinate c gets radix ``2*B_c + 1``
@@ -11,12 +14,13 @@ keys mean equal sums.  Each system gets one key kind, decided here alone:
 * row keys: systems whose box exceeds 62 bits keep whole int64 sum
   vectors, each row viewed as one ``np.void`` value of ``8*m`` bytes.
 
-A table is indexed by sign mask (bit t set = root t negative), so negating
-every sign reverses it: a sum of one table meets its negation in another
-exactly when its key occurs in both, and no engine negates a key.  The
-meet-in-the-middle join and the witness intersection (in ``sigsum``) and
-the blocked prefix x suffix scan (here) are each written once, for both
-kinds.
+A full table is indexed by sign mask (bit t set = root t negative), so
+negating every sign reverses it; a pruned table keeps a sum exactly when it
+keeps its negation.  Either way a sum of one table meets its negation in
+another exactly when its key occurs in both, and no engine negates a key.
+The meet-in-the-middle join and the witness intersection (in ``sigsum``),
+the walk and the blocked prefix x suffix scan (here) are each written once,
+for both kinds.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .errors import ResourceLimitError
 _KEY_BITS = 62
 # Bytes of keys in one suffix block of the full scan: 2^22 packed keys.
 _SCAN_BLOCK_BYTES = 32 << 20
+# Matched multiplicities the join multiplies at a time as Python ints.
+JOIN_CHUNK = 1 << 14
 
 
 def key_packing(roots: np.ndarray) -> np.ndarray | None:
@@ -72,14 +78,137 @@ def signed_sum_table(roots: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _walk_bytes(states: int, unit: int) -> int:
+    """Upper bound on the bytes one doubling of ``states`` holds at once.
+
+    Each state costs ``unit`` bytes (key and multiplicity); N = 2 * states
+    candidates.  The worst moment is a gather while its source is alive:
+    candidates and gathered copy (2N units) with the sort permutation
+    (8N) or the dedupe masks and starts (9N).  Pruning holds less: the
+    candidates (N units), the shifted keys and one decoded digit (16N) and
+    two masks (2N); so does the argsort with its buffer (12N).
+    """
+    return 2 * states * (2 * unit + 10)
+
+
+def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple, tuple, int]:
+    """Deduplicated signed-sum tables of ``roots[:k]`` and ``roots[k:]``,
+    pruned to the sums that can still reach zero.
+
+    The left half is walked from the first root, the right half from the
+    last, one doubling per root: every state ``(key, multiplicity)`` becomes
+    ``key - d`` and ``key + d``, the two sorted runs are merged by a stable
+    argsort and equal keys are summed with ``np.add.reduceat`` in int64.
+    A partial sum is dropped when a coordinate exceeds in absolute value the
+    weight ``sum |a_uc|`` of the roots not yet walked in either half; the
+    bound is symmetric, so each table stays closed under negation.  Only
+    coordinates whose walked weight exceeds their remaining weight can bind,
+    and only those are decoded.
+
+    Returns ``((keys, counts), (keys, counts), estimate)``: both tables
+    sorted by key (row keys as ``np.void``), and the largest byte estimate
+    checked against ``memory_budget`` before each doubling and the join.
+    """
+    r, m = roots.shape
+    deltas = key_packing(roots)
+    if deltas is None:
+        check_vector_bounds(roots)
+    u = _key_bytes(roots, deltas)
+    unit = u + 8
+    prefix = np.concatenate((np.zeros((1, m), np.int64), np.cumsum(np.abs(roots), axis=0)))
+    total = prefix[-1]
+    box = total.tolist()
+    radix = [2 * b + 1 for b in box]
+    stride = [math.prod(radix[:c]) for c in range(m)]
+    offset = sum(b * st for b, st in zip(box, stride))
+    row = np.dtype((np.void, u))
+    # held throughout: the sorted roots, their prefix weights and key deltas,
+    # and the walk's Python objects and array headers
+    base = 128 * roots.size + (64 << 10)
+    estimate = 0
+
+    def sort_keys(keys: np.ndarray) -> np.ndarray:
+        return keys if deltas is not None else keys.view(row).ravel()
+
+    def check(need: int) -> None:
+        nonlocal estimate
+        estimate = max(estimate, need)
+        if need > memory_budget:
+            raise ResourceLimitError(
+                f"signed-sum tables would need about {need} bytes (> budget {memory_budget})"
+            )
+
+    def prune(cand: np.ndarray, binding: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+        """Mask of the candidates whose binding coordinates all satisfy
+        ``|s_c| <= remaining_c``, read as ``0 <= s_c + R_c <= 2 R_c``."""
+        keep = np.ones(cand.shape[0], bool)
+        digit = np.empty(cand.shape[0], np.int64)
+        shifted = cand + offset if deltas is not None else None
+        for c in binding.tolist():
+            bound = int(remaining[c])
+            if deltas is None:
+                np.add(cand[:, c], bound, out=digit)
+            else:
+                # digit c of key + offset is s_c + B_c
+                np.floor_divide(shifted, stride[c], out=digit)
+                if c < m - 1:
+                    np.remainder(digit, radix[c], out=digit)
+                digit -= box[c] - bound
+            keep &= digit.view(np.uint64) <= 2 * bound
+        return keep
+
+    def walk(steps, held: int):
+        keys = np.zeros(1 if deltas is not None else (1, m), np.int64)
+        counts = np.ones(1, np.int64)
+        for i, walked, remaining in steps:
+            n = counts.shape[0]
+            check(held + _walk_bytes(n, unit))
+            d = roots[i] if deltas is None else deltas[i]
+            cand = np.empty((2 * n,) + keys.shape[1:], np.int64)
+            np.subtract(keys, d, out=cand[:n])
+            np.add(keys, d, out=cand[n:])
+            keys = None
+            counts = np.concatenate((counts, counts))
+            binding = np.flatnonzero(walked > remaining)
+            if binding.size:
+                keep = prune(cand, binding, remaining)
+                cand, counts = cand[keep], counts[keep]
+                keep = None
+            perm = np.argsort(sort_keys(cand), kind="stable")
+            cand, counts = cand[perm], counts[perm]
+            perm = None
+            view = sort_keys(cand)
+            edge = np.ones(view.shape[0], bool)
+            edge[1:] = view[1:] != view[:-1]
+            if edge.all():
+                keys = cand
+            else:
+                starts = np.flatnonzero(edge)
+                keys, counts = cand[starts], np.add.reduceat(counts, starts)
+            cand = view = edge = starts = None
+        return keys, counts
+
+    left = walk(((i, prefix[i + 1], total - prefix[i + 1]) for i in range(k)), base)
+    nl = left[1].shape[0]
+    right_steps = ((i, total - prefix[i], prefix[i]) for i in range(r - 1, k - 1, -1))
+    right = walk(right_steps, base + nl * unit)
+    nr = right[1].shape[0]
+    # the join: positions of the left keys with the gathered right keys and
+    # a mask (u + 9 bytes a left key), or with the matched indices and
+    # counts (40); and one chunk of matched counts as two Python-int lists
+    check(base + (nl + nr) * unit + nl * max(u + 9, 40) + min(nl, nr, JOIN_CHUNK) * 80)
+    return (sort_keys(left[0]), left[1]), (sort_keys(right[0]), right[1]), estimate
+
+
 def _key_bytes(roots: np.ndarray, deltas: np.ndarray | None) -> int:
     return 8 if deltas is not None else 8 * roots.shape[1]
 
 
 def _split_tables(roots, deltas, k, memory_budget):
     r = roots.shape[0]
-    # both tables plus the sort and unique copies of a join
-    estimate = ((1 << k) + (1 << (r - k))) * _key_bytes(roots, deltas) * 3
+    # both tables, their doubling copies, and the unique, concatenated and
+    # sorted copies of the witness search's intersection
+    estimate = ((1 << k) + (1 << (r - k))) * _key_bytes(roots, deltas) * 4
     if estimate > memory_budget:
         raise ResourceLimitError(
             f"signed-sum tables would need about {estimate} bytes (> budget {memory_budget})"

@@ -5,10 +5,13 @@ whether signs e_i in {+1, -1} exist with sum(e_i * a_i) = 0, and in how many
 ways.  Three routes are implemented and cross-checked:
 
 * ``count_bruteforce``: full 2^r enumeration (blocked prefix x suffix scans).
-* ``count_mitm``: meet-in-the-middle; enumerate both halves and join their
-  key tables by multiplicity.  A half's table is closed under negation, so
-  a left sum meets the negated right sum exactly where both tables hold its
-  key (see ``_kernels``, which decides the one key kind of a system).
+* ``count_mitm``: meet-in-the-middle with pruning and deduplication.  The
+  roots are sorted by their last nonzero coordinate; each half is walked
+  from its outer end to the split, keeping every distinct partial sum with
+  its multiplicity and dropping those that can no longer reach zero
+  (``_kernels.pruned_tables``), and the two tables are joined on their
+  common keys.  A pruned table is closed under negation, so a left sum
+  meets the negated right sum exactly where both tables hold its key.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
@@ -27,6 +30,7 @@ All counts are exact Python integers; no floating point enters any path.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from itertools import compress
@@ -51,6 +55,7 @@ DEFAULT_BRUTE_LIMIT = 26
 DEFAULT_MITM_LIMIT = 48
 AUTO_BRUTE_MAX = 20  # auto: brute force up to this r, meet-in-the-middle above
 ENUMERATION_LIMIT = 16
+_HALF_MAX = 62  # roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
 
 
@@ -145,27 +150,49 @@ def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
 
 def mitm_split(roots: np.ndarray) -> int:
     """Contiguous split point for the meet-in-the-middle halves: the first
-    ceil(r/2) roots, which minimises the enumeration.  The key strides come
-    from all roots, so no split changes the key range or the table sizes."""
+    ceil(r/2) roots, which bounds each half's table by 2^ceil(r/2) keys.
+    Pruning and deduplication usually keep the tables far smaller, by an
+    amount that depends on the order of the roots (``count_mitm`` sorts
+    them) and on where the split falls."""
     return (roots.shape[0] + 1) // 2
 
 
-def _join_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Sum of multiplicity products over the keys both tables hold."""
-    ul, cl = np.unique(left_keys, return_counts=True)
-    ur, cr = np.unique(right_keys, return_counts=True)
-    _, il, ir = np.intersect1d(ul, ur, assume_unique=True, return_indices=True)
-    return sum(int(a) * int(b) for a, b in zip(cl[il], cr[ir]))
+def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]) -> int:
+    """Sum of multiplicity products over the keys both sorted tables hold."""
+    (lk, lc), (rk, rc) = left, right
+    if not rk.shape[0]:
+        return 0
+    at = np.searchsorted(rk, lk)
+    np.minimum(at, rk.shape[0] - 1, out=at)
+    il = np.flatnonzero(rk[at] == lk)
+    a, b = lc[il], rc[at[il]]
+    step = _kernels.JOIN_CHUNK
+    return sum(
+        sum(map(operator.mul, a[i:i + step].tolist(), b[i:i + step].tolist()))
+        for i in range(0, a.shape[0], step)
+    )
 
 
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
-    """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
+    """Exact count by meet-in-the-middle; agrees with brute force everywhere.
+
+    The roots are sorted by their last nonzero coordinate, so each half
+    finishes its coordinates early and the pruning of ``pruned_tables``
+    bites; the count does not depend on the order of the roots.
+    """
     roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
+    k = mitm_split(roots)
+    if k > _HALF_MAX:
+        raise ResourceLimitError(
+            f"meet-in-the-middle counts a half of at most {_HALF_MAX} roots in int64, got {k}"
+        )
     start = time.perf_counter()
-    left, right, estimate = _kernels.key_tables(roots, mitm_split(roots), DEFAULT_MEMORY_BUDGET)
+    last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
+    roots = roots[np.argsort(last, kind="stable")]
+    left, right, estimate = _kernels.pruned_tables(roots, k, DEFAULT_MEMORY_BUDGET)
     value = _join_counts(left, right)
     return CountResult(value, METHOD_MITM, time.perf_counter() - start, estimate)
 

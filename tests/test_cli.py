@@ -6,6 +6,7 @@ Claims covered:
     - `analyze` JSON carries the fixed schema keys and the published values
       for E6 / E7 / E8, with the documented exit codes
     - forced methods that exceed limits exit 3 with a partial report
+    - `count --method mitm` counts D8 (r = 56) exactly once `--max-r` allows it
     - a root system over the memory budget is refused before it is built:
       every command that builds roots exits 3 with a `resource limit:` line
     - `analyze` times the existence proof in `timings.existence_ms`
@@ -133,6 +134,13 @@ class TestCount:
 
     def test_over_limit_exits_3(self):
         assert run("count", "E", "8", "--json").exit_code == 3
+
+    def test_mitm_past_r48(self):
+        # D8 (r = 56): the pruned half tables hold at most about 23 000 sums,
+        # where full tables of 2^28 keys each would exceed the 8 GiB budget.
+        report = run_json("count", "D", "8", "--method", "mitm", "--max-r", "56", "--json")
+        assert report["count"] == {"exact": 458377052160}
+        assert report["method"] == "meet_in_middle"
 
 
 class TestCertify:

@@ -3,7 +3,9 @@
 Each property runs 100 randomised trials (hypothesis), on small integer
 root matrices where exhaustive counting is cheap:
 
-    - exact counts are even, and the two engines always agree (dual route)
+    - exact counts are even, and the two engines always agree (dual route),
+      also with r up to 20 and entries up to 1e6, where nothing prunes, on
+      packed keys and on the row keys of a stretch past the key budget
     - counts are invariant under negating a root, permuting the list,
       and applying a fixed unimodular transform
     - a failed obstruction forces a zero count (soundness)
@@ -36,17 +38,18 @@ from rootspin import (
     signed_sum,
 )
 from rootspin.spinor import SpinorElement, cartan_act
+from test_sigsum import _stretch_past_key_budget
 
 _coord = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def root_matrices(draw, max_r=8, max_m=3):
+def root_matrices(draw, max_r=8, max_m=3, coord=_coord):
     m = draw(st.integers(1, max_m))
     r = draw(st.integers(1, max_r))
     rows = draw(
         st.lists(
-            st.lists(_coord, min_size=m, max_size=m).filter(any),
+            st.lists(coord, min_size=m, max_size=m).filter(any),
             min_size=r,
             max_size=r,
         )
@@ -70,6 +73,17 @@ def test_engines_agree_and_count_is_even(roots):
     brute = count_bruteforce(roots).value
     assert brute == count_mitm(roots).value
     assert brute % 2 == 0
+
+
+@common
+@given(root_matrices(max_r=20, max_m=4, coord=st.integers(-10**6, 10**6)))
+def test_engines_agree_where_nothing_prunes(roots):
+    # Entries up to 1e6: partial sums are nearly all distinct, so the walk
+    # neither prunes nor merges much; the stretch forces row keys.
+    brute = count_bruteforce(roots).value
+    assert count_mitm(roots).value == brute
+    stretched = _stretch_past_key_budget(roots)
+    assert count_mitm(stretched).value == count_bruteforce(stretched).value == brute
 
 
 @common

@@ -22,6 +22,11 @@ Claims covered:
       engines up at call time
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
+    - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
+      middle, the witness search and brute force, pruned or not
+    - meet-in-the-middle past r = 48 equals the values of two independent
+      routes (D8, C8, A10), stays exact where products of multiplicities
+      exceed int64, and refuses a half over 62 roots before any table
     - every engine runs on row keys past the key budget: counts, zero sign
       vectors and a verified witness
     - matrix and sign entries must be integers that int64 holds exactly
@@ -29,6 +34,7 @@ Claims covered:
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +200,97 @@ class TestCounting:
         monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
         with pytest.raises(ResourceLimitError, match="signed-sum tables"):
             engine(g2)
+
+
+def _hostile(r, m, bound, seed=7):
+    """Seeded random matrix with entries in +-bound whose last row is minus
+    the sum of the others: its partial sums are nearly all distinct, so
+    nothing prunes or merges, yet zero sums exist."""
+    rng = np.random.default_rng(seed)
+    roots = rng.integers(-bound, bound, size=(r, m), endpoint=True)
+    roots[-1] = -roots[:-1].sum(axis=0)
+    return roots
+
+
+def _traced_peak(fn):
+    """Result and tracemalloc peak of ``fn()``, traced on a second call so
+    that one-time imports and caches of the first are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryEstimate:
+    # The byte estimate an engine checks against the budget must bound what
+    # it really allocates (tracemalloc sees numpy's buffers).
+    @pytest.mark.parametrize("name", ["G2", "F4", "E6", "A9", "C7", "D8"])
+    def test_mitm_estimate_bounds_traced_peak(self, name):
+        roots = positive_roots(FamilyRank.parse(name)).roots
+        result, peak = _traced_peak(lambda: count_mitm(roots, limit_r=56))
+        assert peak <= result.memory_peak < (1 << 30)
+
+    @pytest.mark.parametrize("shape", [(32, 1, 10**9), (30, 3, 10**6)], ids=["packed", "rows"])
+    def test_mitm_estimate_bounds_traced_peak_unpruned(self, shape):
+        roots = _hostile(*shape)
+        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        result, peak = _traced_peak(lambda: count_mitm(roots))
+        assert result.value >= 2  # all signs equal, and their negation
+        assert peak <= result.memory_peak
+
+    @pytest.mark.parametrize(
+        "engine",
+        [sigsum._search_witness, count_bruteforce],
+        ids=["witness_search", "brute_force"],
+    )
+    @pytest.mark.parametrize("shape", [(24, 1, 10**9), (24, 3, 10**6)], ids=["packed", "rows"])
+    def test_table_estimate_bounds_traced_peak(self, engine, shape, monkeypatch):
+        roots = _hostile(*shape)
+        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        estimates = []
+        split = _kernels._split_tables
+
+        def spy(*args):
+            tables = split(*args)
+            estimates.append(tables[2])
+            return tables
+
+        monkeypatch.setattr(_kernels, "_split_tables", spy)
+        _, peak = _traced_peak(lambda: engine(roots))
+        assert len(estimates) == 2  # one table pair a call
+        assert peak <= estimates[-1]
+
+
+class TestPastR48:
+    # Values found by two routes independent of this engine: a one-way
+    # pruned partial-sum DP and Freudenthal's recursion for the multiplicity
+    # of the zero weight in V_rho (ROADMAP items 2 and 3).
+    @pytest.mark.parametrize(
+        "name,value",
+        [("D8", 458377052160), ("C8", 43303946649600), ("A10", 48251508480)],
+    )
+    def test_counts_agree_with_independent_routes(self, name, value):
+        system = positive_roots(FamilyRank.parse(name))
+        assert count_mitm(system, limit_r=system.r).value == value
+
+    def test_counts_exact_past_int64_products(self):
+        # 124 equal roots: halves of 62 with multiplicities up to C(62, 31),
+        # whose products exceed int64; the count is C(124, 62).
+        assert count_mitm([[1]] * 124, limit_r=124).value == math.comb(124, 62)
+
+    def test_half_over_62_roots_refused_before_tables(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a table was built for a half over 62 roots")
+
+        monkeypatch.setattr(_kernels, "pruned_tables", refuse)
+        a16 = positive_roots(FamilyRank("A", 16))  # r = 136, halves of 68
+        with pytest.raises(ResourceLimitError, match="at most 62 roots"):
+            count_mitm(a16, limit_r=200)
+        with pytest.raises(ResourceLimitError, match="at most 62 roots"):
+            count_mitm([[1]] * 126, limit_r=126)
 
 
 class TestCountEntryPoint:
