@@ -14,11 +14,19 @@ through (1/2) * sum_j a_j(X) e^{(j)}_1 e^{(j)}_2.  A monomial is scaled by
 kernels of all basis directions count exactly the zero signed root sums.
 Everything here is computed from the algebra itself, giving a route to
 that count that is independent of the combinatorial engine.
+
+A ring element is stored as four Python-int numerators over one positive
+int denominator, (a + b*i + c*sqrt(2) + d*i*sqrt(2)) / q, always in lowest
+terms, so equality and hashing compare plain int tuples.  Every value the
+generator actions produce lies in 2^-k Z[i, sqrt(2)]: multiplying by
+i*sqrt(2), 1/sqrt(2) or i/sqrt(2) permutes the numerators and doubles some
+of them or the denominator, and no ``Fraction`` is built on that path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -30,100 +38,144 @@ from .errors import (
 )
 from .rootsys import system_parts
 
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
+_ZERO_PARTS = (0, 0, 0, 0, 1)
 
 
-def _raw(a, b, c, d) -> "Scalar":
-    # Internal constructor for components that are already exact Fractions.
+def _raw(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
+    # Internal constructor for parts already in lowest terms with q > 0.
     s = Scalar.__new__(Scalar)
-    s.a = a
-    s.b = b
-    s.c = c
-    s.d = d
+    s._parts = (a, b, c, d, q)
     return s
 
 
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
+    # Lowest terms for q > 0; zero comes out as (0, 0, 0, 0) / 1.
+    g = gcd(a, b, c, d, q)
+    if g == 1:
+        return _raw(a, b, c, d, q)
+    return _raw(a // g, b // g, c // g, d // g, q // g)
+
+
 class Scalar:
-    """Exact element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q[i, sqrt(2)]."""
+    """Exact element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q[i, sqrt(2)].
 
-    __slots__ = ("a", "b", "c", "d")
+    The components ``a``, ``b``, ``c`` and ``d`` read back as exact
+    ``Fraction``s; inside, they are int numerators over one denominator.
+    """
 
-    def __init__(self, a=_ZERO, b=_ZERO, c=_ZERO, d=_ZERO):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+    __slots__ = ("_parts",)
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        parts = [Fraction(v) for v in (a, b, c, d)]
+        q = lcm(*(p.denominator for p in parts))
+        self._parts = _reduced(*(p.numerator * (q // p.denominator) for p in parts), q)._parts
 
     @classmethod
     def of(cls, value) -> "Scalar":
-        return cls(Fraction(value))
+        return cls(value)
+
+    def _component(self, index: int) -> Fraction:
+        return Fraction(self._parts[index], self._parts[4])
+
+    a = property(lambda self: self._component(0))
+    b = property(lambda self: self._component(1))
+    c = property(lambda self: self._component(2))
+    d = property(lambda self: self._component(3))
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return _raw(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        a1, b1, c1, d1, q1 = self._parts
+        a2, b2, c2, d2, q2 = other._parts
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                        c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return _raw(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        return self + -other
 
     def __neg__(self) -> "Scalar":
-        return _raw(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._parts
+        return _raw(-a, -b, -c, -d, q)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return _raw(
+        a1, b1, c1, d1, q1 = self._parts
+        a2, b2, c2, d2, q2 = other._parts
+        return _reduced(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            q1 * q2,
         )
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
+        return isinstance(other, Scalar) and self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._parts)
 
     def __repr__(self) -> str:
         return f"Scalar({self.a}, {self.b}, {self.c}, {self.d})"
 
     # Dedicated transforms for the multipliers the generator actions use;
     # each is the closed form of __mul__ against a fixed one-component value.
+    # With gcd(a, b, c, d, q) = 1, no odd prime can divide a result, and a
+    # factor 2 can only come from a and b (and q) being even: that one
+    # parity test keeps every result in lowest terms without a gcd.
 
     def times_i_sqrt2(self, sign: int = 1) -> "Scalar":
-        if sign > 0:
-            return _raw(-2 * self.d, 2 * self.c, -self.b, self.a)
-        return _raw(2 * self.d, -2 * self.c, self.b, -self.a)
+        """Product with i*sqrt(2), or with -i*sqrt(2) when ``sign`` is negative."""
+        a, b, c, d, q = self._parts
+        if sign < 0:
+            a, b, c, d = -a, -b, -c, -d
+        if (a | b | q) & 1:
+            return _raw(-2 * d, 2 * c, -b, a, q)
+        return _raw(-d, c, -b // 2, a // 2, q // 2)
 
     def times_inv_sqrt2(self) -> "Scalar":
-        return _raw(self.c, self.d, self.a * _HALF, self.b * _HALF)
+        a, b, c, d, q = self._parts
+        if (a | b) & 1:
+            return _raw(2 * c, 2 * d, a, b, 2 * q)
+        return _raw(c, d, a // 2, b // 2, q)
 
     def times_i_inv_sqrt2(self) -> "Scalar":
-        return _raw(-self.d, self.c, -self.b * _HALF, self.a * _HALF)
+        a, b, c, d, q = self._parts
+        if (a | b) & 1:
+            return _raw(-2 * d, 2 * c, -b, a, 2 * q)
+        return _raw(-d, c, -b // 2, a // 2, q)
 
-    def times_rational(self, q: Fraction) -> "Scalar":
-        return _raw(self.a * q, self.b * q, self.c * q, self.d * q)
+    def times_rational(self, value) -> "Scalar":
+        """Product with an int or ``Fraction``, through its numerator and denominator."""
+        a, b, c, d, q = self._parts
+        n = value.numerator
+        return _reduced(a * n, b * n, c * n, d * n, q * value.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return self._parts == _ZERO_PARTS
 
     @property
     def in_gaussian_part(self) -> bool:
         """True when the sqrt(2) components vanish (element of Q[i])."""
-        return self.c == 0 and self.d == 0
+        return self._parts[2] == 0 and self._parts[3] == 0
 
 
 ZERO = Scalar()
 ONE = Scalar.of(1)
-I = Scalar(b=Fraction(1))
-I_SQRT2 = Scalar(d=Fraction(1))
+I = Scalar(b=1)
+I_SQRT2 = Scalar(d=1)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _element(rank: int, terms: dict[int, Scalar]) -> "SpinorElement":
+    # Internal constructor: masks already in range, no zero coefficient.
+    e = SpinorElement.__new__(SpinorElement)
+    e.rank = rank
+    e.terms = terms
+    return e
 
 
 class SpinorElement:
@@ -132,8 +184,17 @@ class SpinorElement:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms: dict[int, Scalar] | None = None):
-        self.rank = rank
-        self.terms = {m: s for m, s in (terms or {}).items() if not s.is_zero}
+        if not _is_int(rank) or rank < 0:
+            raise DimensionMismatchError(f"rank must be a non-negative integer, got {rank!r}")
+        size = 1 << int(rank)
+        kept: dict[int, Scalar] = {}
+        for m, s in (terms or {}).items():
+            if not (_is_int(m) and 0 <= m < size):
+                raise IndexOutOfRangeError(f"monomial mask {m!r} outside 0..{size - 1}")
+            if not s.is_zero:
+                kept[int(m)] = s
+        self.rank = int(rank)
+        self.terms = kept
 
     @classmethod
     def monomial(cls, rank: int, mask: int, coeff: Scalar = ONE) -> "SpinorElement":
@@ -148,8 +209,12 @@ class SpinorElement:
             raise DimensionMismatchError("elements live in different exterior algebras")
         out = dict(self.terms)
         for m, s in other.terms.items():
-            out[m] = out.get(m, ZERO) + (-s if flip else s)
-        return SpinorElement(self.rank, out)
+            if flip:
+                s = -s
+            prev = out.get(m)
+            out[m] = s if prev is None else prev + s
+        # terms can cancel here, so the zero filter stays
+        return _element(self.rank, {m: s for m, s in out.items() if not s.is_zero})
 
     def __add__(self, other: "SpinorElement") -> "SpinorElement":
         return self._merged(other, flip=False)
@@ -158,7 +223,10 @@ class SpinorElement:
         return self._merged(other, flip=True)
 
     def scaled(self, factor: Scalar) -> "SpinorElement":
-        return SpinorElement(self.rank, {m: factor * s for m, s in self.terms.items()})
+        # Q[i, sqrt(2)] is a field: a product is zero only when the factor is.
+        if factor.is_zero:
+            return _element(self.rank, {})
+        return _element(self.rank, {m: factor * s for m, s in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,6 +253,10 @@ def _koszul_sign(mask: int, j: int) -> int:
     return -1 if (mask & ((1 << j) - 1)).bit_count() % 2 else 1
 
 
+# The generator actions multiply nonzero terms by units, so their results
+# have no zero term and go through the internal constructor.
+
+
 def act_x(j: int, eta: SpinorElement) -> SpinorElement:
     """Contraction generator: i*sqrt(2) * (x_j contract eta)."""
     _check_index(j, eta)
@@ -194,7 +266,7 @@ def act_x(j: int, eta: SpinorElement) -> SpinorElement:
         if mask & bit:
             # toggling one bit is injective, so keys never collide
             out[mask ^ bit] = coeff.times_i_sqrt2(_koszul_sign(mask, j))
-    return SpinorElement(eta.rank, out)
+    return _element(eta.rank, out)
 
 
 def act_y(j: int, eta: SpinorElement) -> SpinorElement:
@@ -205,7 +277,7 @@ def act_y(j: int, eta: SpinorElement) -> SpinorElement:
     for mask, coeff in eta.terms.items():
         if not mask & bit:
             out[mask | bit] = coeff.times_i_sqrt2(_koszul_sign(mask, j))
-    return SpinorElement(eta.rank, out)
+    return _element(eta.rank, out)
 
 
 def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
@@ -213,14 +285,10 @@ def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
     _check_index(j, eta)
     if axis == 1:
         combo = act_x(j, eta) + act_y(j, eta)
-        return SpinorElement(
-            eta.rank, {m: s.times_inv_sqrt2() for m, s in combo.terms.items()}
-        )
+        return _element(eta.rank, {m: s.times_inv_sqrt2() for m, s in combo.terms.items()})
     if axis == 2:
         combo = act_x(j, eta) - act_y(j, eta)
-        return SpinorElement(
-            eta.rank, {m: s.times_i_inv_sqrt2() for m, s in combo.terms.items()}
-        )
+        return _element(eta.rank, {m: s.times_i_inv_sqrt2() for m, s in combo.terms.items()})
     raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis}")
 
 
@@ -233,26 +301,39 @@ def _rotation_term(j: int, eta: SpinorElement) -> SpinorElement:
     return term
 
 
+def _direction(X) -> list:
+    """The coordinates of a torus direction: ints (not bools) and Fractions only."""
+    try:
+        xs = list(X)
+    except TypeError:
+        raise DimensionMismatchError(
+            "a torus direction must be a sequence of coordinates"
+        ) from None
+    for x in xs:
+        if not (_is_int(x) or isinstance(x, Fraction)):
+            raise DimensionMismatchError(
+                f"torus coordinates must be integers or Fractions, got {x!r}"
+            )
+    return [x if isinstance(x, Fraction) else int(x) for x in xs]
+
+
 def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
     """Action of the torus direction X: (1/2) sum_j a_j(X) e^{(j)}_1 e^{(j)}_2."""
     roots, den = system_parts(system)
     r, m = roots.shape
-    xs = [Fraction(v) for v in X]
+    xs = _direction(X)
     if len(xs) != m:
         raise DimensionMismatchError(f"expected {m} coordinates, got {len(xs)}")
     if eta.rank != r:
         raise DimensionMismatchError("element rank does not match the number of roots")
     total = SpinorElement(eta.rank)
     for j in range(r):
-        weight = sum(int(c) * x for c, x in zip(roots[j], xs)) / den
+        weight = Fraction(sum(int(c) * x for c, x in zip(roots[j], xs)), 2 * den)
         if weight == 0:
             continue
-        total = total + SpinorElement(
+        total = total + _element(
             eta.rank,
-            {
-                m_: s.times_rational(weight * _HALF)
-                for m_, s in _rotation_term(j, eta).terms.items()
-            },
+            {m_: s.times_rational(weight) for m_, s in _rotation_term(j, eta).terms.items()},
         )
     return total
 
@@ -266,21 +347,22 @@ def invariant_dimension(system, limit_r: int = 14) -> int:
     tests annihilation exactly.
     """
     roots, _ = system_parts(system)
-    r, m = roots.shape
+    r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"representation dimension 2^{r} exceeds limit 2^{limit_r}")
     dimension = 0
     for mask in range(1 << r):
         eta = SpinorElement.monomial(r, mask)
-        combined = np.zeros(m, dtype=np.int64)
+        eigen_signs = []
         for j in range(r):
             term = _rotation_term(j, eta)
-            if set(term.terms) != {mask}:
+            if len(term.terms) != 1 or mask not in term.terms:
                 raise InternalCheckError("paired generator action is not diagonal")
             coeff = term.terms[mask]
-            if coeff.a != 0 or abs(coeff.b) != 1:
+            a, b, _, _, q = coeff._parts
+            if q != 1 or a != 0 or abs(b) != 1:
                 raise InternalCheckError(f"paired action eigenvalue {coeff} is not +-i")
-            combined += int(coeff.b) * roots[j]
-        if not combined.any():
+            eigen_signs.append(b)
+        if not (np.array(eigen_signs, dtype=np.int64) @ roots).any():
             dimension += 1
     return dimension

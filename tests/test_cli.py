@@ -18,12 +18,16 @@ Claims covered:
     - JSON output is byte-identical across runs once the timings block is
       stripped; the removed `--threads` option and `ROOTSPIN_THREADS` have
       no effect
+    - fuzzed arguments (family strings with padding and control characters,
+      negative, small and huge ranks) always end in exit 0, 1, 2 or 3, and
+      nothing but SystemExit escapes a command
 """
 
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from rootspin.cli import main
 
@@ -308,3 +312,53 @@ class TestDeterminism:
 
     def test_roots_byte_identical(self):
         assert run("roots", "E", "7").stdout == run("roots", "E", "7").stdout
+
+
+_family_chars = st.sampled_from(
+    list("ABCDEFGHXZabcdefgz") + [" ", "\t", "\n", "\r", "\x00", "\x07", "\x1b", "\x7f",
+                                  "\u0131", "\u01c5", "\u00e9"]
+)
+_families = st.one_of(
+    # a family letter with whitespace padding, which the CLI strips
+    st.builds(lambda left, letter, right: left + letter + right,
+              st.text(" \t\n", max_size=2), st.sampled_from("ABCDEFGabcdefg"),
+              st.text(" \t\r\x0b\x0c", max_size=2)),
+    st.text(_family_chars, max_size=5),
+)
+_ranks = st.one_of(st.integers(0, 12), st.integers(-12, -1), st.integers(10**6, 10**40))
+
+
+@st.composite
+def cli_arguments(draw):
+    # --max-r stays small (at most 10 for oracle) so every command is quick.
+    command = draw(st.sampled_from(["roots", "analyze", "count", "certify", "oracle", "table"]))
+    options = []
+    if command in ("analyze", "count", "table"):
+        options += ["--max-r", str(draw(st.integers(0, 16)))]
+        if draw(st.booleans()):
+            options.append("--json")
+    if command in ("analyze", "count") and draw(st.booleans()):
+        options += ["--method", draw(st.sampled_from(["auto", "brute", "mitm"]))]
+    if command == "oracle":
+        options += ["--max-r", str(draw(st.integers(0, 10)))]
+    if command == "table":
+        return [command, *options]
+    positional = [draw(_families), str(draw(_ranks))]
+    # Without "--", click reads a negative rank as an unknown option.
+    if draw(st.booleans()):
+        positional.insert(0, "--")
+    return [command, *options, *positional]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_arguments())
+@example(["analyze", "--max-r", "16", "--json", " a", "4"])
+@example(["count", "--max-r", "16", "--method", "mitm", "--", "D", "4"])
+@example(["oracle", "--max-r", "10", "b\t", "3"])
+@example(["certify", "E", "8"])
+@example(["roots", "--", "\x00", "-3"])
+def test_fuzzed_arguments_keep_the_exit_contract(argv):
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, repr(result.exception))

@@ -10,24 +10,40 @@ Claims covered:
     - the torus action is diagonal with purely imaginary eigenvalues
     - joint-kernel dimensions equal the combinatorial counts (the central
       cross-validation) and are closed under monomial complement
+    - Scalar arithmetic agrees with a reference on 4-tuples of Fractions,
+      and equal values built by different routes compare and hash equal
+    - each of the oracle's three self-checks (sqrt(2) parts cancel, the
+      paired action is diagonal, its eigenvalue is +-i) fires when the
+      action is broken, in the library and as exit 1 of `oracle`
+    - the oracle builds no Fraction; torus directions take only ints and
+      Fractions, and masks outside 0..2^rank - 1 are refused
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from rootspin import (
     DimensionMismatchError,
     FamilyRank,
     IndexOutOfRangeError,
+    InternalCheckError,
     ResourceLimitError,
     count_bruteforce,
     invariant_dimension,
     positive_roots,
 )
+from rootspin import spinor
+from rootspin.cli import main
 from rootspin.spinor import (
     I_SQRT2,
+    ONE,
+    ZERO,
     Scalar,
     SpinorElement,
     act_e,
@@ -198,3 +214,181 @@ class TestInvariantDimension:
             invariant_dimension(positive_roots(FamilyRank("E", 6)))
         with pytest.raises(ResourceLimitError):
             invariant_dimension(positive_roots(FamilyRank("A", 5)), limit_r=14)
+
+
+# Reference arithmetic on 4-tuples of Fractions (a, b, c, d), meaning
+# a + b*i + c*sqrt(2) + d*i*sqrt(2).
+
+
+def ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 + 2 * c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 + 2 * c1 * d2 + 2 * d1 * c2,
+        a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def parts(s):
+    return (s.a, s.b, s.c, s.d)
+
+
+_rationals = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-1000, 1000), st.integers(0, 12)),
+    st.integers(-(10**30), 10**30).map(Fraction),
+)
+_tuples = st.tuples(_rationals, _rationals, _rationals, _rationals)
+
+
+class TestScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_tuples, _tuples)
+    def test_ring_operations(self, x, y):
+        sx, sy = Scalar(*x), Scalar(*y)
+        assert parts(sx) == x
+        cases = [
+            (sx + sy, tuple(u + v for u, v in zip(x, y))),
+            (sx - sy, tuple(u - v for u, v in zip(x, y))),
+            (-sx, tuple(-u for u in x)),
+            (sx * sy, ref_mul(x, y)),
+        ]
+        for got, want in cases:
+            assert parts(got) == want
+            # built by another route, the same value is the same Scalar
+            assert got == Scalar(*want) and hash(got) == hash(Scalar(*want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tuples, _rationals)
+    def test_transforms(self, x, q):
+        s = Scalar(*x)
+        half = Fraction(1, 2)
+        cases = [
+            (s.times_i_sqrt2(), ref_mul(x, (0, 0, 0, 1))),
+            (s.times_i_sqrt2(-1), ref_mul(x, (0, 0, 0, -1))),
+            (s.times_inv_sqrt2(), ref_mul(x, (0, 0, half, 0))),
+            (s.times_i_inv_sqrt2(), ref_mul(x, (0, 0, 0, half))),
+            (s.times_rational(q), tuple(u * q for u in x)),
+            (s.times_rational(int(q.numerator)), tuple(u * q.numerator for u in x)),
+        ]
+        for got, want in cases:
+            assert parts(got) == want
+            assert got == Scalar(*want) and hash(got) == hash(Scalar(*want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tuples)
+    def test_equal_values_by_different_routes(self, x):
+        s = Scalar(*x)
+        routes = [
+            (s.times_inv_sqrt2().times_inv_sqrt2(), s.times_rational(Fraction(1, 2))),
+            (s.times_i_sqrt2().times_i_sqrt2(), s.times_rational(-2)),
+            (s.times_i_inv_sqrt2().times_i_sqrt2(), -s),
+            (s + s, s * Scalar.of(2)),
+            (s * ONE, s),
+            (s - s, ZERO),
+        ]
+        for u, v in routes:
+            assert u == v and hash(u) == hash(v)
+        assert (s - s).is_zero
+        assert len({s, s * ONE, s + ZERO}) == 1
+
+    def test_half_by_two_routes(self):
+        halved = Scalar.of(1).times_inv_sqrt2().times_inv_sqrt2()
+        assert halved == Scalar(Fraction(1, 2))
+        assert hash(halved) == hash(Scalar(Fraction(1, 2)))
+        assert {halved: 1}[Scalar.of(Fraction(2, 4))] == 1
+
+
+class TestSelfChecks:
+    """Each check of the oracle fires when the algebra is broken on G2."""
+
+    @pytest.fixture
+    def g2(self):
+        return positive_roots(FamilyRank("G", 2))
+
+    def _fails(self, g2, match):
+        with pytest.raises(InternalCheckError, match=match):
+            invariant_dimension(g2)
+        result = CliRunner().invoke(main, ["oracle", "G", "2"])
+        assert result.exit_code == 1
+        assert "internal error:" in result.stderr
+
+    def test_uncancelled_sqrt2(self, g2, monkeypatch):
+        # e_1 loses its 1/sqrt(2): the paired action keeps a factor sqrt(2)
+        monkeypatch.setattr(Scalar, "times_inv_sqrt2", lambda self: self)
+        self._fails(g2, r"sqrt\(2\) components failed to cancel")
+
+    def test_non_diagonal(self, g2, monkeypatch):
+        # e^{(j+1)}_1 e^{(j)}_2 moves the monomial to another one
+        real = spinor.act_e
+        monkeypatch.setattr(
+            spinor, "act_e",
+            lambda j, axis, eta: real((j + 1) % eta.rank if axis == 1 else j, axis, eta),
+        )
+        self._fails(g2, "not diagonal")
+
+    def test_eigenvalue_not_plus_minus_i(self, g2, monkeypatch):
+        # e_2 loses its factor i: the paired action has eigenvalue +-1
+        monkeypatch.setattr(Scalar, "times_i_inv_sqrt2", Scalar.times_inv_sqrt2)
+        self._fails(g2, r"is not \+-i")
+
+
+def test_oracle_builds_no_fraction(monkeypatch, catalogue):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(spinor, "Fraction", CountingFraction)
+    assert Scalar.of(3).a == 3 and built  # the spy sees the module's Fractions
+    built.clear()
+    assert invariant_dimension(catalogue["D4"]) == 64
+    assert built == []
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), "x", None, True, 0.5, np.float64(1.0), np.bool_(True), 1j],
+        ids=["nan", "inf", "str", "none", "bool", "float", "np_float", "np_bool", "complex"],
+    )
+    def test_cartan_direction_refuses_non_rationals(self, bad):
+        g2 = positive_roots(FamilyRank("G", 2))
+        with pytest.raises(DimensionMismatchError):
+            cartan_act(g2, [1, bad], SpinorElement.unit(6))
+        with pytest.raises(DimensionMismatchError):
+            cartan_act(g2, [bad, 0], SpinorElement.unit(6))
+
+    def test_cartan_direction_must_be_a_sequence(self):
+        g2 = positive_roots(FamilyRank("G", 2))
+        with pytest.raises(DimensionMismatchError):
+            cartan_act(g2, None, SpinorElement.unit(6))
+
+    def test_cartan_direction_accepts_ints_and_fractions(self):
+        g2 = positive_roots(FamilyRank("G", 2))
+        eta = mono(6, 1, 4)
+        want = cartan_act(g2, [Fraction(3), Fraction(-2)], eta)
+        assert not want.is_zero
+        assert cartan_act(g2, [3, -2], eta) == want
+        assert cartan_act(g2, np.array([3, -2], dtype=np.int64), eta) == want
+        assert cartan_act(g2, [np.int32(3), Fraction(-4, 2)], eta) == want
+
+    @pytest.mark.parametrize("mask", [128, 64, -1, True, "3", 1.0])
+    def test_masks_outside_range_refused(self, mask):
+        with pytest.raises(IndexOutOfRangeError):
+            SpinorElement.monomial(6, mask)
+        with pytest.raises(IndexOutOfRangeError):
+            SpinorElement(6, {0: ONE, mask: ONE})
+
+    def test_masks_inside_range_accepted(self):
+        assert list(SpinorElement.monomial(6, 63).terms) == [63]
+        assert list(SpinorElement.monomial(6, np.int64(5)).terms) == [5]
+        assert list(SpinorElement.unit(0).terms) == [0]
+        with pytest.raises(IndexOutOfRangeError):
+            SpinorElement.monomial(0, 1)
+        with pytest.raises(DimensionMismatchError):
+            SpinorElement(-1)
