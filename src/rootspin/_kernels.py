@@ -20,7 +20,9 @@ keeps its negation.  Either way a sum of one table meets its negation in
 another exactly when its key occurs in both, and no engine negates a key.
 The meet-in-the-middle join and the witness intersection (in ``sigsum``),
 the walk and the blocked prefix x suffix scan (here) are each written once,
-for both kinds.
+for both kinds.  The scan compares every prefix key with every suffix key
+exactly once, in blocks that stay in cache: a suffix table of at most
+256 KiB of keys, and a few prefix keys at a time broadcast against it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .errors import ResourceLimitError
 
 # int64 key budget: strictly below 2^62 so the +-2*delta walk never wraps.
 _KEY_BITS = 62
-# Bytes of keys in one suffix block of the full scan: 2^22 packed keys.
-_SCAN_BLOCK_BYTES = 32 << 20
+# Bytes of keys in the suffix table of the full scan: 2^15 packed keys.
+_SUFFIX_BLOCK_BYTES = 256 << 10
+# Bytes of booleans one broadcast compare of the full scan produces.
+_COMPARE_BLOCK_BYTES = 512 << 10
 # Matched multiplicities the join multiplies at a time as Python ints.
 JOIN_CHUNK = 1 << 14
 
@@ -70,8 +74,8 @@ def signed_sum_keys(deltas: np.ndarray) -> np.ndarray:
 
 
 def signed_sum_table(roots: np.ndarray) -> np.ndarray:
-    """Unpacked (2^h, m) signed-sum table, same index convention."""
-    check_vector_bounds(roots)
+    """Unpacked (2^h, m) signed-sum table, same index convention; the caller
+    checks the bounds of the whole matrix (``check_vector_bounds``)."""
     sums = np.zeros((1, roots.shape[1]), dtype=np.int64)
     for row in roots:
         sums = np.concatenate((sums + row, sums - row))
@@ -204,11 +208,14 @@ def _key_bytes(roots: np.ndarray, deltas: np.ndarray | None) -> int:
     return 8 if deltas is not None else 8 * roots.shape[1]
 
 
-def _split_tables(roots, deltas, k, memory_budget):
+def _split_tables(roots, deltas, k, memory_budget, scratch=0):
     r = roots.shape[0]
+    if deltas is None:
+        check_vector_bounds(roots)
     # both tables, their doubling copies, and the unique, concatenated and
-    # sorted copies of the witness search's intersection
-    estimate = ((1 << k) + (1 << (r - k))) * _key_bytes(roots, deltas) * 4
+    # sorted copies of the witness search's intersection; and the caller's
+    # scratch bytes
+    estimate = ((1 << k) + (1 << (r - k))) * _key_bytes(roots, deltas) * 4 + scratch
     if estimate > memory_budget:
         raise ResourceLimitError(
             f"signed-sum tables would need about {estimate} bytes (> budget {memory_budget})"
@@ -229,15 +236,25 @@ def key_tables(
     return _split_tables(roots, key_packing(roots), k, memory_budget)
 
 
-def count_zero_full(roots: np.ndarray, memory_budget: int) -> int:
-    """Exact number of sign vectors with zero signed sum, by full 2^r enumeration.
+def count_zero_full(roots: np.ndarray, memory_budget: int) -> tuple[int, int]:
+    """Exact number of sign vectors with zero signed sum, by full 2^r
+    enumeration, and the byte estimate checked against ``memory_budget``.
 
-    Every (prefix, suffix) sign combination is inspected exactly once, so the
-    work is genuinely Theta(2^r); the suffix block holds ``_SCAN_BLOCK_BYTES``
-    of keys at most.
+    The last q roots form a suffix table of at most ``_SUFFIX_BLOCK_BYTES``
+    of keys, the first r - q a prefix table.  Each step broadcasts a run of
+    prefix keys against the whole suffix table, a boolean block of at most
+    ``_COMPARE_BLOCK_BYTES``, and counts its equal pairs.  Every (prefix,
+    suffix) pair is compared exactly once, so the work is genuinely
+    Theta(2^r); only the memory traffic is blocked.
     """
     r = roots.shape[0]
     deltas = key_packing(roots)
-    q = min(r, (_SCAN_BLOCK_BYTES // _key_bytes(roots, deltas)).bit_length() - 1)
-    prefix, suffix, _ = _split_tables(roots, deltas, r - q, memory_budget)
-    return sum(int(np.count_nonzero(suffix == key)) for key in prefix)
+    q = min(r, (_SUFFIX_BLOCK_BYTES // _key_bytes(roots, deltas)).bit_length() - 1)
+    prefix, suffix, estimate = _split_tables(roots, deltas, r - q, memory_budget,
+                                             _COMPARE_BLOCK_BYTES)
+    step = max(1, _COMPARE_BLOCK_BYTES >> q)
+    value = sum(
+        int(np.count_nonzero(prefix[i:i + step, None] == suffix))
+        for i in range(0, prefix.shape[0], step)
+    )
+    return value, estimate

@@ -144,8 +144,8 @@ def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     if r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
-    value = _kernels.count_zero_full(roots, DEFAULT_MEMORY_BUDGET)
-    return CountResult(value, METHOD_BRUTE, time.perf_counter() - start)
+    value, estimate = _kernels.count_zero_full(roots, DEFAULT_MEMORY_BUDGET)
+    return CountResult(value, METHOD_BRUTE, time.perf_counter() - start, estimate)
 
 
 def mitm_split(roots: np.ndarray) -> int:

@@ -23,7 +23,13 @@ Claims covered:
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
-      middle, the witness search and brute force, pruned or not
+      middle, the witness search and brute force, pruned or not, and brute
+      force reports it as ``memory_peak``
+    - brute force equals the zero rows of ``signs @ roots`` over all 2^r
+      sign vectors for r = 1..18, packed and row keys, and its one table
+      pair holds 2^r (prefix, suffix) pairs
+    - both engines refuse a row-key matrix whose column weights reach 2^62,
+      before any table, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
       routes (D8, C8, A10), stays exact where products of multiplicities
       exceed int64, and refuses a half over 62 roots before any table
@@ -263,6 +269,57 @@ class TestMemoryEstimate:
         assert len(estimates) == 2  # one table pair a call
         assert peak <= estimates[-1]
 
+    @pytest.mark.parametrize(
+        "roots,limit_r",
+        [
+            (positive_roots(FamilyRank("F", 4)).roots, 26),
+            (positive_roots(FamilyRank("D", 6)).roots, 30),
+            (_hostile(26, 3, 10**6), 26),
+        ],
+        ids=["F4", "D6", "rows_26x3"],
+    )
+    def test_brute_estimate_bounds_traced_peak(self, roots, limit_r):
+        result, peak = _traced_peak(lambda: count_bruteforce(roots, limit_r=limit_r))
+        assert peak <= result.memory_peak
+
+
+def _zero_sums_by_sign_matrix(roots):
+    """Reference count with no key table: every sign vector as a row of a
+    +-1 matrix, and the zero rows of ``signs @ roots``."""
+    r = roots.shape[0]
+    bits = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
+    sums = (1 - 2 * bits) @ roots
+    return int(np.count_nonzero(~sums.any(axis=1)))
+
+
+class TestBruteAgainstSignMatrix:
+    # r = 1..18 runs below, at and above the suffix table's root count
+    # (15 for packed keys, 13 for 3-column row keys), with prefix tables
+    # both shorter and longer than one compare block.
+    @pytest.mark.parametrize("kind", ["packed", "rows"])
+    @pytest.mark.parametrize("r", range(1, 19))
+    def test_counts_equal_reference(self, r, kind, monkeypatch):
+        rng = np.random.default_rng(1000 + r)
+        m = 1 + r % 3
+        roots = rng.integers(-2, 2, size=(r, m), endpoint=True)
+        # a nonzero first column, so that stretching it leaves the key budget
+        roots[:, 0] = rng.choice([-2, -1, 1, 2], size=r)
+        if kind == "rows":
+            roots = _stretch_past_key_budget(roots)
+        assert (_kernels.key_packing(roots) is None) == (kind == "rows")
+        tables = []
+        split = _kernels._split_tables
+
+        def spy(*args):
+            tables.append(split(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(_kernels, "_split_tables", spy)
+        assert count_bruteforce(roots).value == _zero_sums_by_sign_matrix(roots)
+        assert len(tables) == 1
+        prefix, suffix, _ = tables[0]
+        assert prefix.shape[0] * suffix.shape[0] == 1 << r
+
 
 class TestPastR48:
     # Values found by two routes independent of this engine: a one-way
@@ -425,6 +482,21 @@ class TestKeyOverflow:
         found = {tuple(s) for s in enumerate_zero_signs(self.G2_BIG)}
         assert found == {tuple(s) for s in enumerate_zero_signs(self.G2)}
         assert len(found) == 4
+
+    def test_column_weight_over_key_budget_refused_before_tables(self, monkeypatch):
+        # Column 0 weighs 24 * big, about 1.1 * 2^62, while any 20 of its
+        # rows weigh less than 2^62: a rule applied to each half would
+        # accept the matrix for some splits and not for others.
+        big = int(1.1 * 2**62 / 24)
+        roots = [[big, 1, 0]] * 12 + [[-big, 0, 1]] * 12
+
+        def refuse(_):
+            raise AssertionError("a table was built before the bound check")
+
+        monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
+        for engine in (count_bruteforce, count_mitm):
+            with pytest.raises(ResourceLimitError, match="too large for exact int64"):
+                engine(roots)
 
     def test_witness_found_unpacked(self):
         result = exists_strong_dependence(self.G2_BIG)
