@@ -119,6 +119,21 @@ def system_parts(system) -> tuple[np.ndarray, int]:
     return roots, 1
 
 
+def exact_products(signs: np.ndarray, roots: np.ndarray) -> list[list[int]]:
+    """The rows of ``signs @ roots`` as exact Python ints, for a 2-D int64
+    ``signs`` with entries in {-1, 0, 1} over r < 2^31 roots.
+
+    int64 products wrap once r * max|a| reaches 2^63, so past that bound
+    each entry of ``roots`` is split as ``(high << 31) + low``: the parts
+    ``roots >> 31`` sum to below r * 2^32 and the low 31 bits to below
+    r * 2^31, so neither product wraps."""
+    if max(-int(roots.min()), int(roots.max())) * roots.shape[0] < 1 << 63:
+        return (signs @ roots).tolist()
+    high = (signs @ (roots >> 31)).tolist()
+    low = (signs @ (roots & (2**31 - 1))).tolist()
+    return [[(h << 31) + lo for h, lo in zip(hs, ls)] for hs, ls in zip(high, low)]
+
+
 def root_count(fr: FamilyRank) -> int:
     """Number of positive roots, by closed form (no list is materialised)."""
     n = fr.rank

@@ -44,7 +44,7 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import RootSystem, int64_array, system_parts
+from .rootsys import RootSystem, exact_products, int64_array, system_parts
 
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
@@ -129,12 +129,19 @@ def signs_from_mask(mask: int, r: int) -> np.ndarray:
 
 
 def signed_sum(system, signs) -> np.ndarray:
-    """Exact signed sum of the scaled roots (length-m integer vector)."""
+    """Exact signed sum of the scaled roots, as a length-m int64 vector.
+
+    The sum is computed exactly; when an entry does not fit in int64 it
+    raises ``ResourceLimitError`` instead of returning a wrapped value.
+    """
     roots, _ = system_parts(system)
     eps = signs_vector(signs)
     if eps.shape[0] != roots.shape[0]:
         raise LengthMismatchError(f"expected {roots.shape[0]} signs, got {eps.shape[0]}")
-    return eps @ roots
+    total = exact_products(eps[None, :], roots)[0]
+    if not all(-(1 << 63) <= x < 1 << 63 for x in total):
+        raise ResourceLimitError("signed sum does not fit in int64")
+    return np.array(total, dtype=np.int64)
 
 
 def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:

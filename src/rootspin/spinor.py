@@ -21,6 +21,16 @@ terms, so equality and hashing compare plain int tuples.  Every value the
 generator actions produce lies in 2^-k Z[i, sqrt(2)]: multiplying by
 i*sqrt(2), 1/sqrt(2) or i/sqrt(2) permutes the numerators and doubles some
 of them or the denominator, and no ``Fraction`` is built on that path.
+
+``invariant_dimension`` applies each generator to a block of ``_BLOCK``
+monomials at once instead of to one monomial at a time.  A block is one
+element of rank 2r whose terms are e_{(m << r) | m}: the monomial's own
+mask m sits in the high r bits as a tag.  The generators j < r act on the
+low bits only, and their Koszul signs count only bits below j, so each
+term is acted on exactly as if it stood alone, and terms with different
+tags can never meet.  Each check then reads the single term whose key is
+(m << r) | m.  Blocks bound the live terms by ``_BLOCK``, where one
+element of all 2^r monomials would hold 2^r.
 """
 
 from __future__ import annotations
@@ -36,9 +46,13 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import system_parts
+from .rootsys import exact_products, system_parts
 
 _ZERO_PARTS = (0, 0, 0, 0, 1)
+# Monomials per tagged block of invariant_dimension (module docstring).
+# Past 64 the oracle runs no faster, and at 256 the D4 process peaks about
+# 0.25 MiB higher in RSS.
+_BLOCK = 64
 
 
 def _raw(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
@@ -281,15 +295,29 @@ def act_y(j: int, eta: SpinorElement) -> SpinorElement:
 
 
 def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
-    """Clifford action of the real generator e^{(j)}_axis, axis in {1, 2}."""
+    """Clifford action of the real generator e^{(j)}_axis, axis in {1, 2}.
+
+    e_1 = (x_j + y_j)/sqrt(2) and e_2 = i*(x_j - y_j)/sqrt(2), taken in one
+    pass: a term with bit j set is contracted, any other is wedged (negated
+    for e_2), and each is scaled at once.  Both send mask to mask ^ bit, so
+    keys never collide and no term cancels.
+    """
     _check_index(j, eta)
     if axis == 1:
-        combo = act_x(j, eta) + act_y(j, eta)
-        return _element(eta.rank, {m: s.times_inv_sqrt2() for m, s in combo.terms.items()})
-    if axis == 2:
-        combo = act_x(j, eta) - act_y(j, eta)
-        return _element(eta.rank, {m: s.times_i_inv_sqrt2() for m, s in combo.terms.items()})
-    raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis}")
+        scale, wedge = Scalar.times_inv_sqrt2, 1
+    elif axis == 2:
+        scale, wedge = Scalar.times_i_inv_sqrt2, -1
+    else:
+        raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis}")
+    out: dict[int, Scalar] = {}
+    bit = 1 << j
+    below = bit - 1
+    for mask, coeff in eta.terms.items():
+        sign = -1 if (mask & below).bit_count() & 1 else 1
+        if not mask & bit:
+            sign *= wedge
+        out[mask ^ bit] = scale(coeff.times_i_sqrt2(sign))
+    return _element(eta.rank, out)
 
 
 def _rotation_term(j: int, eta: SpinorElement) -> SpinorElement:
@@ -344,25 +372,33 @@ def invariant_dimension(system, limit_r: int = 14) -> int:
     Walks every monomial, extracts the +-i eigenvalue of each paired
     generator action from the algebra itself (verifying along the way that
     the action really is diagonal with purely imaginary eigenvalue), and
-    tests annihilation exactly.
+    tests annihilation exactly.  The monomials go through in tagged blocks
+    of ``_BLOCK`` (module docstring), one ``_rotation_term`` per generator
+    and block; every check still applies to each monomial on its own.
     """
     roots, _ = system_parts(system)
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"representation dimension 2^{r} exceeds limit 2^{limit_r}")
     dimension = 0
-    for mask in range(1 << r):
-        eta = SpinorElement.monomial(r, mask)
+    for start in range(0, 1 << r, _BLOCK):
+        keys = [(m << r) | m for m in range(start, min(start + _BLOCK, 1 << r))]
+        block = _element(2 * r, dict.fromkeys(keys, ONE))
         eigen_signs = []
         for j in range(r):
-            term = _rotation_term(j, eta)
-            if len(term.terms) != 1 or mask not in term.terms:
+            terms = _rotation_term(j, block).terms
+            if len(terms) != len(keys):
                 raise InternalCheckError("paired generator action is not diagonal")
-            coeff = term.terms[mask]
-            a, b, _, _, q = coeff._parts
-            if q != 1 or a != 0 or abs(b) != 1:
-                raise InternalCheckError(f"paired action eigenvalue {coeff} is not +-i")
-            eigen_signs.append(b)
-        if not (np.array(eigen_signs, dtype=np.int64) @ roots).any():
-            dimension += 1
+            column = []
+            for key in keys:
+                coeff = terms.get(key)
+                if coeff is None:
+                    raise InternalCheckError("paired generator action is not diagonal")
+                a, b, _, _, q = coeff._parts
+                if q != 1 or a != 0 or abs(b) != 1:
+                    raise InternalCheckError(f"paired action eigenvalue {coeff} is not +-i")
+                column.append(b)
+            eigen_signs.append(column)
+        sums = exact_products(np.array(eigen_signs, dtype=np.int64).T, roots)
+        dimension += sum(not any(row) for row in sums)
     return dimension

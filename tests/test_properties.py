@@ -13,6 +13,8 @@ root matrices where exhaustive counting is cheap:
       the positivity of the exact count
     - the solution set is closed under global sign flip
     - the torus action stays diagonal with purely imaginary eigenvalues
+    - the oracle's tagged blocks count what brute force counts, on one
+      partial block, one full block and several blocks (r up to 10)
     - the HNF is the unique reduced basis of the lattice: unchanged under a
       row permutation, under appending an integer combination of the rows
       and when recomputed from its own basis (entries past 2^63 included)
@@ -26,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rootspin import (
     count_bruteforce,
@@ -34,6 +36,7 @@ from rootspin import (
     enumerate_zero_signs,
     exists_strong_dependence,
     hnf,
+    invariant_dimension,
     obstruction_2L,
     signed_sum,
 )
@@ -207,6 +210,15 @@ def test_cartan_action_diagonal_purely_imaginary(roots, mask_seed, xs):
     assert set(out.terms) <= {mask}
     for coeff in out.terms.values():
         assert coeff.a == 0 and coeff.c == 0 and coeff.d == 0
+
+
+@common
+@given(root_matrices(max_r=10))
+@example(np.array([[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]))
+@example(np.array([[1, -1, 0], [0, 1, -1], [1, 0, -1], [2, 1, 1], [1, 2, 1],
+                   [1, 1, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+def test_oracle_blocks_match_brute_force(roots):
+    assert invariant_dimension(roots) == count_bruteforce(roots).value
 
 
 _FAILING_PROPERTY = """

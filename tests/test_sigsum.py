@@ -1,7 +1,8 @@
 """Signed-sum engine: exact counting, HNF lattice work, the 2L obstruction.
 
 Claims covered:
-    - signed_sum reproduces the hand-checked zero combinations (G2, A2)
+    - signed_sum reproduces the hand-checked zero combinations (G2, A2),
+      is exact where partial sums leave int64, and refuses a sum past it
     - brute force and meet-in-the-middle agree with the published counts
       (G2=4, F4=34432, E6=13697920) and with each other on small systems
     - packed int64 keys and unpacked row keys give identical brute and
@@ -88,6 +89,21 @@ class TestSignedSum:
     def test_signs_must_be_unit(self):
         with pytest.raises(LengthMismatchError):
             signed_sum(_sys("A", 2), [1, 0, 1])
+
+    def test_exact_past_int64_or_refused(self):
+        # 4 * 2^62 = 2^64 wraps to 0 in int64
+        for rows, signs in (
+            ([[2**62]] * 4, [1, 1, 1, 1]),
+            ([[2**62, 1]] * 4, [1, 1, 1, 1]),
+            ([[2**62], [2**62]], [1, 1]),
+        ):
+            with pytest.raises(ResourceLimitError):
+                signed_sum(rows, signs)
+        # partial sums leave int64, the totals do not
+        rows = [[2**62, 1], [2**62, 1], [2**62 - 1, 1], [-2**62, 1]]
+        assert signed_sum(rows, [1, 1, 1, 1]).tolist() == [2**63 - 1, 4]
+        assert signed_sum([[2**62]] * 4, [1, 1, -1, -1]).tolist() == [0]
+        assert signed_sum([[2**62], [2**62]], [-1, -1]).tolist() == [-2**63]
 
     @pytest.mark.parametrize(
         "signs",

@@ -17,9 +17,17 @@ Claims covered:
       action is broken, in the library and as exit 1 of `oracle`
     - the oracle builds no Fraction; torus directions take only ints and
       Fractions, and masks outside 0..2^rank - 1 are refused
+    - the one-pass act_e equals (act_x +- act_y) scaled by 1/sqrt(2) or
+      i/sqrt(2) on random multi-term elements, partner masks and
+      cancelled terms included
+    - the tagged blocks of invariant_dimension give every monomial the
+      eigen signs it has alone, one _rotation_term per generator and block;
+      a moved tag is caught as "not diagonal"; the zero test is exact past
+      int64; and the D4 run stays under 1 MiB traced
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -334,6 +342,21 @@ class TestSelfChecks:
         monkeypatch.setattr(Scalar, "times_i_inv_sqrt2", Scalar.times_inv_sqrt2)
         self._fails(g2, r"is not \+-i")
 
+    def test_moved_tag(self, g2, monkeypatch):
+        # e^{(j)}_1 also toggles tag bit j + r: every low half still equals
+        # its tag, but the term now sits under another monomial's tag
+        real = spinor.act_e
+
+        def moved(j, axis, eta):
+            out = real(j, axis, eta)
+            if axis == 2:
+                return out
+            tag = 1 << (j + eta.rank // 2)
+            return SpinorElement(eta.rank, {m ^ tag: s for m, s in out.terms.items()})
+
+        monkeypatch.setattr(spinor, "act_e", moved)
+        self._fails(g2, "not diagonal")
+
 
 def test_oracle_builds_no_fraction(monkeypatch, catalogue):
     built = []
@@ -392,3 +415,93 @@ class TestInputChecks:
             SpinorElement.monomial(0, 1)
         with pytest.raises(DimensionMismatchError):
             SpinorElement(-1)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def act_e_cases(draw):
+    """(j, axis, eta): up to 8 terms of rank <= 5, often with the partner
+    m ^ 2^j of each mask, and sometimes with terms cancelled by a sum."""
+    r = draw(st.integers(1, 5))
+    j = draw(st.integers(0, r - 1))
+    masks = set(draw(st.lists(st.integers(0, (1 << r) - 1), max_size=8)))
+    if draw(st.booleans()):
+        masks |= {m ^ (1 << j) for m in masks}
+    coeffs = st.tuples(_small, _small, _small, _small).map(lambda c: Scalar(*c))
+    eta = SpinorElement(r, {m: draw(coeffs) for m in sorted(masks)})
+    if draw(st.booleans()):
+        gone = draw(st.sets(st.sampled_from(sorted(masks)))) if masks else set()
+        eta = eta - SpinorElement(r, {m: eta.terms[m] for m in gone if m in eta.terms})
+    return j, draw(st.sampled_from((1, 2))), eta
+
+
+_INV_SQRT2 = Scalar(0, 0, Fraction(1, 2), 0)
+_I_INV_SQRT2 = Scalar(0, 0, 0, Fraction(1, 2))
+
+
+class TestOnePassActE:
+    @settings(max_examples=100, deadline=None)
+    @given(act_e_cases())
+    def test_equals_definition(self, case):
+        j, axis, eta = case
+        if axis == 1:
+            want = (act_x(j, eta) + act_y(j, eta)).scaled(_INV_SQRT2)
+        else:
+            want = (act_x(j, eta) - act_y(j, eta)).scaled(_I_INV_SQRT2)
+        assert act_e(j, axis, eta) == want
+
+    def test_partner_masks_and_cancelled_terms(self):
+        # y_0 and y_0 y_1 are partners under j = 1; the sum cancels y_1
+        eta = mono(2, 0) + mono(2, 0, 1).scaled(Scalar.of(3)) + mono(2, 1) - mono(2, 1)
+        assert set(eta.terms) == {0b01, 0b11}
+        for axis, scale, sign in ((1, _INV_SQRT2, 1), (2, _I_INV_SQRT2, -1)):
+            want = (act_x(1, eta) + act_y(1, eta).scaled(Scalar.of(sign))).scaled(scale)
+            assert act_e(1, axis, eta) == want
+            assert set(want.terms) == {0b01, 0b11}
+
+
+class TestTaggedBlocks:
+    @pytest.mark.parametrize("name", ["G2", "B3", "A4"])
+    def test_eigen_signs_match_single_monomials(self, name, catalogue, monkeypatch):
+        system = catalogue[name]
+        r = system.r
+        blocks, calls = [], []
+        products, rotation = spinor.exact_products, spinor._rotation_term
+
+        def spy_products(signs, roots):
+            blocks.append(signs.copy())
+            return products(signs, roots)
+
+        def spy_rotation(j, eta):
+            calls.append(j)
+            return rotation(j, eta)
+
+        monkeypatch.setattr(spinor, "exact_products", spy_products)
+        monkeypatch.setattr(spinor, "_rotation_term", spy_rotation)
+        invariant_dimension(system)
+        n_blocks = -(-(1 << r) // spinor._BLOCK)
+        assert len(blocks) == n_blocks and len(calls) == r * n_blocks
+        want = [
+            [rotation(j, SpinorElement.monomial(r, mask)).terms[mask].b for j in range(r)]
+            for mask in range(1 << r)
+        ]
+        assert np.concatenate(blocks).tolist() == want
+
+    def test_zero_test_exact_past_int64(self):
+        # int64 reads 4 * 2^62 as 0, which would add the two constant sign
+        # vectors to the 6 balanced ones; the engines refuse this matrix
+        assert invariant_dimension([[2**62]] * 4) == 6
+        with pytest.raises(ResourceLimitError):
+            count_bruteforce([[2**62]] * 4)
+
+    def test_traced_peak_on_d4(self, catalogue):
+        system = catalogue["D4"]
+        tracemalloc.start()
+        try:
+            assert invariant_dimension(system) == 64
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
