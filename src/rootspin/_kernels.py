@@ -1,11 +1,11 @@
 """Enumeration kernels behind the exact counters.
 
 The engines work on key tables of signed sums, one key per sum, so that
-equal keys mean equal sums.  ``key_tables`` enumerates a run of roots over
-all 2^h sign masks (brute force, enumeration and the witness search);
-``pruned_tables`` walks each meet-in-the-middle half one root at a time,
-keeping the distinct sums that can still reach zero with their
-multiplicities.  Each system gets one key kind, decided here alone:
+equal keys mean equal sums.  ``_split_tables`` enumerates runs of roots over
+all 2^h sign masks (brute force, enumeration); ``pruned_tables`` walks each
+meet-in-the-middle half one root at a time, keeping the distinct sums that
+can still reach zero with their multiplicities (counting, witness search).
+Each system gets one key kind, decided here alone (``key_vector`` decodes):
 
 * packed keys: whenever the coordinate box fits, a signed sum vector is
   packed into a single int64 key.  Coordinate c gets radix ``2*B_c + 1``
@@ -14,13 +14,13 @@ multiplicities.  Each system gets one key kind, decided here alone:
 * row keys: systems whose box exceeds 62 bits keep whole int64 sum
   vectors, each row viewed as one ``np.void`` value of ``8*m`` bytes.
 
-A full table is indexed by sign mask (bit t set = root t negative), so
-negating every sign reverses it; a pruned table keeps a sum exactly when it
-keeps its negation.  Either way a sum of one table meets its negation in
-another exactly when its key occurs in both, and no engine negates a key.
-The meet-in-the-middle join and the witness intersection (in ``sigsum``),
-the walk and the blocked prefix x suffix scan (here) are each written once,
-for both kinds.  The scan compares every prefix key with every suffix key
+A full table holds every signed sum, indexed by sign mask (bit t set =
+root t negative); a pruned table keeps a sum exactly when it keeps its
+negation.  Either way a sum of one table meets its negation in another
+exactly when its key occurs in both, and no engine negates a key.  The
+sorted-key lookup of the join and the witness search (in ``sigsum``), the
+walk and the blocked prefix x suffix scan (here) are each written once, for
+both kinds.  The scan compares every prefix key with every suffix key
 exactly once, in blocks that stay in cache: a suffix table of at most
 256 KiB of keys, and a few prefix keys at a time broadcast against it.
 """
@@ -66,20 +66,25 @@ def check_vector_bounds(roots: np.ndarray) -> None:
 
 
 def signed_sum_keys(deltas: np.ndarray) -> np.ndarray:
-    """All 2^h packed signed-sum keys, indexed by sign mask (bit t set = root t negative)."""
-    keys = np.zeros(1, dtype=np.int64)
+    """All 2^h signed sums of the rows of ``deltas``, indexed by sign mask
+    (bit t set = root t negative): packed keys from key deltas, or a
+    (2^h, m) table from root rows, whose caller checks the bounds of the
+    whole matrix (``check_vector_bounds``)."""
+    keys = np.zeros((1,) + deltas.shape[1:], dtype=np.int64)
     for d in deltas:
         keys = np.concatenate((keys + d, keys - d))
     return keys
 
 
-def signed_sum_table(roots: np.ndarray) -> np.ndarray:
-    """Unpacked (2^h, m) signed-sum table, same index convention; the caller
-    checks the bounds of the whole matrix (``check_vector_bounds``)."""
-    sums = np.zeros((1, roots.shape[1]), dtype=np.int64)
-    for row in roots:
-        sums = np.concatenate((sums + row, sums - row))
-    return sums
+def key_vector(roots: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The signed sum of ``roots`` a one-key slice of their table stands for."""
+    if key.dtype.kind == "V":
+        return key.view(np.int64).copy()
+    rest, v = int(key[0]), []
+    for b in np.abs(roots).sum(axis=0).tolist():
+        v.append((rest + b) % (2 * b + 1) - b)
+        rest = (rest - v[-1]) // (2 * b + 1)
+    return np.array(v, np.int64)
 
 
 def _walk_bytes(states: int, unit: int) -> int:
@@ -212,8 +217,8 @@ def _split_tables(roots, deltas, k, memory_budget, scratch=0):
     r = roots.shape[0]
     if deltas is None:
         check_vector_bounds(roots)
-    # both tables, their doubling copies, and the unique, concatenated and
-    # sorted copies of the witness search's intersection; and the caller's
+    # both tables, where the last doubling of one holds its old table, the
+    # two shifted copies and the new table (2.5 tables); and the caller's
     # scratch bytes
     estimate = ((1 << k) + (1 << (r - k))) * _key_bytes(roots, deltas) * 4 + scratch
     if estimate > memory_budget:
@@ -223,17 +228,9 @@ def _split_tables(roots, deltas, k, memory_budget, scratch=0):
     if deltas is not None:
         return signed_sum_keys(deltas[:k]), signed_sum_keys(deltas[k:]), estimate
     row = np.dtype((np.void, 8 * roots.shape[1]))
-    left = signed_sum_table(roots[:k]).view(row).ravel()
-    right = signed_sum_table(roots[k:]).view(row).ravel()
+    left = signed_sum_keys(roots[:k]).view(row).ravel()
+    right = signed_sum_keys(roots[k:]).view(row).ravel()
     return left, right, estimate
-
-
-def key_tables(
-    roots: np.ndarray, k: int, memory_budget: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Key tables of the signed sums of ``roots[:k]`` and ``roots[k:]``, and
-    the byte estimate checked against ``memory_budget`` before either is built."""
-    return _split_tables(roots, key_packing(roots), k, memory_budget)
 
 
 def count_zero_full(roots: np.ndarray, memory_budget: int) -> tuple[int, int]:

@@ -3,7 +3,7 @@
 All JSON goes to stdout with sorted keys so that repeated runs are
 byte-identical apart from the ``timings`` block; diagnostics go to stderr.
 Exit codes: 0 success, 1 internal invariant violation, 2 invalid input,
-3 resource limit.
+3 resource limit, running out of memory included.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class _Main(click.Group):
         except InternalCheckError as exc:
             click.echo(f"internal error: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
-        except ResourceLimitError as exc:
-            click.echo(f"resource limit: {exc}", err=True)
+        except (ResourceLimitError, MemoryError) as exc:
+            click.echo(f"resource limit: {str(exc) or 'out of memory'}", err=True)
             sys.exit(EXIT_RESOURCE)
 
 

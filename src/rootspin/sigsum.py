@@ -11,7 +11,8 @@ ways.  Three routes are implemented and cross-checked:
   its multiplicity and dropping those that can no longer reach zero
   (``_kernels.pruned_tables``), and the two tables are joined on their
   common keys.  A pruned table is closed under negation, so a left sum
-  meets the negated right sum exactly where both tables hold its key.
+  meets the negated right sum exactly where both tables hold its key.  The
+  witness search walks the same halves and recurses into each of them.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
@@ -164,15 +165,20 @@ def mitm_split(roots: np.ndarray) -> int:
     return (roots.shape[0] + 1) // 2
 
 
-def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]) -> int:
-    """Sum of multiplicity products over the keys both sorted tables hold."""
-    (lk, lc), (rk, rc) = left, right
+def _common_keys(lk: np.ndarray, rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in two sorted key tables of the keys both hold."""
     if not rk.shape[0]:
-        return 0
+        lk = lk[:0]
     at = np.searchsorted(rk, lk)
     np.minimum(at, rk.shape[0] - 1, out=at)
     il = np.flatnonzero(rk[at] == lk)
-    a, b = lc[il], rc[at[il]]
+    return il, at[il]
+
+
+def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]) -> int:
+    """Sum of multiplicity products over the keys both sorted tables hold."""
+    il, ir = _common_keys(left[0], right[0])
+    a, b = left[1][il], right[1][ir]
     step = _kernels.JOIN_CHUNK
     return sum(
         sum(map(operator.mul, a[i:i + step].tolist(), b[i:i + step].tolist()))
@@ -180,14 +186,10 @@ def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, n
     )
 
 
-def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
-    """Exact count by meet-in-the-middle; agrees with brute force everywhere.
-
-    The roots are sorted by their last nonzero coordinate, so each half
-    finishes its coordinates early and the pruning of ``pruned_tables``
-    bites; the count does not depend on the order of the roots.
-    """
-    roots, _ = system_parts(system)
+def _walk_halves(roots: np.ndarray, limit_r: int):
+    """Sort permutation, split, tables and byte estimate of the walk.  Sorted
+    by their last nonzero coordinate, the roots of each half finish their
+    coordinates early, so the pruning of ``pruned_tables`` bites."""
     r = roots.shape[0]
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
@@ -196,10 +198,16 @@ def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
         raise ResourceLimitError(
             f"meet-in-the-middle counts a half of at most {_HALF_MAX} roots in int64, got {k}"
         )
-    start = time.perf_counter()
     last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
-    roots = roots[np.argsort(last, kind="stable")]
-    left, right, estimate = _kernels.pruned_tables(roots, k, DEFAULT_MEMORY_BUDGET)
+    order = np.argsort(last, kind="stable")
+    return (order, k, *_kernels.pruned_tables(roots[order], k, DEFAULT_MEMORY_BUDGET))
+
+
+def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
+    """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
+    roots, _ = system_parts(system)
+    start = time.perf_counter()
+    _, _, left, right, estimate = _walk_halves(roots, limit_r)
     value = _join_counts(left, right)
     return CountResult(value, METHOD_MITM, time.perf_counter() - start, estimate)
 
@@ -237,7 +245,8 @@ def enumerate_zero_signs(system) -> list[np.ndarray]:
     if r > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
     # The table of the empty half holds one key: that of the zero sum.
-    keys, zero, _ = _kernels.key_tables(roots, r, DEFAULT_MEMORY_BUDGET)
+    deltas = _kernels.key_packing(roots)
+    keys, zero, _ = _kernels._split_tables(roots, deltas, r, DEFAULT_MEMORY_BUDGET)
     return [signs_from_mask(int(mask), r) for mask in np.flatnonzero(keys == zero)]
 
 
@@ -356,18 +365,24 @@ def obstruction_2L(system) -> ObstructionResult:
 
 
 def _search_witness(roots: np.ndarray) -> np.ndarray | None:
-    """Meet-in-the-middle early-exit search for one zero signed sum."""
-    r = roots.shape[0]
-    k = mitm_split(roots)
-    left, right, _ = _kernels.key_tables(roots, k, DEFAULT_MEMORY_BUDGET)
-    common = np.intersect1d(left, right)
-    if common.size == 0:
+    """One zero signed sum, or None, by the walk of ``count_mitm``.
+
+    A key both pruned tables hold is a sum v of the left half that the right
+    half cancels.  The same search, down to enumeration, finds zero sums of
+    the left half with -v put first and of the right half with v; times the
+    sign of its extra root, each gives its half's signs.  |v| is at most
+    either half's weight, so neither is heavier than the whole."""
+    if roots.shape[0] <= ENUMERATION_LIMIT:
+        return next(iter(enumerate_zero_signs(roots)), None)
+    order, k, left, right, _ = _walk_halves(roots, DEFAULT_MITM_LIMIT)
+    il, _ = _common_keys(left[0], right[0])
+    if not il.size:
         return None
-    # Reversing the right table negates its sums: the last right index
-    # holding the key is the complement of the first one holding its negation.
-    mask_l = int(np.flatnonzero(left == common[:1])[0])
-    mask_r = int(np.flatnonzero(right == common[:1])[-1])
-    signs = np.concatenate((signs_from_mask(mask_l, k), -signs_from_mask(mask_r, r - k)))
+    ordered = roots[order]
+    v = _kernels.key_vector(ordered, left[0][il[0]:il[0] + 1])
+    left = right = None  # the searches below need none of the tables
+    halves = [_search_witness(np.vstack(h)) for h in ((-v, ordered[:k]), (v, ordered[k:]))]
+    signs = np.concatenate([s[1:] * s[0] for s in halves])[np.argsort(order)]
     if np.any(signs @ roots != 0):
         raise InternalCheckError("witness reconstruction produced a non-zero sum")
     return signs
@@ -380,7 +395,7 @@ def exists_strong_dependence(system) -> ExistenceResult:
     catalogued root system is then proved both ways: the obstruction must
     pass exactly when its family has a verified block certificate, which
     supplies the witness.  Any other matrix that passes the obstruction goes
-    to a meet-in-the-middle early-exit search.
+    to a witness search on the walk of ``count_mitm``, recursive past r = 16.
     """
     roots, _ = system_parts(system)
     obstruction = obstruction_2L(roots)
@@ -398,8 +413,5 @@ def exists_strong_dependence(system) -> ExistenceResult:
         return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-    r = roots.shape[0]
-    if r > DEFAULT_MITM_LIMIT:
-        raise ResourceLimitError(f"witness search needs r <= {DEFAULT_MITM_LIMIT}, got r = {r}")
     witness = _search_witness(roots)
     return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)

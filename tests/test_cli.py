@@ -18,17 +18,25 @@ Claims covered:
     - JSON output is byte-identical across runs once the timings block is
       stripped; the removed `--threads` option and `ROOTSPIN_THREADS` have
       no effect
+    - running out of memory under an address-space cap exits 3 with one
+      `resource limit:` line on stderr and nothing on stdout
     - fuzzed arguments (family strings with padding and control characters,
       negative, small and huge ranks) always end in exit 0, 1, 2 or 3, and
       nothing but SystemExit escapes a command
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import rootspin
 from rootspin.cli import main
 
 SCHEMA_KEYS = {
@@ -245,6 +253,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli.certs, "certificate", lambda fr: None)
         result = run("analyze", "G", "2", "--json")
         assert result.exit_code == 1
+
+    def test_out_of_memory_exits_3(self):
+        # A12's 12-column row keys outgrow a 512 MiB address space after
+        # about a second.  The cap is set in the child alone, so the test
+        # never exhausts the host.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "rootspin.cli", "count", "A", "12",
+             "--method", "mitm", "--max-r", "78"],
+            env=dict(os.environ, PYTHONPATH=str(Path(rootspin.__file__).parents[1])),
+            preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("resource limit: ")
+        assert result.stderr.count("\n") == 1
 
     def test_threads_env_var_fallback(self):
         # ROOTSPIN_THREADS is no longer read: even an invalid value is ignored.

@@ -10,7 +10,8 @@ root matrices where exhaustive counting is cheap:
       and applying a fixed unimodular transform
     - a failed obstruction forces a zero count (soundness)
     - existence always comes with a verifying witness, and agrees with
-      the positivity of the exact count
+      the positivity of the exact count, also for r = 17..36, where the
+      witness search recurses on the walked halves (packed and row keys)
     - the solution set is closed under global sign flip
     - the torus action stays diagonal with purely imaginary eigenvalues
     - the oracle's tagged blocks count what brute force counts, on one
@@ -28,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rootspin import (
     count_bruteforce,
@@ -47,9 +48,9 @@ _coord = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def root_matrices(draw, max_r=8, max_m=3, coord=_coord):
+def root_matrices(draw, max_r=8, max_m=3, coord=_coord, min_r=1):
     m = draw(st.integers(1, max_m))
-    r = draw(st.integers(1, max_r))
+    r = draw(st.integers(min_r, max_r))
     rows = draw(
         st.lists(
             st.lists(coord, min_size=m, max_size=m).filter(any),
@@ -127,6 +128,19 @@ def test_existence_agrees_with_count_and_witness_verifies(roots):
     assert result.exists == (count_bruteforce(roots).value > 0)
     if result.exists:
         assert not signed_sum(roots, result.witness).any()
+
+
+@common
+@given(root_matrices(min_r=17, max_r=36))
+def test_witness_search_past_enumeration_agrees_with_count(roots):
+    # Past r = 16 the search walks its halves and recurses on each half
+    # with one extra root; on packed keys and on the row keys of a stretch.
+    assume(roots[:, 0].any())
+    for matrix in (roots, _stretch_past_key_budget(roots)):
+        result = exists_strong_dependence(matrix)
+        assert result.exists == (count_mitm(matrix).value > 0)
+        if result.exists:
+            assert not signed_sum(matrix, result.witness).any()
 
 
 @common

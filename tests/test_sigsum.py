@@ -17,15 +17,18 @@ Claims covered:
     - the obstruction on A160 and C120 passes within 3 s each
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
-      obstruction passes exactly when a certificate exists
+      obstruction passes exactly when a certificate exists; past r = 16 the
+      witness search recurses on the walked halves (see test_properties)
     - ``count`` runs brute force up to r = 20 (and r <= max_r) and
       meet-in-the-middle above, with each engine's limit, and looks the
       engines up at call time
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
-      middle, the witness search and brute force, pruned or not, and brute
-      force reports it as ``memory_peak``
+      middle and brute force, pruned or not, and brute force reports it as
+      ``memory_peak``; the witness search's peak stays within the largest
+      estimate its walks and enumerations checked, and it takes full tables
+      only to enumerate a whole subproblem of at most 16 roots
     - brute force equals the zero rows of ``signs @ roots`` over all 2^r
       sign vectors for r = 1..18, packed and row keys, and its one table
       pair holds 2^r (prefix, suffix) pairs
@@ -202,24 +205,25 @@ class TestCounting:
         "engine",
         [
             lambda _: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
+            lambda _: exists_strong_dependence(_hostile(24, 1, 10**9)),
             count_bruteforce,
             enumerate_zero_signs,
             count_mitm,
         ],
-        ids=["witness_search", "brute_force", "enumeration", "mitm"],
+        ids=["witness_search", "witness_search_r24", "brute_force", "enumeration", "mitm"],
     )
     def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
         # G2 is built first: its roots alone exceed the budget below.
         g2 = _sys("G", 2)
-        # 64 bytes: below the smallest of the four estimates, the witness
-        # search's 144 (tables of 4 and 2 keys, 8 bytes each, times 3).
+        # 64 bytes: below the smallest of the five estimates, the three-root
+        # witness search's 288 (its enumeration: tables of 8 keys and 1 key,
+        # 8 bytes each, times 4).  At r = 24 the search walks its halves.
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 64)
 
         def refuse(_):
             raise AssertionError("a table was built before the budget check")
 
         monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
-        monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
         with pytest.raises(ResourceLimitError, match="signed-sum tables"):
             engine(g2)
 
@@ -263,11 +267,7 @@ class TestMemoryEstimate:
         assert result.value >= 2  # all signs equal, and their negation
         assert peak <= result.memory_peak
 
-    @pytest.mark.parametrize(
-        "engine",
-        [sigsum._search_witness, count_bruteforce],
-        ids=["witness_search", "brute_force"],
-    )
+    @pytest.mark.parametrize("engine", [count_bruteforce], ids=["brute_force"])
     @pytest.mark.parametrize("shape", [(24, 1, 10**9), (24, 3, 10**6)], ids=["packed", "rows"])
     def test_table_estimate_bounds_traced_peak(self, engine, shape, monkeypatch):
         roots = _hostile(*shape)
@@ -284,6 +284,37 @@ class TestMemoryEstimate:
         _, peak = _traced_peak(lambda: engine(roots))
         assert len(estimates) == 2  # one table pair a call
         assert peak <= estimates[-1]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(24, 1, 10**9), (24, 3, 10**6), (32, 1, 10**9), (30, 3, 10**6)],
+        ids=["packed_24", "rows_24", "packed_32", "rows_30"],
+    )
+    def test_witness_search_estimate_bounds_traced_peak(self, shape, monkeypatch):
+        # The search walks its halves with ``pruned_tables`` and takes full
+        # tables only to enumerate a whole subproblem of at most 16 roots.
+        roots = _hostile(*shape)
+        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        estimates, splits = [], []
+        pruned, split = _kernels.pruned_tables, _kernels._split_tables
+
+        def pruned_spy(*args):
+            tables = pruned(*args)
+            estimates.append(tables[2])
+            return tables
+
+        def split_spy(*args):
+            splits.append((args[2], args[0].shape[0]))
+            tables = split(*args)
+            estimates.append(tables[2])
+            return tables
+
+        monkeypatch.setattr(_kernels, "pruned_tables", pruned_spy)
+        monkeypatch.setattr(_kernels, "_split_tables", split_spy)
+        witness, peak = _traced_peak(lambda: sigsum._search_witness(roots))
+        assert not (witness @ roots).any()
+        assert splits and all(k == r <= sigsum.ENUMERATION_LIMIT for k, r in splits)
+        assert peak <= max(estimates)
 
     @pytest.mark.parametrize(
         "roots,limit_r",
@@ -424,11 +455,11 @@ def _stretch_past_key_budget(roots):
 
 
 class TestBackends:
-    # Two key kinds ship, both built by ``_kernels.key_tables`` and run
-    # through the same join and scan: packed int64 keys
-    # (``signed_sum_keys``) and row keys, the unpacked int64 vectors of
-    # ``signed_sum_table`` viewed as ``np.void``.  The packed side runs on the
-    # system as given, the row side on its stretch past the 62-bit key budget.
+    # Two key kinds ship, both built by ``_kernels.signed_sum_keys`` and the
+    # walk and run through the same join and scan: packed int64 keys (from
+    # key deltas) and row keys, the unpacked int64 vectors (from root rows)
+    # viewed as ``np.void``.  The packed side runs on the system as given,
+    # the row side on its stretch past the 62-bit key budget.
     @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "G2", "F4"])
     def test_counts_identical_across_backends(self, name, catalogue):
         roots = catalogue[name].roots
@@ -449,7 +480,7 @@ class TestBackends:
         stretched = _stretch_past_key_budget(roots)
         assert _kernels.key_packing(stretched) is None
         keys = _kernels.signed_sum_keys(deltas)
-        rows = _kernels.signed_sum_table(stretched)
+        rows = _kernels.signed_sum_keys(stretched)
         signs = np.array([sigsum.signs_from_mask(mask, r) for mask in range(1 << r)])
         assert np.array_equal(keys, signs @ deltas)
         assert np.array_equal(rows, signs @ stretched)
@@ -509,7 +540,7 @@ class TestKeyOverflow:
         def refuse(_):
             raise AssertionError("a table was built before the bound check")
 
-        monkeypatch.setattr(_kernels, "signed_sum_table", refuse)
+        monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
         for engine in (count_bruteforce, count_mitm):
             with pytest.raises(ResourceLimitError, match="too large for exact int64"):
                 engine(roots)
