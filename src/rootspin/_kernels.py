@@ -15,9 +15,13 @@ Each system gets one key kind, decided here alone (``key_vector`` decodes):
   vectors, each row viewed as one ``np.void`` value of ``8*m`` bytes.
 
 A full table holds every signed sum, indexed by sign mask (bit t set =
-root t negative); a pruned table keeps a sum exactly when it keeps its
-negation.  Either way a sum of one table meets its negation in another
-exactly when its key occurs in both, and no engine negates a key.  The
+root t negative).  The signed sums of a run of roots are closed under
+negation, and pruning is symmetric, so a pruned table holds one state per
+pair {s, -s}: the sign-canonical sum (``|key|`` for packed keys, the row
+with its first nonzero coordinate positive for row keys), counted by the
+sign vectors that reach s, as many as reach -s.  The zero sum is its own
+pair and sorts first in both kinds.  Either way a sum of one table meets
+its negation in another exactly when its key occurs in both.  The
 sorted-key lookup of the join and the witness search (in ``sigsum``), the
 walk and the blocked prefix x suffix scan (here) are each written once, for
 both kinds.  The scan compares every prefix key with every suffix key
@@ -90,12 +94,15 @@ def key_vector(roots: np.ndarray, key: np.ndarray) -> np.ndarray:
 def _walk_bytes(states: int, unit: int) -> int:
     """Upper bound on the bytes one doubling of ``states`` holds at once.
 
-    Each state costs ``unit`` bytes (key and multiplicity); N = 2 * states
+    Each state costs ``unit`` bytes (key and multiplicity); N <= 2 * states
     candidates.  The worst moment is a gather while its source is alive:
     candidates and gathered copy (2N units) with the sort permutation
     (8N) or the dedupe masks and starts (9N).  Pruning holds less: the
     candidates (N units), the shifted keys and one decoded digit (16N) and
-    two masks (2N); so does the argsort with its buffer (12N).
+    two masks (2N); so does the argsort with its buffer (12N).  So does
+    making row keys sign-canonical, beside the candidates: a ``cand != 0``
+    mask of m bytes a candidate with its first-nonzero indices (8N), then
+    those indices, the gathered entries (8N) and a sign mask (N).
     """
     return 2 * states * (2 * unit + 10)
 
@@ -105,18 +112,23 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
     pruned to the sums that can still reach zero.
 
     The left half is walked from the first root, the right half from the
-    last, one doubling per root: every state ``(key, multiplicity)`` becomes
-    ``key - d`` and ``key + d``, the two sorted runs are merged by a stable
-    argsort and equal keys are summed with ``np.add.reduceat`` in int64.
-    A partial sum is dropped when a coordinate exceeds in absolute value the
-    weight ``sum |a_uc|`` of the roots not yet walked in either half; the
-    bound is symmetric, so each table stays closed under negation.  Only
-    coordinates whose walked weight exceeds their remaining weight can bind,
-    and only those are decoded.
+    last, one doubling per root.  A state ``(key, multiplicity)`` stands for
+    the pair {s, -s} of partial sums, each reached by ``multiplicity`` sign
+    vectors; it becomes the canonical keys of ``s - d`` and ``s + d``, the
+    two runs are merged by a stable argsort and equal keys are summed with
+    ``np.add.reduceat`` in int64.  The zero sum is its own pair: its state
+    steps to {d, -d} once, not twice, and a state that lands on zero (from
+    {d, -d}, or from zero when d = 0) counts twice.  A partial sum is
+    dropped when a coordinate exceeds in absolute value the weight
+    ``sum |a_uc|`` of the roots not yet walked in either half; the bound is
+    symmetric in s and -s, so it acts on whole pairs.  Only coordinates
+    whose walked weight exceeds their remaining weight can bind, and only
+    those are decoded.
 
     Returns ``((keys, counts), (keys, counts), estimate)``: both tables
-    sorted by key (row keys as ``np.void``), and the largest byte estimate
-    checked against ``memory_budget`` before each doubling and the join.
+    sorted by canonical key (row keys as ``np.void``), so a zero key comes
+    first, and the largest byte estimate checked against ``memory_budget``
+    before each doubling and the join.
     """
     r, m = roots.shape
     deltas = key_packing(roots)
@@ -166,6 +178,15 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
             keep &= digit.view(np.uint64) <= 2 * bound
         return keep
 
+    def canonical(cand: np.ndarray) -> None:
+        """Replace each sum by the one of {s, -s} with a nonnegative key, in place."""
+        if deltas is not None:
+            np.abs(cand, out=cand)
+            return
+        first = (cand != 0).argmax(axis=1)[:, None]
+        negative = np.take_along_axis(cand, first, axis=1) < 0
+        np.negative(cand, out=cand, where=negative)
+
     def walk(steps, held: int):
         keys = np.zeros(1 if deltas is not None else (1, m), np.int64)
         counts = np.ones(1, np.int64)
@@ -173,16 +194,19 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
             n = counts.shape[0]
             check(held + _walk_bytes(n, unit))
             d = roots[i] if deltas is None else deltas[i]
-            cand = np.empty((2 * n,) + keys.shape[1:], np.int64)
+            # the zero state, first when present, has one successor pair
+            z = int(n > 0 and not keys[0].any())
+            cand = np.empty((2 * n - z,) + keys.shape[1:], np.int64)
             np.subtract(keys, d, out=cand[:n])
-            np.add(keys, d, out=cand[n:])
+            np.add(keys[z:], d, out=cand[n:])
             keys = None
-            counts = np.concatenate((counts, counts))
+            counts = np.concatenate((counts, counts[z:]))
             binding = np.flatnonzero(walked > remaining)
             if binding.size:
                 keep = prune(cand, binding, remaining)
                 cand, counts = cand[keep], counts[keep]
                 keep = None
+            canonical(cand)
             perm = np.argsort(sort_keys(cand), kind="stable")
             cand, counts = cand[perm], counts[perm]
             perm = None
@@ -195,6 +219,10 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
                 starts = np.flatnonzero(edge)
                 keys, counts = cand[starts], np.add.reduceat(counts, starts)
             cand = view = edge = starts = None
+            # zero is reached from the pair {d, -d} as d - d and -d + d (from
+            # zero itself when d = 0), so each landing counts twice
+            if keys.shape[0] and not keys[0].any():
+                counts[0] *= 2
         return keys, counts
 
     left = walk(((i, prefix[i + 1], total - prefix[i + 1]) for i in range(k)), base)

@@ -10,9 +10,11 @@ ways.  Three routes are implemented and cross-checked:
   from its outer end to the split, keeping every distinct partial sum with
   its multiplicity and dropping those that can no longer reach zero
   (``_kernels.pruned_tables``), and the two tables are joined on their
-  common keys.  A pruned table is closed under negation, so a left sum
-  meets the negated right sum exactly where both tables hold its key.  The
-  witness search walks the same halves and recurses into each of them.
+  common keys.  The sums of a half are closed under negation, so a table
+  holds one sign-canonical state per pair {s, -s}; a left pair meets the
+  negated right pair exactly where both tables hold its key, and counts
+  twice unless it is the zero sum.  The witness search walks the same
+  halves and recurses into each of them.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
@@ -176,14 +178,22 @@ def _common_keys(lk: np.ndarray, rk: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]) -> int:
-    """Sum of multiplicity products over the keys both sorted tables hold."""
+    """Zero sums of the two halves together, from their canonical tables.
+
+    A common key v != 0 stands for the left sums v and -v, each met by the
+    right sum of opposite sign: 2 * c_L * c_R zero sums.  The zero key, first
+    in both tables when both hold it, stands for one sum: z_L * z_R.
+    """
     il, ir = _common_keys(left[0], right[0])
     a, b = left[1][il], right[1][ir]
     step = _kernels.JOIN_CHUNK
-    return sum(
+    total = 2 * sum(
         sum(map(operator.mul, a[i:i + step].tolist(), b[i:i + step].tolist()))
         for i in range(0, a.shape[0], step)
     )
+    if il.size and not left[0][il[0]:il[0] + 1].view(np.uint8).any():
+        total -= int(a[0]) * int(b[0])
+    return total
 
 
 def _walk_halves(roots: np.ndarray, limit_r: int):
@@ -244,10 +254,15 @@ def enumerate_zero_signs(system) -> list[np.ndarray]:
     r = roots.shape[0]
     if r > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
+    return [signs_from_mask(int(mask), r) for mask in _zero_masks(roots)]
+
+
+def _zero_masks(roots: np.ndarray) -> np.ndarray:
+    """Sign masks of the zero signed sums of at most 16 roots, in order."""
     # The table of the empty half holds one key: that of the zero sum.
     deltas = _kernels.key_packing(roots)
-    keys, zero, _ = _kernels._split_tables(roots, deltas, r, DEFAULT_MEMORY_BUDGET)
-    return [signs_from_mask(int(mask), r) for mask in np.flatnonzero(keys == zero)]
+    keys, zero, _ = _kernels._split_tables(roots, deltas, roots.shape[0], DEFAULT_MEMORY_BUDGET)
+    return np.flatnonzero(keys == zero)
 
 
 def _subtract(v: dict[int, int], q: int, b: dict[int, int]) -> None:
@@ -367,13 +382,17 @@ def obstruction_2L(system) -> ObstructionResult:
 def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     """One zero signed sum, or None, by the walk of ``count_mitm``.
 
-    A key both pruned tables hold is a sum v of the left half that the right
-    half cancels.  The same search, down to enumeration, finds zero sums of
-    the left half with -v put first and of the right half with v; times the
-    sign of its extra root, each gives its half's signs.  |v| is at most
-    either half's weight, so neither is heavier than the whole."""
+    A key both pruned tables hold is a canonical sum v: the left half
+    reaches v and -v, and so does the right half, so the right half cancels
+    the left sum v.  The same search finds zero sums of the left half with -v
+    put first and of the right half with v; times the sign of its extra
+    root, each gives its half's signs.  |v| is at most either half's weight,
+    so neither is heavier than the whole.  The zero key sorts first, so v is
+    often 0.  At r <= 16 the search takes the first zero mask of the full
+    table and builds one sign vector."""
     if roots.shape[0] <= ENUMERATION_LIMIT:
-        return next(iter(enumerate_zero_signs(roots)), None)
+        masks = _zero_masks(roots)[:1]
+        return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
     order, k, left, right, _ = _walk_halves(roots, DEFAULT_MITM_LIMIT)
     il, _ = _common_keys(left[0], right[0])
     if not il.size:

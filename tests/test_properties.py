@@ -12,6 +12,9 @@ root matrices where exhaustive counting is cheap:
     - existence always comes with a verifying witness, and agrees with
       the positivity of the exact count, also for r = 17..36, where the
       witness search recurses on the walked halves (packed and row keys)
+    - with zero roots and roots beside their negations put in (r up to 21),
+      brute force equals meet-in-the-middle and the witness verifies, on
+      packed and row keys
     - the solution set is closed under global sign flip
     - the torus action stays diagonal with purely imaginary eigenvalues
     - the oracle's tagged blocks count what brute force counts, on one
@@ -139,6 +142,35 @@ def test_witness_search_past_enumeration_agrees_with_count(roots):
     for matrix in (roots, _stretch_past_key_budget(roots)):
         result = exists_strong_dependence(matrix)
         assert result.exists == (count_mitm(matrix).value > 0)
+        if result.exists:
+            assert not signed_sum(matrix, result.witness).any()
+
+
+@st.composite
+def matrices_with_zero_pairs(draw):
+    """Root matrices with zero roots and roots beside their negations: in the
+    walk's one-state-per-pair tables the zero sum is its own pair, a zero
+    root doubles every count and a root then its negation lands on zero."""
+    rows = draw(root_matrices(max_r=9)).tolist()
+    m = len(rows[0])
+    beside = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [r for row, b in zip(rows, beside) for r in ([row, [-x for x in row]] if b else [row])]
+    for at in draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        rows.insert(at, [0] * m)
+    return np.array(rows, dtype=np.int64)
+
+
+@common
+@given(matrices_with_zero_pairs())
+@example(np.array([[1, 0], [0, 0], [-1, 0], [1, 1], [0, 0], [1, 1]]))
+@example(np.array([[1]] * 8 + [[0]] * 3 + [[-1]] * 8))
+def test_engines_and_witness_agree_with_zero_pairs(roots):
+    assume(roots[:, 0].any())
+    for matrix in (roots, _stretch_past_key_budget(roots)):
+        brute = count_bruteforce(matrix).value
+        assert count_mitm(matrix).value == brute
+        result = exists_strong_dependence(matrix)
+        assert result.exists == (brute > 0)
         if result.exists:
             assert not signed_sum(matrix, result.witness).any()
 

@@ -259,10 +259,15 @@ class TestMemoryEstimate:
         result, peak = _traced_peak(lambda: count_mitm(roots, limit_r=56))
         assert peak <= result.memory_peak < (1 << 30)
 
-    @pytest.mark.parametrize("shape", [(32, 1, 10**9), (30, 3, 10**6)], ids=["packed", "rows"])
+    # Wide row keys: making a candidate canonical builds a mask of m bytes.
+    @pytest.mark.parametrize(
+        "shape",
+        [(32, 1, 10**9), (30, 3, 10**6), (30, 12, 10**3), (34, 16, 100)],
+        ids=["packed", "rows", "rows_12", "rows_16"],
+    )
     def test_mitm_estimate_bounds_traced_peak_unpruned(self, shape):
         roots = _hostile(*shape)
-        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        assert (_kernels.key_packing(roots) is None) == (shape[1] > 1)
         result, peak = _traced_peak(lambda: count_mitm(roots))
         assert result.value >= 2  # all signs equal, and their negation
         assert peak <= result.memory_peak
@@ -328,6 +333,47 @@ class TestMemoryEstimate:
     def test_brute_estimate_bounds_traced_peak(self, roots, limit_r):
         result, peak = _traced_peak(lambda: count_bruteforce(roots, limit_r=limit_r))
         assert peak <= result.memory_peak
+
+
+class TestCanonicalTables:
+    # The walk keeps one state per pair {s, -s}: a packed key is |key|, a row
+    # key has its first nonzero coordinate positive, and the zero key, its
+    # own pair, sorts first.
+    def test_packed_tables_hold_nonnegative_keys(self):
+        roots = positive_roots(FamilyRank("A", 9)).roots
+        _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
+        assert (left[0] >= 0).all() and (right[0] >= 0).all()
+        # tables holding both s and -s would have 120076 and 8980 states
+        assert (left[0].shape[0], right[0].shape[0]) == (60038, 4490)
+
+    def test_row_key_tables_hold_canonical_rows(self):
+        roots = _stretch_past_key_budget(positive_roots(FamilyRank("E", 6)).roots)
+        assert _kernels.key_packing(roots) is None
+        _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
+        for keys, _ in (left, right):
+            rows = keys.view(np.int64).reshape(keys.shape[0], roots.shape[1])
+            nonzero = rows.any(axis=1)
+            first = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)
+            assert (first[nonzero] > 0).all()
+            assert nonzero[1:].all()
+        assert sigsum._join_counts(left, right) == 13697920
+
+
+class TestWitnessBaseCase:
+    # At r <= 16 the search takes the first zero mask of the full table and
+    # builds one sign vector, not every zero sign vector.
+    @pytest.mark.parametrize("r", [16, 48])
+    def test_one_sign_vector_per_base_case(self, r, monkeypatch):
+        roots = np.ones((r, 1), np.int64)
+        bases, built = [], []
+        split, from_mask = _kernels._split_tables, sigsum.signs_from_mask
+        monkeypatch.setattr(_kernels, "_split_tables",
+                            lambda *args: bases.append(args[2]) or split(*args))
+        monkeypatch.setattr(sigsum, "signs_from_mask",
+                            lambda *args: built.append(args[0]) or from_mask(*args))
+        witness = sigsum._search_witness(roots)
+        assert not (witness @ roots).any()
+        assert len(built) == len(bases) >= 1
 
 
 def _zero_sums_by_sign_matrix(roots):
