@@ -25,10 +25,14 @@ Claims covered:
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
-      middle and brute force, pruned or not, and brute force reports it as
-      ``memory_peak``; the witness search's peak stays within the largest
-      estimate its walks and enumerations checked, and it takes full tables
-      only to enumerate a whole subproblem of at most 16 roots
+      middle and brute force, pruned or not, on packed keys and on row keys
+      up to 16 columns, and brute force reports it as ``memory_peak``; the
+      witness search's peak stays within the largest estimate its walks and
+      enumerations checked, and it takes full tables only to enumerate a
+      whole subproblem of at most 16 roots, where it builds one sign vector
+    - the walk's tables hold one sign-canonical state per pair {s, -s}:
+      nonnegative packed keys (A9: 60038 and 4490 states), row keys whose
+      first nonzero coordinate is positive, the zero key first
     - brute force equals the zero rows of ``signs @ roots`` over all 2^r
       sign vectors for r = 1..18, packed and row keys, and its one table
       pair holds 2^r (prefix, suffix) pairs
