@@ -10,11 +10,12 @@ ways.  Three routes are implemented and cross-checked:
   from its outer end to the split, keeping every distinct partial sum with
   its multiplicity and dropping those that can no longer reach zero
   (``_kernels.pruned_tables``), and the two tables are joined on their
-  common keys.  The sums of a half are closed under negation, so a table
-  holds one sign-canonical state per pair {s, -s}; a left pair meets the
-  negated right pair exactly where both tables hold its key, and counts
-  twice unless it is the zero sum.  The witness search walks the same
-  halves and recurses into each of them.
+  common keys, each a sum packed into W int64 words (one word for every
+  catalogue system).  The sums of a half are closed under negation, so a
+  table holds one sign-canonical state per pair {s, -s}; a left pair meets
+  the negated right pair exactly where both tables hold its key, and
+  counts twice unless it is the zero sum.  The witness search walks the
+  same halves and recurses into each of them.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
@@ -260,8 +261,8 @@ def enumerate_zero_signs(system) -> list[np.ndarray]:
 def _zero_masks(roots: np.ndarray) -> np.ndarray:
     """Sign masks of the zero signed sums of at most 16 roots, in order."""
     # The table of the empty half holds one key: that of the zero sum.
-    deltas = _kernels.key_packing(roots)
-    keys, zero, _ = _kernels._split_tables(roots, deltas, roots.shape[0], DEFAULT_MEMORY_BUDGET)
+    deltas, _ = _kernels.key_packing(roots)
+    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0], DEFAULT_MEMORY_BUDGET)
     return np.flatnonzero(keys == zero)
 
 

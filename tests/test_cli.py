@@ -255,9 +255,9 @@ class TestExitCodes:
         assert result.exit_code == 1
 
     def test_out_of_memory_exits_3(self):
-        # A12's 12-column row keys outgrow a 512 MiB address space after
-        # about a second.  The cap is set in the child alone, so the test
-        # never exhausts the host.
+        # A12's two-word keys outgrow a 512 MiB address space after a few
+        # seconds of walking.  The cap is set in the child alone, so the
+        # test never exhausts the host.
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 

@@ -1,0 +1,62 @@
+"""The traced benchmark stays runnable on the counting layers.
+
+``perfbench/run.py --trace 1`` wraps kernel functions by name and fails a
+run when an expected span does not fire, and it reads import costs from
+``-X importtime``.  Both are checked here against run.py's own lists, so
+a renamed or bypassed function fails tier-1, not a benchmark run.
+
+Claims covered:
+    - ``perfbench/trace_child.py`` runs ``count A 6 --method brute --json``
+      and ``count E 6 --method mitm --json`` with exit 0 and the published
+      counts, and between them every span run.py expects of its count
+      workload fires
+    - ``import rootspin.cli`` imports numpy and click, so run.py's import
+      costs come out of ``-X importtime``
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def run():
+    """``perfbench/run.py`` as a module; it runs nothing on import."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_traced_count_fires_every_expected_span(run):
+    fired = set()
+    for args, count in (
+        (("count", "A", "6", "--method", "brute", "--json"), 2640),
+        (("count", "E", "6", "--method", "mitm", "--json"), 13697920),
+    ):
+        child = subprocess.run(
+            [sys.executable, str(PERFBENCH / "trace_child.py"), *args],
+            env=run.child_env(), cwd=run.ROOT, capture_output=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["count"]["exact"] == count
+        trace = run.split_spans(child.stderr)
+        fired.update(span["name"] for span in trace["spans"])
+        fired.update(trace["probes"])
+    assert set(run.EXPECTED_SPANS["count"]) <= fired
+
+
+def test_import_costs_measurable(run):
+    costs = run.import_costs(run.child_env())
+    assert set(costs) == {"import.numpy_s", "import.click_s", "import.rootspin_s"}
+    assert costs["import.numpy_s"] > 0 and costs["import.click_s"] > 0

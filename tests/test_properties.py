@@ -5,16 +5,16 @@ root matrices where exhaustive counting is cheap:
 
     - exact counts are even, and the two engines always agree (dual route),
       also with r up to 20 and entries up to 1e6, where nothing prunes, on
-      packed keys and on the row keys of a stretch past the key budget
+      one-word keys and on the keys of a stretch past one word
     - counts are invariant under negating a root, permuting the list,
       and applying a fixed unimodular transform
     - a failed obstruction forces a zero count (soundness)
     - existence always comes with a verifying witness, and agrees with
       the positivity of the exact count, also for r = 17..36, where the
-      witness search recurses on the walked halves (packed and row keys)
+      witness search recurses on the walked halves (one word and more)
     - with zero roots and roots beside their negations put in (r up to 21),
       brute force equals meet-in-the-middle and the witness verifies, on
-      packed and row keys
+      one word and more
     - the solution set is closed under global sign flip
     - the torus action stays diagonal with purely imaginary eigenvalues
     - the oracle's tagged blocks count what brute force counts, on one
@@ -86,7 +86,7 @@ def test_engines_agree_and_count_is_even(roots):
 @given(root_matrices(max_r=20, max_m=4, coord=st.integers(-10**6, 10**6)))
 def test_engines_agree_where_nothing_prunes(roots):
     # Entries up to 1e6: partial sums are nearly all distinct, so the walk
-    # neither prunes nor merges much; the stretch forces row keys.
+    # neither prunes nor merges much; the stretch forces a second word.
     brute = count_bruteforce(roots).value
     assert count_mitm(roots).value == brute
     stretched = _stretch_past_key_budget(roots)
@@ -137,7 +137,7 @@ def test_existence_agrees_with_count_and_witness_verifies(roots):
 @given(root_matrices(min_r=17, max_r=36))
 def test_witness_search_past_enumeration_agrees_with_count(roots):
     # Past r = 16 the search walks its halves and recurses on each half
-    # with one extra root; on packed keys and on the row keys of a stretch.
+    # with one extra root; on one word and on the words of a stretch.
     assume(roots[:, 0].any())
     for matrix in (roots, _stretch_past_key_budget(roots)):
         result = exists_strong_dependence(matrix)

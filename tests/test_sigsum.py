@@ -5,8 +5,12 @@ Claims covered:
       is exact where partial sums leave int64, and refuses a sum past it
     - brute force and meet-in-the-middle agree with the published counts
       (G2=4, F4=34432, E6=13697920) and with each other on small systems
-    - packed int64 keys and unpacked row keys give identical brute and
-      MITM counts, and identical signed sums for every sign mask
+    - one-word keys and keys of several int64 words give identical brute
+      and MITM counts, and identical signed sums for every sign mask;
+      ``key_vector`` decodes every key of both back to its signed sum
+    - the key layout: a coordinate of weight 2^62 - 1 sits alone in its
+      word, weight 2^62 is refused, and a word splits where its capacity
+      would reach 2^62; engines on each agree with the sign matrix
     - HNF examples: the index-3 planar lattice, diagonal and identity input
     - the HNF of every catalogue system, and of A72, B69, C68 and D69, has
       full rank and the root lattice's index
@@ -25,24 +29,24 @@ Claims covered:
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
-      middle and brute force, pruned or not, on packed keys and on row keys
-      up to 16 columns, and brute force reports it as ``memory_peak``; the
+      middle and brute force, pruned or not, on one-word keys and on keys
+      of up to 4 words, and brute force reports it as ``memory_peak``; the
       witness search's peak stays within the largest estimate its walks and
       enumerations checked, and it takes full tables only to enumerate a
       whole subproblem of at most 16 roots, where it builds one sign vector
     - the walk's tables hold one sign-canonical state per pair {s, -s}:
-      nonnegative packed keys (A9: 60038 and 4490 states), row keys whose
-      first nonzero coordinate is positive, the zero key first
+      nonnegative one-word keys (A9: 60038 and 4490 states), multi-word
+      keys whose first nonzero word is positive, the zero key first
     - brute force equals the zero rows of ``signs @ roots`` over all 2^r
-      sign vectors for r = 1..18, packed and row keys, and its one table
+      sign vectors for r = 1..18, on one word and on two, and its one table
       pair holds 2^r (prefix, suffix) pairs
-    - both engines refuse a row-key matrix whose column weights reach 2^62,
-      before any table, however the halves would split it
+    - both engines refuse a matrix whose column weights reach 2^62, before
+      any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
       routes (D8, C8, A10), stays exact where products of multiplicities
       exceed int64, and refuses a half over 62 roots before any table
-    - every engine runs on row keys past the key budget: counts, zero sign
-      vectors and a verified witness
+    - every engine runs on keys past one word: counts, zero sign vectors
+      and a verified witness
     - matrix and sign entries must be integers that int64 holds exactly
 """
 
@@ -263,15 +267,15 @@ class TestMemoryEstimate:
         result, peak = _traced_peak(lambda: count_mitm(roots, limit_r=56))
         assert peak <= result.memory_peak < (1 << 30)
 
-    # Wide row keys: making a candidate canonical builds a mask of m bytes.
+    # Wide keys: making a candidate canonical walks its words.
     @pytest.mark.parametrize(
-        "shape",
-        [(32, 1, 10**9), (30, 3, 10**6), (30, 12, 10**3), (34, 16, 100)],
+        "shape,words",
+        [((32, 1, 10**9), 1), ((30, 3, 10**6), 2), ((30, 12, 10**3), 3), ((34, 16, 100), 4)],
         ids=["packed", "rows", "rows_12", "rows_16"],
     )
-    def test_mitm_estimate_bounds_traced_peak_unpruned(self, shape):
+    def test_mitm_estimate_bounds_traced_peak_unpruned(self, shape, words):
         roots = _hostile(*shape)
-        assert (_kernels.key_packing(roots) is None) == (shape[1] > 1)
+        assert _words(roots) == words
         result, peak = _traced_peak(lambda: count_mitm(roots))
         assert result.value >= 2  # all signs equal, and their negation
         assert peak <= result.memory_peak
@@ -280,7 +284,7 @@ class TestMemoryEstimate:
     @pytest.mark.parametrize("shape", [(24, 1, 10**9), (24, 3, 10**6)], ids=["packed", "rows"])
     def test_table_estimate_bounds_traced_peak(self, engine, shape, monkeypatch):
         roots = _hostile(*shape)
-        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        assert _words(roots) == (2 if shape[1] == 3 else 1)
         estimates = []
         split = _kernels._split_tables
 
@@ -303,7 +307,7 @@ class TestMemoryEstimate:
         # The search walks its halves with ``pruned_tables`` and takes full
         # tables only to enumerate a whole subproblem of at most 16 roots.
         roots = _hostile(*shape)
-        assert (_kernels.key_packing(roots) is None) == (shape[1] == 3)
+        assert _words(roots) == (2 if shape[1] == 3 else 1)
         estimates, splits = [], []
         pruned, split = _kernels.pruned_tables, _kernels._split_tables
 
@@ -313,7 +317,7 @@ class TestMemoryEstimate:
             return tables
 
         def split_spy(*args):
-            splits.append((args[2], args[0].shape[0]))
+            splits.append((args[1], args[0].shape[0]))
             tables = split(*args)
             estimates.append(tables[2])
             return tables
@@ -340,9 +344,9 @@ class TestMemoryEstimate:
 
 
 class TestCanonicalTables:
-    # The walk keeps one state per pair {s, -s}: a packed key is |key|, a row
-    # key has its first nonzero coordinate positive, and the zero key, its
-    # own pair, sorts first.
+    # The walk keeps one state per pair {s, -s}: a one-word key is |key|, a
+    # key of several words has its first nonzero word positive, and the zero
+    # key, its own pair, sorts first.
     def test_packed_tables_hold_nonnegative_keys(self):
         roots = positive_roots(FamilyRank("A", 9)).roots
         _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
@@ -352,10 +356,11 @@ class TestCanonicalTables:
 
     def test_row_key_tables_hold_canonical_rows(self):
         roots = _stretch_past_key_budget(positive_roots(FamilyRank("E", 6)).roots)
-        assert _kernels.key_packing(roots) is None
+        words = _words(roots)
+        assert words > 1
         _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
         for keys, _ in (left, right):
-            rows = keys.view(np.int64).reshape(keys.shape[0], roots.shape[1])
+            rows = keys.view(np.int64).reshape(keys.shape[0], words)
             nonzero = rows.any(axis=1)
             first = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)
             assert (first[nonzero] > 0).all()
@@ -372,7 +377,7 @@ class TestWitnessBaseCase:
         bases, built = [], []
         split, from_mask = _kernels._split_tables, sigsum.signs_from_mask
         monkeypatch.setattr(_kernels, "_split_tables",
-                            lambda *args: bases.append(args[2]) or split(*args))
+                            lambda *args: bases.append(args[1]) or split(*args))
         monkeypatch.setattr(sigsum, "signs_from_mask",
                             lambda *args: built.append(args[0]) or from_mask(*args))
         witness = sigsum._search_witness(roots)
@@ -391,19 +396,19 @@ def _zero_sums_by_sign_matrix(roots):
 
 class TestBruteAgainstSignMatrix:
     # r = 1..18 runs below, at and above the suffix table's root count
-    # (15 for packed keys, 13 for 3-column row keys), with prefix tables
-    # both shorter and longer than one compare block.
+    # (15 for one-word keys, 14 for two words), with prefix tables both
+    # shorter and longer than one compare block.
     @pytest.mark.parametrize("kind", ["packed", "rows"])
     @pytest.mark.parametrize("r", range(1, 19))
     def test_counts_equal_reference(self, r, kind, monkeypatch):
         rng = np.random.default_rng(1000 + r)
         m = 1 + r % 3
         roots = rng.integers(-2, 2, size=(r, m), endpoint=True)
-        # a nonzero first column, so that stretching it leaves the key budget
+        # a nonzero first column, so that stretching it takes a second word
         roots[:, 0] = rng.choice([-2, -1, 1, 2], size=r)
         if kind == "rows":
             roots = _stretch_past_key_budget(roots)
-        assert (_kernels.key_packing(roots) is None) == (kind == "rows")
+        assert _words(roots) == (2 if kind == "rows" else 1)
         tables = []
         split = _kernels._split_tables
 
@@ -491,31 +496,39 @@ class TestCountEntryPoint:
         assert calls == ["count_bruteforce", "count_mitm"]
 
 
+def _words(roots):
+    """The int64 words of a key of ``roots``."""
+    return _kernels.key_packing(roots)[0].shape[1]
+
+
 def _stretch_past_key_budget(roots):
-    """Multiply the first coordinate by the least power of two that makes
-    ``key_packing`` refuse the system.  The stretch is an injective linear
-    map, so it keeps the zero set (and every equality of signed sums)."""
+    """Multiply the first coordinate by the least power of two that takes
+    the keys of the system past one word.  A one-column matrix never leaves
+    one word, so its column is first appended again.  Both maps, s -> (s, s)
+    and the stretch, are injective and linear, so they keep the zero set
+    (and every equality of signed sums)."""
+    if roots.shape[1] == 1:
+        roots = np.hstack((roots, roots))
     for shift in range(_kernels._KEY_BITS):
         stretched = roots.copy()
         stretched[:, 0] <<= shift
-        if _kernels.key_packing(stretched) is None:
-            _kernels.check_vector_bounds(stretched)
+        if _words(stretched) > 1:
             return stretched
-    raise AssertionError("no stretch of the first coordinate exceeds the key budget")
+    raise AssertionError("no stretch of the first coordinate takes a second word")
 
 
 class TestBackends:
-    # Two key kinds ship, both built by ``_kernels.signed_sum_keys`` and the
-    # walk and run through the same join and scan: packed int64 keys (from
-    # key deltas) and row keys, the unpacked int64 vectors (from root rows)
-    # viewed as ``np.void``.  The packed side runs on the system as given,
-    # the row side on its stretch past the 62-bit key budget.
+    # A key is W int64 words, built by ``_kernels.signed_sum_keys`` and the
+    # walk and run through the same join and scan; tables are sorted by the
+    # int64 column at W = 1 and by one ``np.void`` of 8*W bytes otherwise.
+    # The one-word side runs on the system as given, the other on its
+    # stretch past one word.
     @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "G2", "F4"])
     def test_counts_identical_across_backends(self, name, catalogue):
         roots = catalogue[name].roots
-        assert _kernels.key_packing(roots) is not None
+        assert _words(roots) == 1
         stretched = _stretch_past_key_budget(roots)
-        assert _kernels.key_packing(stretched) is None
+        assert _words(stretched) > 1
         packed = (count_bruteforce(roots).value, count_mitm(roots).value)
         unpacked = (count_bruteforce(stretched).value, count_mitm(stretched).value)
         assert packed == unpacked
@@ -525,20 +538,22 @@ class TestBackends:
     def test_key_tables_identical_across_backends(self):
         roots = positive_roots(FamilyRank("B", 3)).roots
         r = roots.shape[0]
-        deltas = _kernels.key_packing(roots)
-        assert deltas is not None
+        deltas, _ = _kernels.key_packing(roots)
+        assert deltas.shape[1] == 1
         stretched = _stretch_past_key_budget(roots)
-        assert _kernels.key_packing(stretched) is None
-        keys = _kernels.signed_sum_keys(deltas)
-        rows = _kernels.signed_sum_keys(stretched)
+        wide, _ = _kernels.key_packing(stretched)
+        assert wide.shape[1] > 1
+        keys = _kernels.signed_sum_keys(deltas)[:, 0]
+        rows = _kernels.signed_sum_keys(wide)
         signs = np.array([sigsum.signs_from_mask(mask, r) for mask in range(1 << r)])
-        assert np.array_equal(keys, signs @ deltas)
-        assert np.array_equal(rows, signs @ stretched)
+        assert np.array_equal(keys, (signs @ deltas)[:, 0])
+        assert np.array_equal(rows, signs @ wide)
         # Faithful packing: equal keys exactly where the signed sums are equal.
+        sums = [tuple(v) for v in (signs @ stretched).tolist()]
         distinct_keys = set(keys.tolist())
         distinct_rows = {tuple(row) for row in rows.tolist()}
-        pairs = set(zip(keys.tolist(), map(tuple, rows.tolist())))
-        assert len(distinct_keys) == len(distinct_rows) == len(pairs) == 136
+        pairs = set(zip(keys.tolist(), map(tuple, rows.tolist()), sums))
+        assert len(distinct_keys) == len(distinct_rows) == len(set(sums)) == len(pairs) == 136
         assert np.array_equal(keys == 0, np.all(rows == 0, axis=1))
 
     def test_mitm_split_is_count_optimal(self, catalogue):
@@ -549,15 +564,16 @@ class TestBackends:
 
 
 class TestKeyOverflow:
-    # Stretching one coordinate by 2^55 blows the packed 62-bit key budget,
-    # forcing the generic vector-keyed fallback; being an injective linear
-    # image of SMALL, the stretched system has exactly the same zero set.
+    # Stretching one coordinate by 2^55 takes a key past one 62-bit word,
+    # so the second coordinate starts a word of its own; being an injective
+    # linear image of SMALL, the stretched system has exactly the same zero
+    # set.
     SMALL = [[2, 1], [2, -1], [0, 2], [4, 0], [1, 0], [1, 1]]
     BIG = [[c0 << 55, c1] for c0, c1 in SMALL]
 
-    def test_packing_refused(self):
-        assert _kernels.key_packing(np.array(self.BIG, dtype=np.int64)) is None
-        assert _kernels.key_packing(np.array(self.SMALL, dtype=np.int64)) is not None
+    def test_packing_takes_two_words(self):
+        assert _kernels.key_packing(np.array(self.BIG, dtype=np.int64))[1] == [(0, 1), (1, 1)]
+        assert _kernels.key_packing(np.array(self.SMALL, dtype=np.int64))[1] == [(0, 1), (0, 21)]
 
     def test_engines_agree_unpacked(self):
         brute = count_bruteforce(self.BIG).value
@@ -567,7 +583,7 @@ class TestKeyOverflow:
         assert count_bruteforce(self.BIG).value == count_bruteforce(self.SMALL).value
 
     # SMALL fails the obstruction, so its engines only ever agree on 0; the
-    # stretch of G2 has zero sums and reaches every engine on row keys.
+    # stretch of G2 has zero sums and reaches every engine on two words.
     G2 = positive_roots(FamilyRank("G", 2)).roots
     G2_BIG = _stretch_past_key_budget(G2)
 
@@ -583,14 +599,17 @@ class TestKeyOverflow:
     def test_column_weight_over_key_budget_refused_before_tables(self, monkeypatch):
         # Column 0 weighs 24 * big, about 1.1 * 2^62, while any 20 of its
         # rows weigh less than 2^62: a rule applied to each half would
-        # accept the matrix for some splits and not for others.
+        # accept the matrix for some splits and not for others.  Brute
+        # force builds tables; the walk checks ``_walk_bytes`` before each
+        # doubling.
         big = int(1.1 * 2**62 / 24)
         roots = [[big, 1, 0]] * 12 + [[-big, 0, 1]] * 12
 
-        def refuse(_):
+        def refuse(*_):
             raise AssertionError("a table was built before the bound check")
 
         monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
+        monkeypatch.setattr(_kernels, "_walk_bytes", refuse)
         for engine in (count_bruteforce, count_mitm):
             with pytest.raises(ResourceLimitError, match="too large for exact int64"):
                 engine(roots)
@@ -600,6 +619,68 @@ class TestKeyOverflow:
         assert result.exists and result.method == sigsum.METHOD_MITM
         assert not signed_sum(self.G2_BIG, result.witness).any()
         assert not signed_sum(self.G2, result.witness).any()
+
+
+def _decodes_every_key(roots):
+    """``key_vector`` gives back ``signs @ roots`` for every key of the full
+    table of ``roots``, indexed by sign mask."""
+    r = roots.shape[0]
+    deltas, _ = _kernels.key_packing(roots)
+    keys, _, _ = _kernels._split_tables(deltas, r, sigsum.DEFAULT_MEMORY_BUDGET)
+    signs = np.array([sigsum.signs_from_mask(mask, r) for mask in range(1 << r)])
+    decoded = [_kernels.key_vector(roots, keys[i:i + 1]) for i in range(1 << r)]
+    return np.array_equal(decoded, signs @ roots)
+
+
+class TestKeyLayout:
+    # ``key_packing`` packs the coordinates in order into a word while its
+    # capacity, the product of their radices 2*B_c + 1, stays below 2^62; a
+    # coordinate alone in its word needs only B_c < 2^62.  Radices are odd,
+    # so a capacity is never exactly 2^62.  Every case is counted by both
+    # engines and by the sign matrix, and every key decodes.
+    A = 1 << 60
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [([A, A, A, A - 1], 0), ([A, A, A - 1, A - 1], 8)],
+        ids=["weight_2^62-1", "weight_2^62-2"],
+    )
+    def test_coordinate_alone_in_its_word(self, column, value):
+        roots = np.array([[a, 1] for a in column] + [[0, 1], [0, 1]], dtype=np.int64)
+        assert _kernels.key_packing(roots)[1] == [(0, 1), (1, 1)]
+        assert count_bruteforce(roots).value == count_mitm(roots).value == value
+        assert _zero_sums_by_sign_matrix(roots) == value
+        assert _decodes_every_key(roots)
+
+    def test_weight_2_to_the_62_refused(self):
+        roots = [[self.A, 1]] * 4
+        for engine in (count_bruteforce, count_mitm):
+            with pytest.raises(ResourceLimitError, match="too large for exact int64"):
+                engine(roots)
+
+    # 2^62 - 3 = 37 * R: column 1 weighs 18 (radix 37), column 0 weighs
+    # (R - 1) / 2 for a capacity of 2^62 - 3, or 2 more for one past 2^62.
+    R = (2**62 - 3) // 37
+
+    @pytest.mark.parametrize("extra,places", [(0, [(0, 1), (0, R)]), (1, [(0, 1), (1, 1)])],
+                             ids=["capacity_2^62-3", "capacity_past_2^62"])
+    def test_word_splits_where_its_capacity_reaches_2_to_the_62(self, extra, places):
+        p, q = 1 << 54, (self.R - 1) // 4 - (1 << 54) + extra
+        column0 = [p, p, q, q, 0, 0, 0, 0]
+        column1 = [3, 3, 0, 0, 4, 4, 2, 2]
+        roots = np.array([column0, column1], dtype=np.int64).T
+        assert _kernels.key_packing(roots)[1] == places
+        assert count_bruteforce(roots).value == count_mitm(roots).value == 16
+        assert _zero_sums_by_sign_matrix(roots) == 16
+        assert _decodes_every_key(roots)
+
+    @pytest.mark.parametrize("name", ["B3", "G2"])
+    def test_key_vector_round_trip(self, name, catalogue):
+        roots = catalogue[name].roots
+        stretched = _stretch_past_key_budget(roots)
+        assert _words(roots) == 1 and _words(stretched) == 2
+        assert _decodes_every_key(roots)
+        assert _decodes_every_key(stretched)
 
 
 class TestHNF:
