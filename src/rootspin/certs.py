@@ -8,7 +8,7 @@ with zero signed sum, which lower-bounds the number of solutions.
 
 Every block formula is translated once into (index, sign) pairs against the
 canonical root order; ``verify`` re-checks the result by direct coordinate
-summation, independently of the translation.
+summation over the sparse rows, independently of the translation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError
-from .rootsys import FamilyRank, RootSystem, positive_roots, root_index_map
+from .rootsys import FamilyRank, RootSystem, positive_roots, root_index_map, row_sum
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
 
@@ -87,16 +87,17 @@ def _lookup(system: RootSystem):
     ``at(*terms, base=0)`` starts from ``base`` in every coordinate and adds
     l_i for each term i and subtracts l_j for each term -j: ``at(i, -j)`` is
     l_i - l_j, ``at(i, i)`` is 2 l_i and ``at(-i, -j, base=1)`` is
-    nu - l_i - l_j.
+    nu - l_i - l_j.  The vector is looked up as the sparse row it stands for.
     """
     n = system.ambient_dim
     idx = root_index_map(system)
 
     def at(*terms: int, base: int = 0) -> int:
-        v = [base] * n
+        v = dict.fromkeys(range(n), base) if base else {}
         for t in terms:
-            v[abs(t) - 1] += 1 if t > 0 else -1
-        return idx[tuple(v)]
+            c = abs(t) - 1
+            v[c] = v.get(c, 0) + (1 if t > 0 else -1)
+        return idx[tuple(sorted((c, x) for c, x in v.items() if x))]
 
     return at
 
@@ -265,11 +266,9 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
         seen.update(indices)
         if any(s not in (-1, 1) for _, s in block):
             return False, f"block {b} carries a sign outside {{+1, -1}}"
-        partial = np.zeros(system.ambient_dim, dtype=np.int64)
-        for i, s in block:
-            partial += s * system.roots[i]
-        if np.any(partial != 0):
-            return False, f"block {b} has non-zero partial sum {partial.tolist()}"
+        partial = row_sum(system.rows, system.ambient_dim, block)
+        if any(partial):
+            return False, f"block {b} has non-zero partial sum {partial}"
     if len(seen) != system.r:
         return False, f"blocks cover {len(seen)} of {system.r} root indices"
     return True, "ok"

@@ -6,6 +6,16 @@ roots, so every system carries a global denominator (2 for F4, 1 otherwise)
 and stores ``denominator * root`` componentwise; all downstream arithmetic
 is pure integer and zero signed sums are invariant under that scaling.
 
+A root is stored as a sparse row: a tuple of ``(coordinate, value)`` pairs
+over its nonzero coordinates, in increasing coordinate order, with Python
+int entries.  Every classical root has at most two nonzeros except the n
+roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
+the certificate lookups and checks, exact signed sums) does work in the
+number of nonzeros.  ``RootSystem.roots`` is the dense (r, ambient_dim)
+int64 view the counting engines and the oracle read: it is built from the
+rows on first use, once its 8 * r * ambient_dim bytes are checked against
+the memory budget, and cached read-only.
+
 The order of the list is part of the public contract (sign vectors and
 certificates are indexed by position): root patterns are emitted top to
 bottom in the order listed below per family, and within a pattern
@@ -19,6 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from collections.abc import Sequence
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -67,21 +80,39 @@ class FamilyRank:
         return f"{self.family}{self.rank}"
 
 
+Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values only
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """An ordered positive root system in scaled integer coordinates."""
 
     id: FamilyRank
-    roots: np.ndarray = field(repr=False)  # (r, ambient_dim) int64, read-only
+    rows: tuple[Row, ...] = field(repr=False)
+    ambient_dim: int
     denominator: int
 
     @property
     def r(self) -> int:
-        return self.roots.shape[0]
+        return len(self.rows)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.roots.shape[1]
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The dense (r, ambient_dim) int64 matrix of the rows, read-only,
+        built on first use once its size is checked against the budget."""
+        from . import sigsum  # sigsum imports this module
+
+        need, budget = 8 * self.r * self.ambient_dim, sigsum.memory_budget()
+        if need > budget:
+            raise ResourceLimitError(
+                f"the dense roots of {self.id} would need about {need} bytes (> budget {budget})"
+            )
+        roots = np.zeros((self.r, self.ambient_dim), dtype=np.int64)
+        for i, row in enumerate(self.rows):
+            for c, x in row:
+                roots[i, c] = x
+        roots.setflags(write=False)
+        return roots
 
 
 # The results table: every system the CLI ``table`` reports, in print order.
@@ -119,6 +150,29 @@ def system_parts(system) -> tuple[np.ndarray, int]:
     return roots, 1
 
 
+def sparse_rows(matrix: list[list[int]]) -> list[Row]:
+    """The rows of a dense integer matrix as sparse rows."""
+    return [tuple(zip(compress(itertools.count(), row), filter(None, row))) for row in matrix]
+
+
+def system_rows(system) -> tuple[Sequence[Row], int]:
+    """Sparse rows and ambient dimension of a RootSystem, or of any integer
+    matrix of row vectors, validated as by ``system_parts``."""
+    if isinstance(system, RootSystem):
+        return system.rows, system.ambient_dim
+    roots, _ = system_parts(system)
+    return sparse_rows(roots.tolist()), roots.shape[1]
+
+
+def row_sum(rows, m: int, terms) -> list[int]:
+    """Exact ``sum(s * rows[i])`` over the ``(i, s)`` terms, as m Python ints."""
+    total = [0] * m
+    for i, s in terms:
+        for c, x in rows[i]:
+            total[c] += s * x
+    return total
+
+
 def exact_products(signs: np.ndarray, roots: np.ndarray) -> list[list[int]]:
     """The rows of ``signs @ roots`` as exact Python ints, for a 2-D int64
     ``signs`` with entries in {-1, 0, 1} over r < 2^31 roots.
@@ -154,120 +208,119 @@ def _pairs(n: int):
     return itertools.combinations(range(n), 2)
 
 
-def _build_rows(fr: FamilyRank) -> tuple[list[list[int]], int]:
-    """Return (rows, denominator) for the family's scaled root list."""
+def _nonzeros(fr: FamilyRank) -> int:
+    """Nonzero entries of the roots, by closed form (an upper bound for E, F, G)."""
     n = fr.rank
-    rows: list[list[int]] = []
-
-    def basis(i: int, value: int = 1) -> list[int]:
-        v = [0] * n
-        v[i] = value
-        return v
-
     if fr.family == "A":
-        for i, j in _pairs(n):
-            v = basis(i)
-            v[j] -= 1
-            rows.append(v)
-        for i in range(n):
-            v = [1] * n
-            v[i] += 1
-            rows.append(v)
+        return n * (n - 1) + n * n
+    if fr.family in ("B", "C"):
+        return 2 * n * (n - 1) + n
+    if fr.family == "D":
+        return 2 * n * (n - 1)
+    return root_count(fr) * n
+
+
+def _rows_bytes(fr: FamilyRank) -> int:
+    """Upper bound on the bytes ``positive_roots`` allocates for ``fr``.
+
+    A row is a tuple: 40 bytes and 8 per nonzero, plus one slot in the list
+    it is built in and one in the tuple it ends in (17 bytes with the list's
+    over-allocation), so 64 a row bounds the fixed part.  The pairs are
+    shared: at most four distinct values per coordinate, each pair with its
+    table entry and coordinate int under 256 bytes.  16 KiB covers the
+    builder's own small objects.
+    """
+    return 64 * root_count(fr) + 8 * _nonzeros(fr) + 1024 * fr.rank + (16 << 10)
+
+
+def _build_rows(fr: FamilyRank) -> tuple[list[Row], int]:
+    """Return (sparse rows, denominator) for the family's scaled root list.
+
+    Each distinct (coordinate, value) pair is one shared tuple."""
+    n = fr.rank
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def row(*entries: tuple[int, int]) -> Row:
+        return tuple(shared.setdefault(e, e) for e in entries if e[1])
+
+    def dense(values) -> Row:
+        return row(*enumerate(values))
+
+    def ones(*changes: tuple[int, int]) -> Row:
+        """The all-ones vector with the given coordinates changed."""
+        v = [1] * n
+        for c, x in changes:
+            v[c] += x
+        return dense(v)
+
+    rows = [row((i, 1), (j, -1)) for i, j in _pairs(n)]
+    if fr.family == "A":
+        rows += [ones((i, 1)) for i in range(n)]
         return rows, 1
 
     if fr.family in ("B", "C", "D", "F"):
-        for i, j in _pairs(n):
-            v = basis(i)
-            v[j] -= 1
-            rows.append(v)
-        for i, j in _pairs(n):
-            v = basis(i)
-            v[j] += 1
-            rows.append(v)
+        rows += [row((i, 1), (j, 1)) for i, j in _pairs(n)]
         if fr.family == "B":
-            for i in range(n):
-                rows.append(basis(i))
-            return rows, 1
+            return rows + [row((i, 1)) for i in range(n)], 1
         if fr.family == "C":
-            for i in range(n):
-                rows.append(basis(i, 2))
-            return rows, 1
+            return rows + [row((i, 2)) for i in range(n)], 1
         if fr.family == "D":
             return rows, 1
         # F4: scale everything by 2 so the eight half-roots become integral.
-        rows = [[2 * x for x in v] for v in rows]
-        for i in range(4):
-            rows.append(basis(i, 2))
-        for signs in itertools.product((1, -1), repeat=3):
-            rows.append([1, signs[0], signs[1], signs[2]])
+        rows = [row(*((c, 2 * x) for c, x in v)) for v in rows]
+        rows += [row((i, 2)) for i in range(4)]
+        rows += [dense((1, *signs)) for signs in itertools.product((1, -1), repeat=3)]
         return rows, 2
 
     if fr.family == "E":
-        for i, j in _pairs(n):
-            v = basis(i)
-            v[j] -= 1
-            rows.append(v)
-        for i, j, k in itertools.combinations(range(n), 3):
-            v = [0] * n
-            v[i] = v[j] = v[k] = 1
-            rows.append(v)
+        rows += [row((i, 1), (j, 1), (k, 1)) for i, j, k in itertools.combinations(range(n), 3)]
         if n == 6:
-            rows.append([1] * 6)
+            rows.append(ones())
         elif n == 7:
-            for i in range(7):
-                v = [1] * 7
-                v[i] -= 1
-                rows.append(v)
+            rows += [ones((i, -1)) for i in range(7)]
         else:
-            for i in range(8):
-                v = [1] * 8
-                v[i] += 1
-                rows.append(v)
-            for i, j in _pairs(8):
-                v = [1] * 8
-                v[i] -= 1
-                v[j] -= 1
-                rows.append(v)
+            rows += [ones((i, 1)) for i in range(8)]
+            rows += [ones((i, -1), (j, -1)) for i, j in _pairs(8)]
         return rows, 1
 
     # G2, exactly in the canonical printed order.
-    return [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]], 1
+    return [dense(v) for v in ((1, 0), (0, 1), (-1, -1), (1, -1), (1, 2), (2, 1))], 1
 
 
 def positive_roots(fr: FamilyRank) -> RootSystem:
     """Construct the ordered positive root system for an admissible id.
 
     Deterministic: repeated calls return identical ordered lists.  The size
-    is checked against ``sigsum.DEFAULT_MEMORY_BUDGET`` before anything is
-    built: the row lists and the int64 matrix take about 16 bytes an entry.
+    of the sparse rows (``_rows_bytes``) is checked against the memory
+    budget (``sigsum.memory_budget``) before anything is built.
     """
     from . import sigsum  # sigsum imports this module
 
-    estimate = 16 * root_count(fr) * fr.rank
-    if estimate > sigsum.DEFAULT_MEMORY_BUDGET:
+    estimate, budget = _rows_bytes(fr), sigsum.memory_budget()
+    if estimate > budget:
         raise ResourceLimitError(
-            f"the roots of {fr} would need about {estimate} bytes "
-            f"(> budget {sigsum.DEFAULT_MEMORY_BUDGET})"
+            f"the roots of {fr} would need about {estimate} bytes (> budget {budget})"
         )
     rows, denominator = _build_rows(fr)
-    roots = np.array(rows, dtype=np.int64)
-    roots.setflags(write=False)
-    if roots.shape[0] != root_count(fr):
+    if len(rows) != root_count(fr):
         raise AssertionError(f"root count mismatch for {fr}")
-    return RootSystem(id=fr, roots=roots, denominator=denominator)
+    return RootSystem(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
 
 
-def root_index_map(system: RootSystem) -> dict[tuple[int, ...], int]:
-    """Map each scaled coordinate tuple to its position in the canonical order."""
-    # Row by row, so no second full copy of the roots is held at once.
-    return {tuple(row.tolist()): i for i, row in enumerate(system.roots)}
+def root_index_map(system: RootSystem) -> dict[Row, int]:
+    """Map each sparse row to its position in the canonical order."""
+    return {row: i for i, row in enumerate(system.rows)}
 
 
 def format_root_list(system: RootSystem) -> str:
     """Bit-exact text form: header ``family rank r ambient_dim denominator``,
     then one root per line as space-separated scaled integers."""
     fr = system.id
-    lines = [f"{fr.family} {fr.rank} {system.r} {system.ambient_dim} {system.denominator}"]
-    for row in system.roots:
-        lines.append(" ".join(str(int(x)) for x in row))
+    m = system.ambient_dim
+    lines = [f"{fr.family} {fr.rank} {system.r} {m} {system.denominator}"]
+    for row in system.rows:
+        text = ["0"] * m
+        for c, x in row:
+            text[c] = str(x)
+        lines.append(" ".join(text))
     return "\n".join(lines) + "\n"

@@ -18,7 +18,9 @@ ways.  Three routes are implemented and cross-checked:
   same halves and recurses into each of them.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
-  zero signed sum forces sum(a_i) into 2L.  ``hnf`` inserts the roots one
+  zero signed sum forces sum(a_i) into 2L.  Both the sum and the lattice
+  are taken over the sparse rows (``rootsys``), in Python ints, so the
+  dense matrix is never built for it.  ``hnf`` inserts the roots one
   at a time into a Hermite-normal-form basis of at most m vectors, kept
   reduced after every change, so a root already in the lattice reduces to
   zero in a few steps and is skipped; membership in 2L is decided exactly
@@ -35,9 +37,10 @@ All counts are exact Python integers; no floating point enters any path.
 from __future__ import annotations
 
 import operator
+import resource
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import RootSystem, exact_products, int64_array, system_parts
+from .rootsys import RootSystem, int64_array, row_sum, sparse_rows, system_parts, system_rows
 
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
@@ -61,6 +64,22 @@ AUTO_BRUTE_MAX = 20  # auto: brute force up to this r, meet-in-the-middle above
 ENUMERATION_LIMIT = 16
 _HALF_MAX = 62  # roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
+
+
+def memory_budget() -> int:
+    """The bytes an allocation is checked against: ``DEFAULT_MEMORY_BUDGET``,
+    or, when a soft address-space limit (``RLIMIT_AS``) is set, the part of
+    it the process has not mapped yet, if that is less.  So a capped run is
+    refused by its estimate, not by numpy failing to allocate mid-walk."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        return DEFAULT_MEMORY_BUDGET
+    try:
+        with open("/proc/self/statm") as statm:
+            mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    except OSError:  # no procfs: the limit alone
+        mapped = 0
+    return min(DEFAULT_MEMORY_BUDGET, soft - mapped)
 
 
 @dataclass(frozen=True)
@@ -135,14 +154,15 @@ def signs_from_mask(mask: int, r: int) -> np.ndarray:
 def signed_sum(system, signs) -> np.ndarray:
     """Exact signed sum of the scaled roots, as a length-m int64 vector.
 
-    The sum is computed exactly; when an entry does not fit in int64 it
-    raises ``ResourceLimitError`` instead of returning a wrapped value.
+    The sum is taken over the sparse rows in Python ints; when an entry
+    does not fit in int64 it raises ``ResourceLimitError`` instead of
+    returning a wrapped value.
     """
-    roots, _ = system_parts(system)
+    rows, m = system_rows(system)
     eps = signs_vector(signs)
-    if eps.shape[0] != roots.shape[0]:
-        raise LengthMismatchError(f"expected {roots.shape[0]} signs, got {eps.shape[0]}")
-    total = exact_products(eps[None, :], roots)[0]
+    if eps.shape[0] != len(rows):
+        raise LengthMismatchError(f"expected {len(rows)} signs, got {eps.shape[0]}")
+    total = row_sum(rows, m, enumerate(eps.tolist()))
     if not all(-(1 << 63) <= x < 1 << 63 for x in total):
         raise ResourceLimitError("signed sum does not fit in int64")
     return np.array(total, dtype=np.int64)
@@ -155,7 +175,7 @@ def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     if r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {r}")
     start = time.perf_counter()
-    value, estimate = _kernels.count_zero_full(roots, DEFAULT_MEMORY_BUDGET)
+    value, estimate = _kernels.count_zero_full(roots, memory_budget())
     return CountResult(value, METHOD_BRUTE, time.perf_counter() - start, estimate)
 
 
@@ -211,7 +231,7 @@ def _walk_halves(roots: np.ndarray, limit_r: int):
         )
     last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
     order = np.argsort(last, kind="stable")
-    return (order, k, *_kernels.pruned_tables(roots[order], k, DEFAULT_MEMORY_BUDGET))
+    return (order, k, *_kernels.pruned_tables(roots[order], k, memory_budget()))
 
 
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
@@ -262,7 +282,7 @@ def _zero_masks(roots: np.ndarray) -> np.ndarray:
     """Sign masks of the zero signed sums of at most 16 roots, in order."""
     # The table of the empty half holds one key: that of the zero sum.
     deltas, _ = _kernels.key_packing(roots)
-    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0], DEFAULT_MEMORY_BUDGET)
+    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0], memory_budget())
     return np.flatnonzero(keys == zero)
 
 
@@ -303,34 +323,42 @@ def _rereduce(basis: dict[int, dict[int, int]], i: int) -> None:
             _reduce_at(basis[k], later, basis)
 
 
-def hnf(vectors) -> LatticeBasis:
+def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     """Reduced column Hermite normal form of the lattice the vectors generate.
 
-    The vectors are inserted one at a time into a basis of at most m sparse
-    vectors, one per pivot row.  A vector is reduced at its leading row by
-    the basis vector with that pivot; when the pivot does not divide the
-    entry, Euclid's steps between the two leave their gcd as the new pivot
-    and the remainder goes on.  A vector reduced to zero already lies in the
-    lattice and is skipped; one whose leading row has no pivot becomes a
-    basis vector with a positive pivot.  After every change the entries at
-    later pivot rows are reduced back into [0, pivot), so the basis is the
-    unique reduced HNF at every step, whatever the input order, and a
-    difference of two basis vectors reduces to zero in a few steps.
+    ``vectors`` are dense integer rows, or, when ``ambient_dim`` is given,
+    sparse rows of ``(coordinate, value)`` pairs (``RootSystem.rows``); dense
+    rows are converted once into sparse ones.  The vectors are inserted one
+    at a time into a basis of at most m sparse vectors, one per pivot row.
+    A vector is reduced at its leading row by the basis vector with that
+    pivot; when the pivot does not divide the entry, Euclid's steps between
+    the two leave their gcd as the new pivot and the remainder goes on.  A
+    vector reduced to zero already lies in the lattice and is skipped; one
+    whose leading row has no pivot becomes a basis vector with a positive
+    pivot.  After every change the entries at later pivot rows are reduced
+    back into [0, pivot), so the basis is the unique reduced HNF at every
+    step, whatever the input order, and a difference of two basis vectors
+    reduces to zero in a few steps.
 
     Pure Python integer arithmetic throughout; intermediates never overflow.
     """
-    if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu":
-        rows = vectors.tolist()
-    else:
-        rows = [[int(x) for x in v] for v in vectors]
-    if not rows:
+    m = ambient_dim
+    if m is None:
+        if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu":
+            dense = vectors.tolist()
+        else:
+            dense = [[int(x) for x in v] for v in vectors]
+        if not dense:
+            raise DimensionMismatchError("need at least one vector")
+        m = len(dense[0])
+        if any(len(v) != m for v in dense):
+            raise DimensionMismatchError("vectors must share a common length")
+        vectors = sparse_rows(dense)
+    elif not len(vectors):
         raise DimensionMismatchError("need at least one vector")
-    m = len(rows[0])
-    if any(len(v) != m for v in rows):
-        raise DimensionMismatchError("vectors must share a common length")
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
-    for row in rows:
-        v = dict(zip(compress(range(m), row), filter(None, row)))
+    for row in vectors:
+        v = dict(row)
         while v:
             i = min(v)
             b = basis.get(i)
@@ -357,22 +385,15 @@ def hnf(vectors) -> LatticeBasis:
     )
 
 
-def _column_sums(roots: np.ndarray) -> list[int]:
-    """Exact column sums of an int64 matrix with r < 2^31 rows: the parts
-    ``roots >> 31`` sum to below r * 2^32, the low 31 bits to below r * 2^31."""
-    high = (roots >> 31).sum(axis=0).tolist()
-    low = (roots & (2**31 - 1)).sum(axis=0).tolist()
-    return [(h << 31) + lo for h, lo in zip(high, low)]
-
-
 def obstruction_2L(system) -> ObstructionResult:
     """Necessary condition for a zero signed sum: sum(a_i) must lie in 2L.
 
-    Fail certifies non-existence; Pass never asserts existence.
+    Fail certifies non-existence; Pass never asserts existence.  The sum
+    and the basis are both taken over the sparse rows, exactly.
     """
-    roots, _ = system_parts(system)
-    total = _column_sums(roots)
-    basis = hnf(roots)
+    rows, m = system_rows(system)
+    total = row_sum(rows, m, enumerate(repeat(1, len(rows))))
+    basis = hnf(rows, m)
     if basis.contains(total, multiple=2):
         return ObstructionResult(True)
     return ObstructionResult(
@@ -417,8 +438,9 @@ def exists_strong_dependence(system) -> ExistenceResult:
     supplies the witness.  Any other matrix that passes the obstruction goes
     to a witness search on the walk of ``count_mitm``, recursive past r = 16.
     """
-    roots, _ = system_parts(system)
-    obstruction = obstruction_2L(roots)
+    if not isinstance(system, RootSystem):
+        system, _ = system_parts(system)
+    obstruction = obstruction_2L(system)
     if isinstance(system, RootSystem):
         cert = certs.certificate(system)
         if obstruction.passed and cert is None:
@@ -433,5 +455,5 @@ def exists_strong_dependence(system) -> ExistenceResult:
         return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-    witness = _search_witness(roots)
+    witness = _search_witness(system)
     return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)

@@ -111,15 +111,15 @@ def test_inadmissible_ranks_rejected(family, rank):
 
 
 def test_oversized_system_refused_before_building(monkeypatch):
-    # A2000: 2 001 000 roots of length 2000, about 64 GB by the estimate.
+    # A20000: 200 010 000 sparse roots, about 16 GB by the estimate.
     from rootspin import rootsys
 
     def refuse(_):
         raise AssertionError("roots were built before the budget check")
 
     monkeypatch.setattr(rootsys, "_build_rows", refuse)
-    with pytest.raises(ResourceLimitError, match="the roots of A2000"):
-        positive_roots(FamilyRank("A", 2000))
+    with pytest.raises(ResourceLimitError, match="the roots of A20000 "):
+        positive_roots(FamilyRank("A", 20000))
 
 
 def test_catalogue_ids():

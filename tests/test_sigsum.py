@@ -27,7 +27,8 @@ Claims covered:
       meet-in-the-middle above, with each engine's limit, and looks the
       engines up at call time
     - resource limits are exercised, and every engine checks the memory
-      budget before it builds a table
+      budget before it builds a table; under an address-space limit the
+      budget is what of the limit the process has not mapped yet
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
       middle and brute force, pruned or not, on one-word keys and on keys
       of up to 4 words, and brute force reports it as ``memory_peak``; the
@@ -51,8 +52,13 @@ Claims covered:
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +79,7 @@ from rootspin import (
     positive_roots,
     signed_sum,
 )
-from rootspin import _kernels, certs, sigsum
+from rootspin import _kernels, certs, rootsys, sigsum
 from rootspin.rootsys import CATALOGUE
 
 
@@ -221,8 +227,10 @@ class TestCounting:
         ids=["witness_search", "witness_search_r24", "brute_force", "enumeration", "mitm"],
     )
     def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
-        # G2 is built first: its roots alone exceed the budget below.
+        # G2 is built first, its dense view too: its roots alone exceed the
+        # budget below.
         g2 = _sys("G", 2)
+        assert g2.roots.shape == (6, 2)
         # 64 bytes: below the smallest of the five estimates, the three-root
         # witness search's 288 (its enumeration: tables of 8 keys and 1 key,
         # 8 bytes each, times 4).  At r = 24 the search walks its halves.
@@ -234,6 +242,29 @@ class TestCounting:
         monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
         with pytest.raises(ResourceLimitError, match="signed-sum tables"):
             engine(g2)
+
+
+class TestMemoryBudget:
+    def test_default_without_a_lower_address_space_limit(self, monkeypatch):
+        for soft in (resource.RLIM_INFINITY, 1 << 50):
+            monkeypatch.setattr(resource, "getrlimit", lambda _, soft=soft: (soft, soft))
+            assert sigsum.memory_budget() == sigsum.DEFAULT_MEMORY_BUDGET
+
+    def test_address_space_limit_less_what_is_mapped(self):
+        # The cap is set in the child alone.
+        cap = 512 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        result = subprocess.run(
+            [sys.executable, "-c", "from rootspin import sigsum; print(sigsum.memory_budget())"],
+            env=dict(os.environ, PYTHONPATH=str(Path(sigsum.__file__).parents[1])),
+            preexec_fn=limit, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        # numpy and the interpreter already map tens of MiB of the cap
+        assert 0 < int(result.stdout) < cap - (16 << 20)
 
 
 def _hostile(r, m, bound, seed=7):
@@ -768,7 +799,8 @@ class TestObstruction:
         expected = [sum(col) for col in zip(*rows)]
         # Every total lies outside int64, where a plain int64 sum would wrap.
         assert all(abs(total) > 2**63 for total in expected)
-        assert sigsum._column_sums(np.array(rows, dtype=np.int64)) == expected
+        sparse, m = rootsys.system_rows(np.array(rows, dtype=np.int64))
+        assert rootsys.row_sum(sparse, m, ((i, 1) for i in range(len(rows)))) == expected
         # The obstruction sees the exact total: 2 * -2^63 lies in 2L = 2^64 Z.
         assert obstruction_2L([[-2**63], [-2**63]]).passed
         assert not obstruction_2L([[-2**63], [2**62]]).passed
