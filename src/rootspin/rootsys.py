@@ -28,10 +28,9 @@ six-element list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -152,7 +151,7 @@ def system_parts(system) -> tuple[np.ndarray, int]:
 
 def sparse_rows(matrix: list[list[int]]) -> list[Row]:
     """The rows of a dense integer matrix as sparse rows."""
-    return [tuple(zip(compress(itertools.count(), row), filter(None, row))) for row in matrix]
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in matrix]
 
 
 def system_rows(system) -> tuple[Sequence[Row], int]:

@@ -114,7 +114,8 @@ class TestSparseEqualsDense:
                 assert (matrix[r:r + 2] == matrix[:2]).all()
                 assert (matrix[r + 2:] == -matrix[1:3]).all()
                 assert (np.abs(matrix) >= (1 << 62) - 4).any() == huge
-                leaves_int64.append(_exact_sum(matrix, [1] * matrix.shape[0])[0] is ResourceLimitError)
+                total = _exact_sum(matrix, [1] * matrix.shape[0])
+                leaves_int64.append(total[0] is ResourceLimitError)
         assert any(leaves_int64)
 
 
@@ -127,7 +128,7 @@ class TestDenseView:
     def test_checked_against_the_budget_before_it_is_built(self, monkeypatch):
         system = positive_roots(FamilyRank("A", 10))  # 55 x 10: 4400 bytes
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4399)
-        with pytest.raises(ResourceLimitError, match="the dense roots of A10 would need about 4400"):
+        with pytest.raises(ResourceLimitError, match="dense roots of A10 would need about 4400 "):
             system.roots
         assert "roots" not in vars(system)
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4400)
