@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, InvalidRankError
 from .rootsys import FamilyRank, RootSystem, positive_roots, root_index_map, row_sum
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
@@ -228,9 +228,12 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     """Verified block certificate, or None exactly when no zero sum exists.
 
     Takes a root system already built, or an id whose system is then built
-    once; the blocks index into it and are verified against it.
+    once; the blocks index into it and are verified against it.  An
+    unnamed system (``id`` None) has no family, so it is refused.
     """
     fr = system.id if isinstance(system, RootSystem) else system
+    if fr is None:
+        raise InvalidRankError(f"{system} has no family and rank to certify")
     n = fr.rank
     build = {
         "A": _blocks_a if n % 2 == 0 else None,
@@ -255,7 +258,7 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
 def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, str]:
     """Check a certificate against a system; returns (ok, diagnostic)."""
     if cert.system_id != system.id:
-        return False, f"certificate for {cert.system_id} applied to {system.id}"
+        return False, f"certificate for {cert.system_id} applied to {system}"
     seen: set[int] = set()
     for b, block in enumerate(cert.blocks):
         indices = [i for i, _ in block]

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal invariant violation, 2 invalid input,
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 import time
@@ -157,8 +158,8 @@ def cmd_roots(family: str, rank: int) -> None:
 @click.argument("rank", type=int)
 @click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
 @click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
-              help="Largest r to count exactly (default: 48 for auto, else the "
-                   "forced engine's own limit; 0 counts nothing).")
+              help=f"Largest r to count exactly (default: {sigsum.DEFAULT_MITM_LIMIT} for auto, "
+                   "else the forced engine's own limit; 0 counts nothing).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json: bool) -> None:
     """Full existence/count/certificate report for one system."""
@@ -175,7 +176,8 @@ def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json:
 @click.argument("rank", type=int)
 @click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
 @click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
-              help="Largest r the engine may count (default: brute 26, mitm 48).")
+              help=f"Largest r the engine may count (default: brute {sigsum.DEFAULT_BRUTE_LIMIT}, "
+                   f"mitm {sigsum.DEFAULT_MITM_LIMIT}).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_count(family: str, rank: int, method: str, max_r: int | None, as_json: bool) -> None:
     """Exact count of zero signed sums (no existence shortcuts)."""
@@ -207,7 +209,8 @@ def cmd_certify(family: str, rank: int) -> None:
 @main.command("oracle")
 @click.argument("family")
 @click.argument("rank", type=int)
-@click.option("--max-r", "max_r", type=click.IntRange(0, 20), default=14,
+@click.option("--max-r", "max_r", type=click.IntRange(0, 20),
+              default=inspect.signature(invariant_dimension).parameters["limit_r"].default,
               help="Largest r the oracle runs on (at most 20: the work grows as r * 2^r).")
 def cmd_oracle(family: str, rank: int, max_r: int) -> None:
     """Invariant dimension through the exterior-algebra model."""
@@ -217,7 +220,8 @@ def cmd_oracle(family: str, rank: int, max_r: int) -> None:
 
 @main.command("table")
 @click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
-              help="Largest r for which exact counting is attempted (default 48).")
+              help="Largest r for which exact counting is attempted "
+                   f"(default {sigsum.DEFAULT_MITM_LIMIT}).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_table(max_r: int | None, as_json: bool) -> None:
     """Reports for the whole catalogue of systems."""

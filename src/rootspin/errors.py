@@ -6,7 +6,8 @@ class RootspinError(Exception):
 
 
 class InvalidRankError(RootspinError):
-    """Family/rank outside the admissible ranges (no remapping to isomorphic families)."""
+    """Family/rank outside the admissible ranges (no remapping to isomorphic
+    families), or missing where one is needed: an unnamed system has none."""
 
 
 class LengthMismatchError(RootspinError):

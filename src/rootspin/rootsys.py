@@ -11,10 +11,16 @@ over its nonzero coordinates, in increasing coordinate order, with Python
 int entries.  Every classical root has at most two nonzeros except the n
 roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
 the certificate lookups and checks, exact signed sums) does work in the
-number of nonzeros.  ``RootSystem.roots`` is the dense (r, ambient_dim)
-int64 view the counting engines and the oracle read: it is built from the
-rows on first use, once its 8 * r * ambient_dim bytes are checked against
-the memory budget, and cached read-only.
+number of nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
+dense (r, ambient_dim) int64 view that only the numpy engines read (brute
+force, meet-in-the-middle, enumeration and the witness search): it is built
+from the rows on first use, once its 8 * r * ambient_dim bytes are checked
+against the memory budget, and cached read-only.
+
+Every library entry point takes a ``RootSystem`` or a bare integer matrix
+of row vectors, and turns it into a ``RootSystem`` with ``as_system``
+before anything else: a bare matrix becomes an unnamed system (``id`` is
+None, denominator 1) whose dense view is the validated matrix itself.
 
 The order of the list is part of the public contract (sign vectors and
 certificates are indexed by position): root patterns are emitted top to
@@ -28,7 +34,6 @@ six-element list.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,9 +89,10 @@ Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values o
 
 @dataclass(frozen=True)
 class RootSystem:
-    """An ordered positive root system in scaled integer coordinates."""
+    """An ordered positive root system in scaled integer coordinates;
+    ``id`` is None for a system made from a bare matrix."""
 
-    id: FamilyRank
+    id: FamilyRank | None
     rows: tuple[Row, ...] = field(repr=False)
     ambient_dim: int
     denominator: int
@@ -94,6 +100,9 @@ class RootSystem:
     @property
     def r(self) -> int:
         return len(self.rows)
+
+    def __str__(self) -> str:
+        return str(self.id or f"the unnamed {self.r} x {self.ambient_dim} matrix")
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -104,7 +113,7 @@ class RootSystem:
         need, budget = 8 * self.r * self.ambient_dim, sigsum.memory_budget()
         if need > budget:
             raise ResourceLimitError(
-                f"the dense roots of {self.id} would need about {need} bytes (> budget {budget})"
+                f"the dense roots of {self} would need about {need} bytes (> budget {budget})"
             )
         roots = np.zeros((self.r, self.ambient_dim), dtype=np.int64)
         for i, row in enumerate(self.rows):
@@ -123,44 +132,48 @@ CATALOGUE: tuple[FamilyRank, ...] = tuple(
 )
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def integer_array(values, error: type[Exception]) -> np.ndarray:
+    """``values`` as an array, raising ``error`` unless every entry is an
+    integer (``is_int``) of any size: floats are refused, never truncated."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "O" and all(map(is_int, arr.flat))):
+        raise error("entries must be integers")
+    return arr
+
+
 def int64_array(values, error: type[Exception]) -> np.ndarray:
     """``values`` as an int64 array, raising ``error`` unless every entry is
-    an integer (not a bool) that int64 holds exactly: floats are refused,
-    never truncated, and large unsigned values never wrap."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if arr.dtype.kind not in "iu" and not (
-        arr.dtype.kind == "O"
-        and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in arr.flat)
-    ):
-        raise error("entries must be integers")
+    an integer that int64 holds exactly: large unsigned values never wrap."""
+    arr = integer_array(values, error)
     if arr.size and not -(1 << 63) <= int(arr.min()) <= int(arr.max()) < 1 << 63:
         raise error("entries must fit in int64")
     return arr.astype(np.int64, copy=False)
 
 
-def system_parts(system) -> tuple[np.ndarray, int]:
-    """Roots and denominator of a RootSystem, or of any integer matrix of
-    row vectors (denominator 1)."""
+def sparse_rows(matrix) -> list[Row]:
+    """The rows of a dense integer matrix as sparse rows of Python ints."""
+    return [tuple((c, int(x)) for c, x in enumerate(row) if x) for row in matrix]
+
+
+def as_system(system) -> RootSystem:
+    """A RootSystem as it is; any other value must be a non-empty integer
+    matrix of row vectors, validated once by ``int64_array``, and becomes an
+    unnamed RootSystem (denominator 1).  Its dense view is that validated
+    array, with no second copy or budget check; a caller's int64 array is
+    used as it is and left writeable."""
     if isinstance(system, RootSystem):
-        return system.roots, system.denominator
+        return system
     roots = int64_array(system, DimensionMismatchError)
     if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
         raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
-    return roots, 1
-
-
-def sparse_rows(matrix: list[list[int]]) -> list[Row]:
-    """The rows of a dense integer matrix as sparse rows."""
-    return [tuple((c, x) for c, x in enumerate(row) if x) for row in matrix]
-
-
-def system_rows(system) -> tuple[Sequence[Row], int]:
-    """Sparse rows and ambient dimension of a RootSystem, or of any integer
-    matrix of row vectors, validated as by ``system_parts``."""
-    if isinstance(system, RootSystem):
-        return system.rows, system.ambient_dim
-    roots, _ = system_parts(system)
-    return sparse_rows(roots.tolist()), roots.shape[1]
+    unnamed = RootSystem(None, tuple(sparse_rows(roots.tolist())), roots.shape[1], 1)
+    unnamed.__dict__["roots"] = roots  # the cached dense view, already validated
+    return unnamed
 
 
 def row_sum(rows, m: int, terms) -> list[int]:
@@ -170,21 +183,6 @@ def row_sum(rows, m: int, terms) -> list[int]:
         for c, x in rows[i]:
             total[c] += s * x
     return total
-
-
-def exact_products(signs: np.ndarray, roots: np.ndarray) -> list[list[int]]:
-    """The rows of ``signs @ roots`` as exact Python ints, for a 2-D int64
-    ``signs`` with entries in {-1, 0, 1} over r < 2^31 roots.
-
-    int64 products wrap once r * max|a| reaches 2^63, so past that bound
-    each entry of ``roots`` is split as ``(high << 31) + low``: the parts
-    ``roots >> 31`` sum to below r * 2^32 and the low 31 bits to below
-    r * 2^31, so neither product wraps."""
-    if max(-int(roots.min()), int(roots.max())) * roots.shape[0] < 1 << 63:
-        return (signs @ roots).tolist()
-    high = (signs @ (roots >> 31)).tolist()
-    low = (signs @ (roots & (2**31 - 1))).tolist()
-    return [[(h << 31) + lo for h, lo in zip(hs, ls)] for hs, ls in zip(high, low)]
 
 
 def root_count(fr: FamilyRank) -> int:
@@ -315,6 +313,8 @@ def format_root_list(system: RootSystem) -> str:
     """Bit-exact text form: header ``family rank r ambient_dim denominator``,
     then one root per line as space-separated scaled integers."""
     fr = system.id
+    if fr is None:
+        raise InvalidRankError(f"{system} has no family and rank for the header")
     m = system.ambient_dim
     lines = [f"{fr.family} {fr.rank} {system.r} {m} {system.denominator}"]
     for row in system.rows:

@@ -26,6 +26,12 @@ ways.  Three routes are implemented and cross-checked:
   zero in a few steps and is skipped; membership in 2L is decided exactly
   by reducing sum(a_i) against the doubled basis down to zero.
 
+Every entry point takes a ``RootSystem`` or a bare integer matrix and
+turns it into a ``RootSystem`` first (``rootsys.as_system``); each engine
+compares ``system.r`` with its limit before it reads the dense view
+``system.roots``, which only brute force, meet-in-the-middle, enumeration
+and the witness search read.
+
 ``count(system, method, max_r)`` is the one counting entry point.
 ``choose_engine`` holds the ``auto`` rule (brute force when r <= 20 and
 r <= max_r, meet-in-the-middle otherwise) and each engine's default limit
@@ -51,7 +57,7 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import RootSystem, int64_array, row_sum, sparse_rows, system_parts, system_rows
+from .rootsys import as_system, int64_array, integer_array, row_sum, sparse_rows
 
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
@@ -110,10 +116,12 @@ class LatticeBasis:
     ambient_dim: int
 
     def contains(self, vector, multiple: int = 1) -> bool:
-        """Exact membership of ``vector`` in ``multiple * L``."""
-        v = [int(x) for x in vector]
-        if len(v) != self.ambient_dim:
+        """Exact membership of ``vector`` in ``multiple * L``; ``vector`` is
+        refused unless it is a sequence of ``ambient_dim`` integers."""
+        arr = integer_array(vector, DimensionMismatchError)
+        if arr.shape != (self.ambient_dim,):
             raise DimensionMismatchError("vector length does not match lattice dimension")
+        v = [int(x) for x in arr.tolist()]
         for col, row in zip(self.columns, self.pivot_rows):
             pivot = multiple * col[row]
             if v[row] % pivot != 0:
@@ -158,11 +166,11 @@ def signed_sum(system, signs) -> np.ndarray:
     does not fit in int64 it raises ``ResourceLimitError`` instead of
     returning a wrapped value.
     """
-    rows, m = system_rows(system)
+    system = as_system(system)
     eps = signs_vector(signs)
-    if eps.shape[0] != len(rows):
-        raise LengthMismatchError(f"expected {len(rows)} signs, got {eps.shape[0]}")
-    total = row_sum(rows, m, enumerate(eps.tolist()))
+    if eps.shape[0] != system.r:
+        raise LengthMismatchError(f"expected {system.r} signs, got {eps.shape[0]}")
+    total = row_sum(system.rows, system.ambient_dim, enumerate(eps.tolist()))
     if not all(-(1 << 63) <= x < 1 << 63 for x in total):
         raise ResourceLimitError("signed sum does not fit in int64")
     return np.array(total, dtype=np.int64)
@@ -170,22 +178,21 @@ def signed_sum(system, signs) -> np.ndarray:
 
 def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     """Exact count of zero signed sums by full 2^r enumeration."""
-    roots, _ = system_parts(system)
-    r = roots.shape[0]
-    if r > limit_r:
-        raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {r}")
+    system = as_system(system)
+    if system.r > limit_r:
+        raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {system.r}")
     start = time.perf_counter()
-    value, estimate = _kernels.count_zero_full(roots, memory_budget())
+    value, estimate = _kernels.count_zero_full(system.roots, memory_budget())
     return CountResult(value, METHOD_BRUTE, time.perf_counter() - start, estimate)
 
 
-def mitm_split(roots: np.ndarray) -> int:
-    """Contiguous split point for the meet-in-the-middle halves: the first
-    ceil(r/2) roots, which bounds each half's table by 2^ceil(r/2) keys.
+def mitm_split(r: int) -> int:
+    """Contiguous split point for the meet-in-the-middle halves of r roots:
+    the first ceil(r/2), which bounds each half's table by 2^ceil(r/2) keys.
     Pruning and deduplication usually keep the tables far smaller, by an
     amount that depends on the order of the roots (``count_mitm`` sorts
     them) and on where the split falls."""
-    return (roots.shape[0] + 1) // 2
+    return (r + 1) // 2
 
 
 def _common_keys(lk: np.ndarray, rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +224,24 @@ def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, n
     return total
 
 
-def _walk_halves(roots: np.ndarray, limit_r: int):
-    """Sort permutation, split, tables and byte estimate of the walk.  Sorted
-    by their last nonzero coordinate, the roots of each half finish their
-    coordinates early, so the pruning of ``pruned_tables`` bites."""
-    r = roots.shape[0]
+def _check_mitm_limits(r: int, limit_r: int) -> None:
+    """Refuse a walk of r roots past ``limit_r``, or with a half whose
+    multiplicities could leave int64."""
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
-    k = mitm_split(roots)
+    k = mitm_split(r)
     if k > _HALF_MAX:
         raise ResourceLimitError(
             f"meet-in-the-middle counts a half of at most {_HALF_MAX} roots in int64, got {k}"
         )
+
+
+def _walk_halves(roots: np.ndarray):
+    """Sort permutation, split, tables and byte estimate of the walk, on
+    roots within ``_check_mitm_limits``.  Sorted by their last nonzero
+    coordinate, the roots of each half finish their coordinates early, so
+    the pruning of ``pruned_tables`` bites."""
+    k = mitm_split(roots.shape[0])
     last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
     order = np.argsort(last, kind="stable")
     return (order, k, *_kernels.pruned_tables(roots[order], k, memory_budget()))
@@ -236,9 +249,10 @@ def _walk_halves(roots: np.ndarray, limit_r: int):
 
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
     """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
-    roots, _ = system_parts(system)
+    system = as_system(system)
+    _check_mitm_limits(system.r, limit_r)
     start = time.perf_counter()
-    _, _, left, right, estimate = _walk_halves(roots, limit_r)
+    _, _, left, right, estimate = _walk_halves(system.roots)
     value = _join_counts(left, right)
     return CountResult(value, METHOD_MITM, time.perf_counter() - start, estimate)
 
@@ -261,8 +275,8 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
 
 def count(system, method: str = "auto", max_r: int | None = None) -> CountResult:
     """Exact count by the engine ``choose_engine`` picks, within its limit."""
-    roots, _ = system_parts(system)
-    engine, limit = choose_engine(roots.shape[0], method, max_r)
+    system = as_system(system)
+    engine, limit = choose_engine(system.r, method, max_r)
     # Looked up as module globals at call time, so a wrapped engine runs.
     if engine == "brute":
         return count_bruteforce(system, limit)
@@ -271,11 +285,11 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
 
 def enumerate_zero_signs(system) -> list[np.ndarray]:
     """All sign vectors with zero signed sum, for r <= ENUMERATION_LIMIT."""
-    roots, _ = system_parts(system)
-    r = roots.shape[0]
+    system = as_system(system)
+    r = system.r
     if r > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
-    return [signs_from_mask(int(mask), r) for mask in _zero_masks(roots)]
+    return [signs_from_mask(int(mask), r) for mask in _zero_masks(system.roots)]
 
 
 def _zero_masks(roots: np.ndarray) -> np.ndarray:
@@ -326,9 +340,12 @@ def _rereduce(basis: dict[int, dict[int, int]], i: int) -> None:
 def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     """Reduced column Hermite normal form of the lattice the vectors generate.
 
-    ``vectors`` are dense integer rows, or, when ``ambient_dim`` is given,
-    sparse rows of ``(coordinate, value)`` pairs (``RootSystem.rows``); dense
-    rows are converted once into sparse ones.  The vectors are inserted one
+    ``vectors`` are the rows of a non-empty 2-D integer matrix, as a list or
+    an array, with entries of any size; a float, bool or string entry, or
+    any other shape, raises ``DimensionMismatchError``.  When
+    ``ambient_dim`` is given they are sparse rows of ``(coordinate, value)``
+    pairs (``RootSystem.rows``) instead; dense rows are converted once into
+    sparse ones.  The vectors are inserted one
     at a time into a basis of at most m sparse vectors, one per pivot row.
     A vector is reduced at its leading row by the basis vector with that
     pivot; when the pivot does not divide the entry, Euclid's steps between
@@ -344,16 +361,11 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     """
     m = ambient_dim
     if m is None:
-        if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu":
-            dense = vectors.tolist()
-        else:
-            dense = [[int(x) for x in v] for v in vectors]
-        if not dense:
-            raise DimensionMismatchError("need at least one vector")
-        m = len(dense[0])
-        if any(len(v) != m for v in dense):
-            raise DimensionMismatchError("vectors must share a common length")
-        vectors = sparse_rows(dense)
+        dense = integer_array(vectors, DimensionMismatchError)
+        if dense.ndim != 2 or not dense.shape[0]:
+            raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
+        m = dense.shape[1]
+        vectors = sparse_rows(dense.tolist())
     elif not len(vectors):
         raise DimensionMismatchError("need at least one vector")
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
@@ -391,9 +403,9 @@ def obstruction_2L(system) -> ObstructionResult:
     Fail certifies non-existence; Pass never asserts existence.  The sum
     and the basis are both taken over the sparse rows, exactly.
     """
-    rows, m = system_rows(system)
-    total = row_sum(rows, m, enumerate(repeat(1, len(rows))))
-    basis = hnf(rows, m)
+    system = as_system(system)
+    total = row_sum(system.rows, system.ambient_dim, enumerate(repeat(1, system.r)))
+    basis = hnf(system.rows, system.ambient_dim)
     if basis.contains(total, multiple=2):
         return ObstructionResult(True)
     return ObstructionResult(
@@ -415,7 +427,7 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     if roots.shape[0] <= ENUMERATION_LIMIT:
         masks = _zero_masks(roots)[:1]
         return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
-    order, k, left, right, _ = _walk_halves(roots, DEFAULT_MITM_LIMIT)
+    order, k, left, right, _ = _walk_halves(roots)
     il, _ = _common_keys(left[0], right[0])
     if not il.size:
         return None
@@ -435,13 +447,13 @@ def exists_strong_dependence(system) -> ExistenceResult:
     The 2L obstruction runs first; its failure proves non-existence.  A
     catalogued root system is then proved both ways: the obstruction must
     pass exactly when its family has a verified block certificate, which
-    supplies the witness.  Any other matrix that passes the obstruction goes
-    to a witness search on the walk of ``count_mitm``, recursive past r = 16.
+    supplies the witness.  An unnamed system (a bare matrix) that passes the
+    obstruction goes to a witness search on the walk of ``count_mitm``,
+    within its limits and recursive past r = 16.
     """
-    if not isinstance(system, RootSystem):
-        system, _ = system_parts(system)
+    system = as_system(system)
     obstruction = obstruction_2L(system)
-    if isinstance(system, RootSystem):
+    if system.id is not None:
         cert = certs.certificate(system)
         if obstruction.passed and cert is None:
             raise InternalCheckError(f"{system.id}: obstruction passed but no certificate exists")
@@ -455,5 +467,6 @@ def exists_strong_dependence(system) -> ExistenceResult:
         return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-    witness = _search_witness(system)
+    _check_mitm_limits(system.r, DEFAULT_MITM_LIMIT)
+    witness = _search_witness(system.roots)
     return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)

@@ -31,6 +31,11 @@ term is acted on exactly as if it stood alone, and terms with different
 tags can never meet.  Each check then reads the single term whose key is
 (m << r) | m.  Blocks bound the live terms by ``_BLOCK``, where one
 element of all 2^r monomials would hold 2^r.
+
+The roots enter only through their sparse rows (``RootSystem.rows``): each
+monomial's signed root sum is taken with ``rootsys.row_sum`` in Python
+ints, so the zero test is exact for entries of any size, and a bare matrix
+is first made a ``RootSystem`` by ``rootsys.as_system``.  No numpy here.
 """
 
 from __future__ import annotations
@@ -38,15 +43,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import exact_products, system_parts
+from .rootsys import as_system, is_int, row_sum
 
 _ZERO_PARTS = (0, 0, 0, 0, 1)
 # Monomials per tagged block of invariant_dimension (module docstring).
@@ -180,10 +183,6 @@ I = Scalar(b=1)
 I_SQRT2 = Scalar(d=1)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _element(rank: int, terms: dict[int, Scalar]) -> "SpinorElement":
     # Internal constructor: masks already in range, no zero coefficient.
     e = SpinorElement.__new__(SpinorElement)
@@ -198,12 +197,12 @@ class SpinorElement:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms: dict[int, Scalar] | None = None):
-        if not _is_int(rank) or rank < 0:
+        if not is_int(rank) or rank < 0:
             raise DimensionMismatchError(f"rank must be a non-negative integer, got {rank!r}")
         size = 1 << int(rank)
         kept: dict[int, Scalar] = {}
         for m, s in (terms or {}).items():
-            if not (_is_int(m) and 0 <= m < size):
+            if not (is_int(m) and 0 <= m < size):
                 raise IndexOutOfRangeError(f"monomial mask {m!r} outside 0..{size - 1}")
             if not s.is_zero:
                 kept[int(m)] = s
@@ -338,7 +337,7 @@ def _direction(X) -> list:
             "a torus direction must be a sequence of coordinates"
         ) from None
     for x in xs:
-        if not (_is_int(x) or isinstance(x, Fraction)):
+        if not (is_int(x) or isinstance(x, Fraction)):
             raise DimensionMismatchError(
                 f"torus coordinates must be integers or Fractions, got {x!r}"
             )
@@ -347,8 +346,8 @@ def _direction(X) -> list:
 
 def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
     """Action of the torus direction X: (1/2) sum_j a_j(X) e^{(j)}_1 e^{(j)}_2."""
-    roots, den = system_parts(system)
-    r, m = roots.shape
+    system = as_system(system)
+    r, m = system.r, system.ambient_dim
     xs = _direction(X)
     if len(xs) != m:
         raise DimensionMismatchError(f"expected {m} coordinates, got {len(xs)}")
@@ -356,7 +355,7 @@ def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
         raise DimensionMismatchError("element rank does not match the number of roots")
     total = SpinorElement(eta.rank)
     for j in range(r):
-        weight = Fraction(sum(int(c) * x for c, x in zip(roots[j], xs)), 2 * den)
+        weight = Fraction(sum(x * xs[c] for c, x in system.rows[j]), 2 * system.denominator)
         if weight == 0:
             continue
         total = total + _element(
@@ -374,10 +373,11 @@ def invariant_dimension(system, limit_r: int = 14) -> int:
     the action really is diagonal with purely imaginary eigenvalue), and
     tests annihilation exactly.  The monomials go through in tagged blocks
     of ``_BLOCK`` (module docstring), one ``_rotation_term`` per generator
-    and block; every check still applies to each monomial on its own.
+    and block; every check still applies to each monomial on its own, and
+    each monomial's signed root sum is tested for zero over the sparse rows.
     """
-    roots, _ = system_parts(system)
-    r = roots.shape[0]
+    system = as_system(system)
+    r = system.r
     if r > limit_r:
         raise ResourceLimitError(f"representation dimension 2^{r} exceeds limit 2^{limit_r}")
     dimension = 0
@@ -399,6 +399,6 @@ def invariant_dimension(system, limit_r: int = 14) -> int:
                     raise InternalCheckError(f"paired action eigenvalue {coeff} is not +-i")
                 column.append(b)
             eigen_signs.append(column)
-        sums = exact_products(np.array(eigen_signs, dtype=np.int64).T, roots)
-        dimension += sum(not any(row) for row in sums)
+        for signs in zip(*eigen_signs):
+            dimension += not any(row_sum(system.rows, system.ambient_dim, enumerate(signs)))
     return dimension

@@ -7,6 +7,8 @@ Claims covered:
       C: floor((n+1)/4), D: floor((n+1)/4), E8: 5 blocks)
     - non-existence families return None
     - verify rejects mismatched systems, tampered signs and broken covers
+    - an unnamed system (a bare matrix) gets no certificate: it is refused
+      with a RootspinError, and verify rejects it by name
     - the assembled witnesses are genuine zero signed sums, including E8
     - a certificate builds its root system once and none for non-existence,
       and none when it is given the system already built
@@ -18,6 +20,7 @@ import pytest
 from rootspin import (
     CertificateFamily,
     FamilyRank,
+    RootspinError,
     assembled_witness,
     certificate,
     count_bruteforce,
@@ -26,7 +29,7 @@ from rootspin import (
     signed_sum,
     verify,
 )
-from rootspin import certs
+from rootspin import certs, rootsys
 from rootspin.certs import verify_report
 
 EXISTENCE_IDS = (
@@ -144,6 +147,15 @@ def test_verify_rejects_system_mismatch():
     f4 = positive_roots(FamilyRank("F", 4))
     ok, diagnostic = verify_report(f4, e6_cert)
     assert not ok and "applied to" in diagnostic
+
+
+def test_unnamed_system_has_no_certificate():
+    g2 = positive_roots(FamilyRank("G", 2))
+    unnamed = rootsys.as_system(g2.roots)
+    with pytest.raises(RootspinError, match="the unnamed 6 x 2 matrix has no family"):
+        certificate(unnamed)
+    ok, diagnostic = verify_report(unnamed, certificate(g2))
+    assert not ok and diagnostic == "certificate for G2 applied to the unnamed 6 x 2 matrix"
 
 
 def test_verify_rejects_tampered_sign():

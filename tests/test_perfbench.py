@@ -10,6 +10,10 @@ Claims covered:
       and ``count E 6 --method mitm --json`` with exit 0 and the published
       counts, and between them every span run.py expects of its count
       workload fires
+    - it runs ``oracle G 2`` and ``analyze A 56 --json`` with exit 0 and
+      the expected output, and every span run.py expects of its oracle and
+      lattice workloads fires, the counters read from the traced
+      arguments included
     - ``import rootspin.cli`` imports numpy and click, so run.py's import
       costs come out of ``-X importtime``
 """
@@ -38,22 +42,44 @@ def run():
         del sys.modules[spec.name]
 
 
+def _traced(run, *args):
+    """Stdout JSON and the spans of one traced CLI run, which must exit 0."""
+    child = subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace_child.py"), *args],
+        env=run.child_env(), cwd=run.ROOT, capture_output=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout), run.split_spans(child.stderr)
+
+
+def _fired(trace) -> set[str]:
+    return {span["name"] for span in trace["spans"]} | set(trace["probes"])
+
+
 def test_traced_count_fires_every_expected_span(run):
     fired = set()
     for args, count in (
         (("count", "A", "6", "--method", "brute", "--json"), 2640),
         (("count", "E", "6", "--method", "mitm", "--json"), 13697920),
     ):
-        child = subprocess.run(
-            [sys.executable, str(PERFBENCH / "trace_child.py"), *args],
-            env=run.child_env(), cwd=run.ROOT, capture_output=True, timeout=120,
-        )
-        assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout)["count"]["exact"] == count
-        trace = run.split_spans(child.stderr)
-        fired.update(span["name"] for span in trace["spans"])
-        fired.update(trace["probes"])
+        out, trace = _traced(run, *args)
+        assert out["count"]["exact"] == count
+        fired |= _fired(trace)
     assert set(run.EXPECTED_SPANS["count"]) <= fired
+
+
+def test_traced_oracle_and_lattice_fire_every_expected_span(run):
+    out, trace = _traced(run, "oracle", "G", "2")
+    assert out == {"dimension": 4}
+    assert set(run.EXPECTED_SPANS["oracle"]) <= _fired(trace)
+    (oracle,) = [s for s in trace["spans"] if s["name"] == "spinor.invariant_dimension"]
+    assert oracle["counters"]["rotation_terms"] == 6 << 6
+
+    out, trace = _traced(run, "analyze", "A", "56", "--json")
+    assert (out["r"], out["exists"], out["obstruction"]) == (1596, True, "pass")
+    assert set(run.EXPECTED_SPANS["lattice"]) <= _fired(trace)
+    (basis,) = [s for s in trace["spans"] if s["name"] == "sigsum.hnf"]
+    assert basis["counters"] == {"vectors_in": 1596, "basis_out": 56}
 
 
 def test_import_costs_measurable(run):

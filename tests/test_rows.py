@@ -14,6 +14,14 @@ Claims covered:
       size of the dense matrix alone
     - ``positive_roots``' byte estimate bounds its tracemalloc peak for A, B,
       C and D at two ranks each
+    - a bare matrix becomes an unnamed RootSystem whose dense view is the
+      caller's array, left writeable; every entry point gives the same
+      results on a catalogue system's roots passed bare as on the system,
+      the bare input proving existence by the witness search
+    - every engine compares r with its limit before the dense view is
+      built: on A100 (r = 5050) each refuses and leaves no dense view
+    - readers of the id handle an unnamed system: the dense view's refusal
+      names its shape and ``format_root_list`` refuses it
 """
 
 import tracemalloc
@@ -23,10 +31,19 @@ import pytest
 
 from rootspin import (
     FamilyRank,
+    InvalidRankError,
     ResourceLimitError,
     RootSystem,
+    Scalar,
+    SpinorElement,
+    cartan_act,
+    count_bruteforce,
+    count_mitm,
+    enumerate_zero_signs,
     exists_strong_dependence,
+    format_root_list,
     hnf,
+    invariant_dimension,
     obstruction_2L,
     positive_roots,
     signed_sum,
@@ -38,7 +55,7 @@ from rootspin.rootsys import CATALOGUE
 def _as_system(matrix: np.ndarray) -> RootSystem:
     """A RootSystem holding the sparse rows of an arbitrary integer matrix."""
     rows = tuple(rootsys.sparse_rows(matrix.tolist()))
-    return RootSystem(FamilyRank("A", 1), rows, matrix.shape[1], 1)
+    return RootSystem(None, rows, matrix.shape[1], 1)
 
 
 def _hostile(seed: int, huge: bool) -> np.ndarray:
@@ -134,6 +151,30 @@ class TestDenseView:
         monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4400)
         assert system.roots.shape == (55, 10)
 
+    def test_refusal_names_an_unnamed_matrix(self, monkeypatch):
+        system = RootSystem(None, positive_roots(FamilyRank("A", 10)).rows, 10, 1)
+        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4399)
+        with pytest.raises(ResourceLimitError, match="of the unnamed 55 x 10 matrix would need"):
+            system.roots
+
+    @pytest.mark.parametrize(
+        "engine,match",
+        [
+            (sigsum.count, "meet-in-the-middle needs r <= 48, got r = 5050"),
+            (count_bruteforce, "brute force needs r <= 26, got r = 5050"),
+            (count_mitm, "meet-in-the-middle needs r <= 48, got r = 5050"),
+            (lambda s: count_mitm(s, limit_r=10**4), "a half of at most 62 roots in int64, got 2525"),
+            (enumerate_zero_signs, "enumeration needs r <= 16, got r = 5050"),
+            (invariant_dimension, "2\\^5050 exceeds limit 2\\^14"),
+        ],
+        ids=["count", "brute_force", "mitm", "mitm_half", "enumeration", "oracle"],
+    )
+    def test_limits_checked_before_it_is_built(self, engine, match):
+        system = positive_roots(FamilyRank("A", 100))
+        with pytest.raises(ResourceLimitError, match=match):
+            engine(system)
+        assert "roots" not in vars(system)
+
     def test_existence_path_never_builds_it(self):
         system = positive_roots(FamilyRank("D", 69))
         dense_bytes = 8 * system.r * system.ambient_dim
@@ -169,3 +210,47 @@ class TestRowsEstimate:
         assert peak <= estimate, (peak, estimate)
         # The dense lists' estimate it replaces was 16 bytes an entry.
         assert estimate < 16 * system.r * fr.rank
+
+
+class TestUnnamedSystems:
+    def test_bare_matrix_becomes_an_unnamed_system(self):
+        g2 = positive_roots(FamilyRank("G", 2))
+        assert rootsys.as_system(g2) is g2
+        matrix = g2.roots.copy()
+        unnamed = rootsys.as_system(matrix)
+        assert (unnamed.id, unnamed.rows, unnamed.denominator) == (None, g2.rows, 1)
+        assert unnamed.roots is matrix and matrix.flags.writeable
+        assert str(unnamed) == "the unnamed 6 x 2 matrix"
+        with pytest.raises(InvalidRankError, match="the unnamed 6 x 2 matrix has no family"):
+            format_root_list(unnamed)
+
+    @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "A4", "D4", "D5"])
+    def test_engines_agree_on_bare_roots(self, name, catalogue):
+        system = catalogue[name]
+        matrix = system.roots.copy()
+        r = system.r
+        signs = np.random.default_rng(r).choice([-1, 1], size=r).tolist()
+        direction = list(range(1, system.ambient_dim + 1))
+        eta = SpinorElement(r, {0: Scalar.of(1), 5: Scalar(b=2)})
+        engines = [
+            lambda s: sigsum.count(s).value,
+            lambda s: count_mitm(s).value,
+            lambda s: signed_sum(s, signs).tolist(),
+            obstruction_2L,
+            lambda s: cartan_act(s, direction, eta),
+        ]
+        if r <= sigsum.DEFAULT_BRUTE_LIMIT:
+            engines.append(lambda s: count_bruteforce(s).value)
+        if r <= sigsum.ENUMERATION_LIMIT:
+            engines.append(lambda s: [v.tolist() for v in enumerate_zero_signs(s)])
+        if r <= 14:
+            engines.append(invariant_dimension)
+        for engine in engines:
+            assert engine(matrix) == engine(system)
+        named, bare = exists_strong_dependence(system), exists_strong_dependence(matrix)
+        assert (bare.exists, bare.obstruction, bare.certificate) == (
+            named.exists, named.obstruction, None)
+        if bare.exists:
+            assert bare.method == sigsum.METHOD_MITM
+            assert not signed_sum(matrix, bare.witness).any()
+        assert matrix.flags.writeable and np.array_equal(matrix, system.roots)

@@ -48,7 +48,11 @@ Claims covered:
       exceed int64, and refuses a half over 62 roots before any table
     - every engine runs on keys past one word: counts, zero sign vectors
       and a verified witness
-    - matrix and sign entries must be integers that int64 holds exactly
+    - matrix and sign entries must be integers that int64 holds exactly,
+      at every entry point; numpy integers are integers, bools are not
+    - ``hnf`` takes only a non-empty 2-D integer matrix, with entries of any
+      size, and ``LatticeBasis.contains`` only a vector of integers: floats,
+      bools and strings are refused, never truncated or parsed
 """
 
 import math
@@ -69,6 +73,8 @@ from rootspin import (
     InternalCheckError,
     LengthMismatchError,
     ResourceLimitError,
+    SpinorElement,
+    cartan_act,
     count_bruteforce,
     count_mitm,
     enumerate_zero_signs,
@@ -144,8 +150,11 @@ _BAD_MATRICES = {
     "two_to_63": [[2**63, 0], [1, 0]],
     "uint64_two_to_63": np.array([[2**63, 0], [1, 0]], dtype=np.uint64),
     "float_array": np.array([[1.0, 0.0], [1.0, 0.0]]),
+    "numpy_bool": [[np.bool_(True), 1], [1, 0]],
+    "bool_array": np.array([[True, False], [True, True]]),
 }
 _MATRIX_ENTRY_POINTS = {
+    "count": sigsum.count,
     "count_bruteforce": count_bruteforce,
     "count_mitm": count_mitm,
     "exists_strong_dependence": exists_strong_dependence,
@@ -153,6 +162,7 @@ _MATRIX_ENTRY_POINTS = {
     "obstruction_2L": obstruction_2L,
     "signed_sum": lambda roots: signed_sum(roots, [1, -1]),
     "invariant_dimension": invariant_dimension,
+    "cartan_act": lambda roots: cartan_act(roots, [0, 0], SpinorElement(2)),
 }
 
 
@@ -166,7 +176,8 @@ class TestInputEntries:
     def test_integer_dtypes_accepted(self):
         roots = [[1, 1], [1, 1], [2, 2]]
         for matrix in (roots, np.array(roots, dtype=np.int8), np.array(roots, dtype=np.uint64),
-                       np.array(roots, dtype=object)):
+                       np.array(roots, dtype=object), np.array(roots, dtype=np.int32),
+                       [[np.int32(x) for x in row] for row in roots]):
             assert count_bruteforce(matrix).value == count_mitm(matrix).value == 2
 
 
@@ -380,7 +391,7 @@ class TestCanonicalTables:
     # key, its own pair, sorts first.
     def test_packed_tables_hold_nonnegative_keys(self):
         roots = positive_roots(FamilyRank("A", 9)).roots
-        _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
+        _, _, left, right, _ = sigsum._walk_halves(roots)
         assert (left[0] >= 0).all() and (right[0] >= 0).all()
         # tables holding both s and -s would have 120076 and 8980 states
         assert (left[0].shape[0], right[0].shape[0]) == (60038, 4490)
@@ -389,7 +400,7 @@ class TestCanonicalTables:
         roots = _stretch_past_key_budget(positive_roots(FamilyRank("E", 6)).roots)
         words = _words(roots)
         assert words > 1
-        _, _, left, right, _ = sigsum._walk_halves(roots, sigsum.DEFAULT_MITM_LIMIT)
+        _, _, left, right, _ = sigsum._walk_halves(roots)
         for keys, _ in (left, right):
             rows = keys.view(np.int64).reshape(keys.shape[0], words)
             nonzero = rows.any(axis=1)
@@ -590,7 +601,7 @@ class TestBackends:
     def test_mitm_split_is_count_optimal(self, catalogue):
         for name in ("E6", "A8", "F4"):
             roots = catalogue[name].roots
-            k = sigsum.mitm_split(roots)
+            k = sigsum.mitm_split(roots.shape[0])
             assert k in (roots.shape[0] // 2, (roots.shape[0] + 1) // 2), name
 
 
@@ -754,6 +765,31 @@ class TestHNF:
         assert not basis.contains([3, 0], multiple=2)
 
     @pytest.mark.parametrize(
+        "vectors",
+        [np.array([[1.9, 0]]), [[1.5]], [["3"]], [[True, 2]], [[np.bool_(True)]],
+         np.array([[True]]), None, 5, [1, 2, 3], np.zeros((2, 2, 2), dtype=np.int64), [],
+         [[1, 2], [3]]],
+        ids=["float_array", "float", "str", "bool", "numpy_bool", "bool_array", "none",
+             "scalar", "flat", "three_d", "empty", "ragged"],
+    )
+    def test_refuses_all_but_an_integer_matrix(self, vectors):
+        # 1.9 and 1.5 would truncate to 1, "3" would parse as 3
+        with pytest.raises(DimensionMismatchError):
+            hnf(vectors)
+
+    def test_membership_refuses_all_but_integers(self):
+        basis = hnf([(1, 0), (0, 1)])
+        for vector in ([1.5, 0], [True, 0], ["1", 0], 5, None, [[1, 0]], [1, 0, 0]):
+            with pytest.raises(DimensionMismatchError):
+                basis.contains(vector)
+
+    def test_integers_of_any_size_accepted(self):
+        basis = hnf([[2**100, np.int32(3)], [1, 0]])
+        assert basis.columns == ((1, 0), (0, 3))
+        assert basis.contains([2**70, np.int64(-6)], multiple=2)
+        assert hnf(np.array([[2**63 + 5, 1]], dtype=np.uint64)).columns == ((2**63 + 5, 1),)
+
+    @pytest.mark.parametrize(
         "fr",
         list(CATALOGUE) + [FamilyRank(f, n) for f, n in (("A", 72), ("B", 69), ("C", 68), ("D", 69))],
         ids=str,
@@ -799,8 +835,9 @@ class TestObstruction:
         expected = [sum(col) for col in zip(*rows)]
         # Every total lies outside int64, where a plain int64 sum would wrap.
         assert all(abs(total) > 2**63 for total in expected)
-        sparse, m = rootsys.system_rows(np.array(rows, dtype=np.int64))
-        assert rootsys.row_sum(sparse, m, ((i, 1) for i in range(len(rows)))) == expected
+        system = rootsys.as_system(np.array(rows, dtype=np.int64))
+        total = rootsys.row_sum(system.rows, system.ambient_dim, ((i, 1) for i in range(len(rows))))
+        assert total == expected
         # The obstruction sees the exact total: 2 * -2^63 lies in 2L = 2^64 Z.
         assert obstruction_2L([[-2**63], [-2**63]]).passed
         assert not obstruction_2L([[-2**63], [2**62]]).passed

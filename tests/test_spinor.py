@@ -467,27 +467,28 @@ class TestTaggedBlocks:
     def test_eigen_signs_match_single_monomials(self, name, catalogue, monkeypatch):
         system = catalogue[name]
         r = system.r
-        blocks, calls = [], []
-        products, rotation = spinor.exact_products, spinor._rotation_term
+        signs, calls = [], []
+        row_sum, rotation = spinor.row_sum, spinor._rotation_term
 
-        def spy_products(signs, roots):
-            blocks.append(signs.copy())
-            return products(signs, roots)
+        def spy_row_sum(rows, m, terms):
+            terms = list(terms)
+            signs.append([s for _, s in terms])
+            return row_sum(rows, m, terms)
 
         def spy_rotation(j, eta):
             calls.append(j)
             return rotation(j, eta)
 
-        monkeypatch.setattr(spinor, "exact_products", spy_products)
+        monkeypatch.setattr(spinor, "row_sum", spy_row_sum)
         monkeypatch.setattr(spinor, "_rotation_term", spy_rotation)
         invariant_dimension(system)
         n_blocks = -(-(1 << r) // spinor._BLOCK)
-        assert len(blocks) == n_blocks and len(calls) == r * n_blocks
+        assert len(calls) == r * n_blocks
         want = [
             [rotation(j, SpinorElement.monomial(r, mask)).terms[mask].b for j in range(r)]
             for mask in range(1 << r)
         ]
-        assert np.concatenate(blocks).tolist() == want
+        assert signs == want
 
     def test_zero_test_exact_past_int64(self):
         # int64 reads 4 * 2^62 as 0, which would add the two constant sign
