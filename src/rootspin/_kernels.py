@@ -25,9 +25,13 @@ reach -s.  The zero sum is its own pair and sorts first.  A sum of one
 table meets its negation in another exactly when its key occurs in both.
 The sorted-key lookup of the join and the witness search (in ``sigsum``),
 the walk and the blocked prefix x suffix scan (here) are each written once,
-for every W.  The scan compares every prefix key with every suffix key
-exactly once, in blocks that stay in cache: a suffix table of at most
-256 KiB of keys, and a few prefix keys at a time broadcast against it.
+for every W.  The scan is exhaustive over the sign vectors with root 0
+positive, and doubles: negation pairs off the others.  It compares every
+such prefix key with every suffix key exactly once, in blocks that stay in
+cache: a suffix table of at most 256 KiB of keys, and a few prefix keys at
+a time broadcast against it.  Its tables are int32 when a key takes one
+word and the largest, ``sum_i |delta_i|``, fits in 31 bits, so the block
+holds twice as many keys.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import ResourceLimitError
 
 # Word capacity budget: strictly below 2^62, so a word plus its offset never wraps.
 _KEY_BITS = 62
-# Bytes of keys in the suffix table of the full scan: 2^15 one-word keys.
+# Bytes of keys in the suffix table of the full scan: 2^16 int32 or 2^15 int64 keys.
 _SUFFIX_BLOCK_BYTES = 256 << 10
 # Bytes of booleans one broadcast compare of the full scan produces.
 _COMPARE_BLOCK_BYTES = 512 << 10
@@ -72,16 +76,16 @@ def key_packing(roots: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
 
 
 def signed_sum_keys(deltas: np.ndarray) -> np.ndarray:
-    """All 2^h signed sums of the rows of ``deltas``, one (2^h, W) table
-    indexed by sign mask (bit t set = root t negative)."""
-    keys = np.zeros((1, deltas.shape[1]), dtype=np.int64)
+    """All 2^h signed sums of the rows of ``deltas``, one (2^h, W) table of
+    their dtype indexed by sign mask (bit t set = root t negative)."""
+    keys = np.zeros((1, deltas.shape[1]), dtype=deltas.dtype)
     for d in deltas:
         keys = np.concatenate((keys + d, keys - d))
     return keys
 
 
 def _flat(keys: np.ndarray) -> np.ndarray:
-    """The 1-D view a (n, W) key table is sorted and compared by: its int64
+    """The 1-D view a (n, W) key table is sorted and compared by: its
     column at W = 1, one ``np.void`` of 8*W bytes a key otherwise."""
     if keys.shape[1] == 1:
         return keys[:, 0]
@@ -240,37 +244,56 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
     return (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate
 
 
-def _split_tables(deltas, k, memory_budget, scratch=0):
+def _split_tables(deltas, k, memory_budget, scratch=0, half=False):
+    """Key tables of the signed sums of ``deltas[:k]`` and ``deltas[k:]``,
+    of the dtype of ``deltas`` and each indexed by sign mask, and the byte
+    estimate checked against ``memory_budget`` before either is built.  With
+    ``half`` (k >= 1) root 0 is held positive: the first table is
+    ``signed_sum_keys(deltas[1:k]) + deltas[0]``, 2^(k-1) keys, indexed by
+    the sign mask of roots 1..k-1."""
     r, words = deltas.shape
     # both tables, where the last doubling of one holds its old table, the
     # two shifted copies and the new table (2.5 tables); and the caller's
     # scratch bytes
-    estimate = ((1 << k) + (1 << (r - k))) * 8 * words * 4 + scratch
+    estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words * 4 + scratch
     if estimate > memory_budget:
         raise ResourceLimitError(
             f"signed-sum tables would need about {estimate} bytes (> budget {memory_budget})"
         )
-    return _flat(signed_sum_keys(deltas[:k])), _flat(signed_sum_keys(deltas[k:])), estimate
+    prefix = signed_sum_keys(deltas[int(half):k])
+    if half:
+        prefix += deltas[0]
+    return _flat(prefix), _flat(signed_sum_keys(deltas[k:])), estimate
 
 
 def count_zero_full(roots: np.ndarray, memory_budget: int) -> tuple[int, int]:
-    """Exact number of sign vectors with zero signed sum, by full 2^r
+    """Exact number of sign vectors with zero signed sum, by exhaustive
     enumeration, and the byte estimate checked against ``memory_budget``.
 
-    The last q roots form a suffix table of at most ``_SUFFIX_BLOCK_BYTES``
-    of keys, the first r - q a prefix table.  Each step broadcasts a run of
-    prefix keys against the whole suffix table, a boolean block of at most
-    ``_COMPARE_BLOCK_BYTES``, and counts its equal pairs.  Every (prefix,
-    suffix) pair is compared exactly once, so the work is genuinely
-    Theta(2^r); only the memory traffic is blocked.
+    Negating every sign pairs the sign vectors off without fixed points and
+    keeps a zero sum zero, so the count is twice the number of zero sums
+    with root 0 positive: only those 2^(r-1) sign vectors are scanned.  The
+    last q roots form a suffix table of at most ``_SUFFIX_BLOCK_BYTES`` of
+    keys, the first r - q >= 1 a prefix table with root 0 positive.  The
+    tables are built and compared in int32 when W = 1 and the largest key,
+    ``sum_i |delta_i|``, fits in 31 bits, so the suffix block holds twice
+    as many keys.  Each step broadcasts a run of prefix keys against the
+    whole suffix table, a boolean block of at most ``_COMPARE_BLOCK_BYTES``,
+    and counts its equal pairs.  Every (prefix, suffix) pair is compared
+    exactly once, so the work is Theta(2^(r-1)); only the memory traffic is
+    blocked.
     """
     r = roots.shape[0]
     deltas, _ = key_packing(roots)
-    q = min(r, (_SUFFIX_BLOCK_BYTES // (8 * deltas.shape[1])).bit_length() - 1)
-    prefix, suffix, estimate = _split_tables(deltas, r - q, memory_budget, _COMPARE_BLOCK_BYTES)
+    if deltas.shape[1] == 1 and sum(abs(d) for d in deltas[:, 0].tolist()) < 1 << 31:
+        deltas = deltas.astype(np.int32)  # no signed sum leaves int32
+    q = min(r - 1, (_SUFFIX_BLOCK_BYTES // deltas[0].nbytes).bit_length() - 1)
+    prefix, suffix, estimate = _split_tables(
+        deltas, r - q, memory_budget, _COMPARE_BLOCK_BYTES, True
+    )
     step = max(1, _COMPARE_BLOCK_BYTES >> q)
     value = sum(
         int(np.count_nonzero(prefix[i:i + step, None] == suffix))
         for i in range(0, prefix.shape[0], step)
     )
-    return value, estimate
+    return 2 * value, estimate

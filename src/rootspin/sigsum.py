@@ -4,7 +4,8 @@ Given roots a_1..a_r (rows of an integer matrix), the central question is
 whether signs e_i in {+1, -1} exist with sum(e_i * a_i) = 0, and in how many
 ways.  Three routes are implemented and cross-checked:
 
-* ``count_bruteforce``: full 2^r enumeration (blocked prefix x suffix scans).
+* ``count_bruteforce``: exhaustive enumeration of the 2^(r-1) sign vectors
+  with root 0 positive, doubled (blocked prefix x suffix scans).
 * ``count_mitm``: meet-in-the-middle with pruning and deduplication.  The
   roots are sorted by their last nonzero coordinate; each half is walked
   from its outer end to the split, keeping every distinct partial sum with
@@ -46,7 +47,7 @@ import operator
 import resource
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import as_system, int64_array, integer_array, row_sum, sparse_rows
+from .rootsys import as_system, int64_array, integer_array, is_int, row_sum, sparse_rows
 
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
@@ -177,7 +178,8 @@ def signed_sum(system, signs) -> np.ndarray:
 
 
 def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
-    """Exact count of zero signed sums by full 2^r enumeration."""
+    """Exact count of zero signed sums by exhaustive enumeration: the sign
+    vectors with root 0 positive are scanned, and negation doubles them."""
     system = as_system(system)
     if system.r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {system.r}")
@@ -337,6 +339,35 @@ def _rereduce(basis: dict[int, dict[int, int]], i: int) -> None:
             _reduce_at(basis[k], later, basis)
 
 
+def _integer_rows(rows, m):
+    """The sparse rows in Python ints, refused unless every entry is a
+    ``(coordinate, value)`` pair of integers with the coordinate in [0, m)
+    and the value nonzero.
+
+    A few passes over the entries, each in C: ``is_int`` depends only on a
+    value's type, so one value of each type stands for all of them, and
+    rows of Python ints are returned as they are."""
+    try:
+        pairs = list(chain.from_iterable(rows))
+        shapes = set(map(len, pairs))
+    except TypeError:
+        shapes = None
+    if shapes is None or shapes - {2}:
+        raise DimensionMismatchError("a sparse row entry is not a (coordinate, value) pair")
+    coords, values = zip(*pairs) if pairs else ((), ())
+    entries = coords + values + (m,)
+    types = dict(zip(map(type, entries), entries))
+    if not all(map(is_int, types.values())):
+        raise DimensionMismatchError("sparse row entries must be integers")
+    if min(coords, default=0) < 0 or max(coords, default=-1) >= m or 0 in values:
+        raise DimensionMismatchError(
+            f"sparse rows need coordinates in [0, {m}) and nonzero values"
+        )
+    if set(types) == {int}:
+        return rows
+    return [tuple((int(c), int(x)) for c, x in row) for row in rows]
+
+
 def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     """Reduced column Hermite normal form of the lattice the vectors generate.
 
@@ -344,8 +375,11 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     an array, with entries of any size; a float, bool or string entry, or
     any other shape, raises ``DimensionMismatchError``.  When
     ``ambient_dim`` is given they are sparse rows of ``(coordinate, value)``
-    pairs (``RootSystem.rows``) instead; dense rows are converted once into
-    sparse ones.  The vectors are inserted one
+    pairs over distinct coordinates (``RootSystem.rows``) instead: an entry
+    that is not an integer, a coordinate outside ``[0, ambient_dim)``, a zero
+    value or a repeated coordinate raises ``DimensionMismatchError``, at a
+    cost linear in the entries.  Dense rows are converted once into sparse
+    ones.  The vectors are inserted one
     at a time into a basis of at most m sparse vectors, one per pivot row.
     A vector is reduced at its leading row by the basis vector with that
     pivot; when the pivot does not divide the entry, Euclid's steps between
@@ -368,9 +402,14 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
         vectors = sparse_rows(dense.tolist())
     elif not len(vectors):
         raise DimensionMismatchError("need at least one vector")
+    else:
+        vectors = _integer_rows(vectors, m)
+        m = int(m)
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
     for row in vectors:
         v = dict(row)
+        if len(v) < len(row):
+            raise DimensionMismatchError("a sparse row repeats a coordinate")
         while v:
             i = min(v)
             b = basis.get(i)

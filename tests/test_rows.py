@@ -7,6 +7,9 @@ Claims covered:
       ``signed_sum`` give the same result on the sparse rows as on the dense
       matrix; the signed sum equals an exact Python-int reference, or both
       refuse a total outside int64
+    - ``hnf(rows, m)`` refuses an entry that is not an integer, a coordinate
+      outside [0, m), a zero value, a repeated coordinate and an entry that
+      is not a pair, and reads numpy integers as Python ints
     - the dense view equals the rows it is built from, and is checked
       against the memory budget before it is allocated
     - the existence path never builds the dense view: on D69 the tracemalloc
@@ -30,6 +33,7 @@ import numpy as np
 import pytest
 
 from rootspin import (
+    DimensionMismatchError,
     FamilyRank,
     InvalidRankError,
     ResourceLimitError,
@@ -134,6 +138,45 @@ class TestSparseEqualsDense:
                 total = _exact_sum(matrix, [1] * matrix.shape[0])
                 leaves_int64.append(total[0] is ResourceLimitError)
         assert any(leaves_int64)
+
+
+class TestSparseHNFInput:
+    # ``hnf(rows, m)`` checks its rows as the dense form checks a matrix.
+    @pytest.mark.parametrize(
+        "rows,m",
+        [
+            ([((0, 1.5),)], 1),
+            ([((0, True),)], 1),
+            ([((0, "3"),)], 1),
+            ([((0, None),)], 1),
+            ([((0.0, 3),)], 1),
+            ([((0, 3),)], 1.0),
+            ([((0, 3),), ((5, 1),)], 2),
+            ([((2, 1),)], 2),
+            ([((-1, 3),)], 2),
+            ([((0, 0),)], 1),
+            ([((0, 1), (0, 2))], 2),
+            ([((0, 1, 2),)], 2),
+            ([((0,),)], 2),
+            ([5], 2),
+        ],
+        ids=["float", "bool", "str", "none", "float_coordinate", "float_m", "coordinate_past_m",
+             "coordinate_m", "negative_coordinate", "zero_value", "repeated_coordinate", "triple", "single",
+             "scalar_row"],
+    )
+    def test_refuses_all_but_integer_pairs_in_range(self, rows, m):
+        # 1.5 would stay in the basis, row 5 would become a pivot of a
+        # 2-dimensional lattice, and a zero value a zero pivot
+        with pytest.raises(DimensionMismatchError):
+            hnf(rows, m)
+
+    def test_numpy_integers_become_python_ints(self):
+        basis = hnf([((np.int64(1), np.int32(2)),), ((0, 2**80),)], np.int64(2))
+        assert basis == hnf([(0, 2), (2**80, 0)])
+        assert all(type(x) is int for x in (*basis.pivot_rows, *sum(basis.columns, ())))
+
+    def test_empty_rows_span_the_zero_lattice(self):
+        assert hnf([(), ()], 2) == hnf([(0, 0)])
 
 
 class TestDenseView:

@@ -40,7 +40,10 @@ Claims covered:
       keys whose first nonzero word is positive, the zero key first
     - brute force equals the zero rows of ``signs @ roots`` over all 2^r
       sign vectors for r = 1..18, on one word and on two, and its one table
-      pair holds 2^r (prefix, suffix) pairs
+      pair holds 2^(r-1) (prefix, suffix) pairs, those with root 0 positive;
+      so it does with a zero root 0, with root 0 minus root 1, at r = 1,
+      and with a largest key of 2^31 - 1 (int32 keys, 2^16 a suffix table)
+      and 2^31 (int64 keys, 2^15)
     - both engines refuse a matrix whose column weights reach 2^62, before
       any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
@@ -323,10 +326,14 @@ class TestMemoryEstimate:
         assert peak <= result.memory_peak
 
     @pytest.mark.parametrize("engine", [count_bruteforce], ids=["brute_force"])
-    @pytest.mark.parametrize("shape", [(24, 1, 10**9), (24, 3, 10**6)], ids=["packed", "rows"])
+    @pytest.mark.parametrize(
+        "shape", [(24, 1, 10**9), (24, 3, 10**6), (24, 1, 10**6)], ids=["packed", "rows", "narrow"]
+    )
     def test_table_estimate_bounds_traced_peak(self, engine, shape, monkeypatch):
         roots = _hostile(*shape)
         assert _words(roots) == (2 if shape[1] == 3 else 1)
+        if shape[1] == 1:  # one column: its weight is the largest key
+            assert (int(np.abs(roots).sum()) < 1 << 31) == (shape[2] == 10**6)
         estimates = []
         split = _kernels._split_tables
 
@@ -436,10 +443,26 @@ def _zero_sums_by_sign_matrix(roots):
     return int(np.count_nonzero(~sums.any(axis=1)))
 
 
+def _brute_tables(roots, monkeypatch):
+    """Brute-force count of ``roots`` and the one table pair it scanned."""
+    tables = []
+    split = _kernels._split_tables
+
+    def spy(*args):
+        tables.append(split(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(_kernels, "_split_tables", spy)
+    value = count_bruteforce(roots).value
+    assert len(tables) == 1
+    return value, tables[0][0], tables[0][1]
+
+
 class TestBruteAgainstSignMatrix:
     # r = 1..18 runs below, at and above the suffix table's root count
-    # (15 for one-word keys, 14 for two words), with prefix tables both
-    # shorter and longer than one compare block.
+    # (16 for int32 keys, 14 for two words), with prefix tables both
+    # shorter and longer than one compare block.  Brute force scans the
+    # sign vectors with root 0 positive, each (prefix, suffix) pair once.
     @pytest.mark.parametrize("kind", ["packed", "rows"])
     @pytest.mark.parametrize("r", range(1, 19))
     def test_counts_equal_reference(self, r, kind, monkeypatch):
@@ -451,18 +474,57 @@ class TestBruteAgainstSignMatrix:
         if kind == "rows":
             roots = _stretch_past_key_budget(roots)
         assert _words(roots) == (2 if kind == "rows" else 1)
-        tables = []
-        split = _kernels._split_tables
+        value, prefix, suffix = _brute_tables(roots, monkeypatch)
+        assert value == _zero_sums_by_sign_matrix(roots)
+        assert prefix.shape[0] * suffix.shape[0] == 1 << (r - 1)
 
-        def spy(*args):
-            tables.append(split(*args))
-            return tables[-1]
 
-        monkeypatch.setattr(_kernels, "_split_tables", spy)
-        assert count_bruteforce(roots).value == _zero_sums_by_sign_matrix(roots)
-        assert len(tables) == 1
-        prefix, suffix, _ = tables[0]
-        assert prefix.shape[0] * suffix.shape[0] == 1 << r
+class TestBruteHalfCube:
+    # The scan holds root 0 positive and doubles; its keys are int32 when
+    # they take one word and the largest, sum_i |delta_i|, fits in 31 bits.
+    @pytest.mark.parametrize(
+        "weight,suffix_keys,value",
+        [((1 << 31) - 1, 1 << 16, 0), (1 << 31, 1 << 15, 34)],
+        ids=["int32", "int64"],
+    )
+    def test_largest_key_decides_key_width(self, weight, suffix_keys, value, monkeypatch):
+        # one column, so the largest key is the column weight: 17 roots of
+        # 2^26 and one that brings the weight to ``weight``.  A sum of all
+        # signs but one of the 17 cancels 15 * 2^26, which only 2^31 reaches.
+        roots = np.full((18, 1), 1 << 26, np.int64)
+        roots[-1] = weight - 17 * (1 << 26)
+        assert int(np.abs(roots).sum()) == weight and _words(roots) == 1
+        counted, prefix, suffix = _brute_tables(roots, monkeypatch)
+        assert counted == _zero_sums_by_sign_matrix(roots) == value
+        assert suffix.shape[0] == suffix_keys
+        assert prefix.shape[0] * suffix.shape[0] == 1 << 17
+
+    @pytest.mark.parametrize("kind", ["packed", "rows"])
+    @pytest.mark.parametrize("first", ["zero", "minus_next"])
+    @pytest.mark.parametrize("r", [3, 9, 17, 18])
+    def test_first_root_zero_or_minus_the_next(self, r, first, kind, monkeypatch):
+        rng = np.random.default_rng(2000 + r)
+        roots = rng.integers(-2, 2, size=(r, 2), endpoint=True)
+        roots[:, 0] = rng.choice([-2, -1, 1, 2], size=r)
+        roots[0] = 0 if first == "zero" else -roots[1]
+        # the last root cancels the others, so zero sums exist
+        roots[-1] = -roots[:-1].sum(axis=0)
+        if kind == "rows":
+            roots = _stretch_past_key_budget(roots)
+        assert _words(roots) == (2 if kind == "rows" else 1)
+        value, prefix, suffix = _brute_tables(roots, monkeypatch)
+        assert value == _zero_sums_by_sign_matrix(roots) > 0
+        assert prefix.shape[0] * suffix.shape[0] == 1 << (r - 1)
+
+    @pytest.mark.parametrize(
+        "root,value",
+        [([0], 2), ([3], 0), ([0, 0, 0], 2), ([0, -1, 0], 0), ([1 << 40, 0], 0), ([0] * 4, 2)],
+    )
+    def test_one_root(self, root, value, monkeypatch):
+        roots = np.array([root], np.int64)
+        counted, prefix, suffix = _brute_tables(roots, monkeypatch)
+        assert counted == _zero_sums_by_sign_matrix(roots) == value
+        assert (prefix.shape[0], suffix.shape[0]) == (1, 1)
 
 
 class TestPastR48:
