@@ -4,7 +4,8 @@ The engines work on key tables of signed sums, one key per sum, so that
 equal keys mean equal sums.  ``_split_tables`` enumerates runs of roots over
 all 2^h sign masks (brute force, enumeration); ``pruned_tables`` walks each
 meet-in-the-middle half one root at a time, keeping the distinct sums that
-can still reach zero with their multiplicities (counting, witness search).
+can still reach zero with their multiplicities, and chooses the split from
+its table sizes (counting, witness search).
 
 A key is W int64 words, laid out by ``key_packing`` alone (``key_vector``
 decodes).  Coordinate c gets radix ``2*B_c + 1`` where ``B_c = sum_i
@@ -48,6 +49,8 @@ _SUFFIX_BLOCK_BYTES = 256 << 10
 _COMPARE_BLOCK_BYTES = 512 << 10
 # Matched multiplicities the join multiplies at a time as Python ints.
 JOIN_CHUNK = 1 << 14
+# Roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64.
+HALF_MAX = 62
 
 
 def key_packing(roots: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -119,28 +122,41 @@ def _walk_bytes(states: int, unit: int) -> int:
     return 2 * states * (2 * unit + 10)
 
 
-def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple, tuple, int]:
+def pruned_tables(
+    roots: np.ndarray, memory_budget: int, k: int | None = None
+) -> tuple[tuple, tuple, int, int]:
     """Deduplicated signed-sum tables of ``roots[:k]`` and ``roots[k:]``,
-    pruned to the sums that can still reach zero.
+    pruned to the sums that can still reach zero, and the split k.
 
-    The left half is walked from the first root, the right half from the
-    last, one doubling per root.  A state ``(key, multiplicity)`` stands for
-    the pair {s, -s} of partial sums, each reached by ``multiplicity`` sign
-    vectors; it becomes the canonical keys of ``s - d`` and ``s + d``, the
-    two runs are merged by a stable argsort and equal keys are summed with
-    ``np.add.reduceat`` in int64.  The zero sum is its own pair: its state
-    steps to {d, -d} once, not twice, and a state that lands on zero (from
-    {d, -d}, or from zero when d = 0) counts twice.  A partial sum is
-    dropped when a coordinate exceeds in absolute value the weight
-    ``sum |a_uc|`` of the roots not yet walked in either half; the bound is
-    symmetric in s and -s, so it acts on whole pairs.  Only coordinates
-    whose walked weight exceeds their remaining weight can bind, and only
-    those are decoded, each from its own word.
+    The right half is walked first, from the last root, then the left half
+    from the first, one doubling per root.  A state ``(key, multiplicity)``
+    stands for the pair {s, -s} of partial sums, each reached by
+    ``multiplicity`` sign vectors; it becomes the canonical keys of ``s - d``
+    and ``s + d``, the two runs are merged by a stable argsort and equal
+    keys are summed with ``np.add.reduceat`` in int64.  The zero sum is its
+    own pair: its state steps to {d, -d} once, not twice, and a state that
+    lands on zero (from {d, -d}, or from zero when d = 0) counts twice.  A
+    partial sum is dropped when a coordinate exceeds in absolute value the
+    weight ``sum |a_uc|`` of the roots not yet walked in either half; the
+    bound is symmetric in s and -s, so it acts on whole pairs.  Only
+    coordinates whose walked weight exceeds their remaining weight can
+    bind, and only those are decoded, each from its own word.
 
-    Returns ``((keys, counts), (keys, counts), estimate)``: both tables
-    sorted by their 1-D key view, so a zero key comes first, and the largest
+    Unless ``k`` is given, the right walk chooses it: it stops before root
+    i, so that k = i + 1, once one more doubling could give it more states
+    than the 2^i pairs of the i + 1 roots left (``2n > 2^i``).  It also
+    stops at ``HALF_MAX`` roots, so multiplicities stay int64, and leaves
+    the left half at least ceil(r/4) roots, so that a recursion on the
+    halves shrinks.  For r <= 2 * HALF_MAX (``sigsum._check_mitm_limits``)
+    the left half then has at most HALF_MAX roots too, since 2n never
+    reaches 2^62.  On an unprunable matrix that is the middle split; when
+    the roots are sorted by their last nonzero coordinate, the right half
+    prunes deepest and takes more of them.
+
+    Returns ``((keys, counts), (keys, counts), estimate, k)``: both tables
+    sorted by their 1-D key view, so a zero key comes first, the largest
     byte estimate checked against ``memory_budget`` before each doubling
-    and the join.
+    and the join, and the split.
     """
     r, m = roots.shape
     deltas, places = key_packing(roots)
@@ -195,11 +211,17 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
         """The (n, W) int64 words under a 1-D key view."""
         return view.view(np.int64).reshape(-1, words)
 
-    def walk(steps, held: int):
+    def walk(steps, held: int, stop=lambda i, n: False):
+        """States after each step ``(i, walked, remaining)`` in turn, up to
+        the first root i at which ``stop(i, n)`` holds, and the roots walked."""
         keys = np.zeros((1, words), np.int64)
         counts = np.ones(1, np.int64)
+        done = 0
         for i, walked, remaining in steps:
             n = counts.shape[0]
+            if stop(i, n):
+                break
+            done += 1
             check(held + _walk_bytes(n, unit))
             d = deltas[i]
             # the zero state, first when present, has one successor pair
@@ -230,18 +252,27 @@ def pruned_tables(roots: np.ndarray, k: int, memory_budget: int) -> tuple[tuple,
             # zero itself when d = 0), so each landing counts twice
             if keys.shape[0] and not any(keys[0].tolist()):
                 counts[0] *= 2
-        return keys, counts
+        return keys, counts, done
 
-    left = walk(((i, prefix[i + 1], total - prefix[i + 1]) for i in range(k)), base)
-    nl = left[1].shape[0]
-    right_steps = ((i, total - prefix[i], prefix[i]) for i in range(r - 1, k - 1, -1))
-    right = walk(right_steps, base + nl * unit)
+    def stop(i: int, n: int) -> bool:
+        """Whether the right walk, holding n states, ends before root i
+        when it chooses the split: at HALF_MAX roots, or once its next
+        doubling could outgrow the 2^i pairs of the roots left."""
+        return k is None and (r - 1 - i >= HALF_MAX or 2 * n > 1 << i)
+
+    lo = (r + 3) // 4 if k is None else k
+    right_steps = ((i, total - prefix[i], prefix[i]) for i in range(r - 1, lo - 1, -1))
+    *right, taken = walk(right_steps, base, stop)
+    split = r - taken
     nr = right[1].shape[0]
+    left_steps = ((i, prefix[i + 1], total - prefix[i + 1]) for i in range(split))
+    *left, _ = walk(left_steps, base + nr * unit)
+    nl = left[1].shape[0]
     # the join: positions of the left keys with the gathered right keys and
     # a mask (8W + 9 bytes a left key), or with the matched indices and
     # counts (40); and one chunk of matched counts as two Python-int lists
     check(base + (nl + nr) * unit + nl * max(8 * words + 9, 40) + min(nl, nr, JOIN_CHUNK) * 80)
-    return (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate
+    return (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate, split
 
 
 def _split_tables(deltas, k, memory_budget, scratch=0, half=False):

@@ -12,11 +12,14 @@ ways.  Three routes are implemented and cross-checked:
   its multiplicity and dropping those that can no longer reach zero
   (``_kernels.pruned_tables``), and the two tables are joined on their
   common keys, each a sum packed into W int64 words (one word for every
-  catalogue system).  The sums of a half are closed under negation, so a
-  table holds one sign-canonical state per pair {s, -s}; a left pair meets
-  the negated right pair exactly where both tables hold its key, and
-  counts twice unless it is the zero sum.  The witness search walks the
-  same halves and recurses into each of them.
+  catalogue system).  The right half, where that pruning bites deepest,
+  is walked first and sets the split: it stops once its next doubling
+  could outgrow the table the roots left could give.  The sums of a half
+  are closed under negation, so a table holds one sign-canonical state per
+  pair {s, -s}; a left pair meets the negated right pair exactly where
+  both tables hold its key, and counts twice unless it is the zero sum.
+  The witness search walks the same halves, split in the middle, and
+  recurses into each of them.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  Both the sum and the lattice
@@ -69,7 +72,6 @@ DEFAULT_BRUTE_LIMIT = 26
 DEFAULT_MITM_LIMIT = 48
 AUTO_BRUTE_MAX = 20  # auto: brute force up to this r, meet-in-the-middle above
 ENUMERATION_LIMIT = 16
-_HALF_MAX = 62  # roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
 
 
@@ -188,15 +190,6 @@ def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     return CountResult(value, METHOD_BRUTE, time.perf_counter() - start, estimate)
 
 
-def mitm_split(r: int) -> int:
-    """Contiguous split point for the meet-in-the-middle halves of r roots:
-    the first ceil(r/2), which bounds each half's table by 2^ceil(r/2) keys.
-    Pruning and deduplication usually keep the tables far smaller, by an
-    amount that depends on the order of the roots (``count_mitm`` sorts
-    them) and on where the split falls."""
-    return (r + 1) // 2
-
-
 def _common_keys(lk: np.ndarray, rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in two sorted key tables of the keys both hold."""
     if not rk.shape[0]:
@@ -227,30 +220,35 @@ def _join_counts(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, n
 
 
 def _check_mitm_limits(r: int, limit_r: int) -> None:
-    """Refuse a walk of r roots past ``limit_r``, or with a half whose
-    multiplicities could leave int64."""
+    """Refuse a walk of r roots past ``limit_r``, or one that no split keeps
+    to halves of at most ``_kernels.HALF_MAX`` roots, whose multiplicities
+    stay int64: the least larger half is ceil(r/2)."""
     if r > limit_r:
         raise ResourceLimitError(f"meet-in-the-middle needs r <= {limit_r}, got r = {r}")
-    k = mitm_split(r)
-    if k > _HALF_MAX:
+    k = (r + 1) // 2
+    cap = _kernels.HALF_MAX
+    if k > cap:
         raise ResourceLimitError(
-            f"meet-in-the-middle counts a half of at most {_HALF_MAX} roots in int64, got {k}"
+            f"meet-in-the-middle counts a half of at most {cap} roots in int64, got {k}"
         )
 
 
-def _walk_halves(roots: np.ndarray):
+def _walk_halves(roots: np.ndarray, k: int | None = None):
     """Sort permutation, split, tables and byte estimate of the walk, on
     roots within ``_check_mitm_limits``.  Sorted by their last nonzero
     coordinate, the roots of each half finish their coordinates early, so
-    the pruning of ``pruned_tables`` bites."""
-    k = mitm_split(roots.shape[0])
+    the pruning of ``pruned_tables`` bites, and bites deepest in the right
+    half, which then takes more of the roots: ``pruned_tables`` chooses the
+    split from its table sizes unless ``k`` fixes it."""
     last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
     order = np.argsort(last, kind="stable")
-    return (order, k, *_kernels.pruned_tables(roots[order], k, memory_budget()))
+    left, right, estimate, k = _kernels.pruned_tables(roots[order], memory_budget(), k)
+    return order, k, left, right, estimate
 
 
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
-    """Exact count by meet-in-the-middle; agrees with brute force everywhere."""
+    """Exact count by meet-in-the-middle, at the split the walk chooses
+    from its table sizes; agrees with brute force everywhere."""
     system = as_system(system)
     _check_mitm_limits(system.r, limit_r)
     start = time.perf_counter()
@@ -374,12 +372,13 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     ``vectors`` are the rows of a non-empty 2-D integer matrix, as a list or
     an array, with entries of any size; a float, bool or string entry, or
     any other shape, raises ``DimensionMismatchError``.  When
-    ``ambient_dim`` is given they are sparse rows of ``(coordinate, value)``
-    pairs over distinct coordinates (``RootSystem.rows``) instead: an entry
-    that is not an integer, a coordinate outside ``[0, ambient_dim)``, a zero
-    value or a repeated coordinate raises ``DimensionMismatchError``, at a
-    cost linear in the entries.  Dense rows are converted once into sparse
-    ones.  The vectors are inserted one
+    ``ambient_dim`` is given they are a sequence of sparse rows of
+    ``(coordinate, value)`` pairs over distinct coordinates
+    (``RootSystem.rows``) instead: a ``vectors`` with no length (a scalar,
+    a generator), an entry that is not an integer, a coordinate outside
+    ``[0, ambient_dim)``, a zero value or a repeated coordinate raises
+    ``DimensionMismatchError``, at a cost linear in the entries.  Dense
+    rows are converted once into sparse ones.  The vectors are inserted one
     at a time into a basis of at most m sparse vectors, one per pivot row.
     A vector is reduced at its leading row by the basis vector with that
     pivot; when the pivot does not divide the entry, Euclid's steps between
@@ -400,9 +399,13 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
             raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
         m = dense.shape[1]
         vectors = sparse_rows(dense.tolist())
-    elif not len(vectors):
-        raise DimensionMismatchError("need at least one vector")
     else:
+        try:
+            size = len(vectors)
+        except TypeError:
+            raise DimensionMismatchError("sparse rows must be a sequence of rows") from None
+        if not size:
+            raise DimensionMismatchError("need at least one vector")
         vectors = _integer_rows(vectors, m)
         m = int(m)
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
@@ -453,7 +456,9 @@ def obstruction_2L(system) -> ObstructionResult:
 
 
 def _search_witness(roots: np.ndarray) -> np.ndarray | None:
-    """One zero signed sum, or None, by the walk of ``count_mitm``.
+    """One zero signed sum, or None, by the walk of ``count_mitm`` split
+    in the middle, so that each subproblem has about half the roots: a
+    chosen split recurses deeper, and took longer on F4 and A8.
 
     A key both pruned tables hold is a canonical sum v: the left half
     reaches v and -v, and so does the right half, so the right half cancels
@@ -466,7 +471,7 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     if roots.shape[0] <= ENUMERATION_LIMIT:
         masks = _zero_masks(roots)[:1]
         return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
-    order, k, left, right, _ = _walk_halves(roots)
+    order, k, left, right, _ = _walk_halves(roots, (roots.shape[0] + 1) // 2)
     il, _ = _common_keys(left[0], right[0])
     if not il.size:
         return None

@@ -19,7 +19,8 @@ Claims covered:
       stripped; the removed `--threads` option and `ROOTSPIN_THREADS` have
       no effect
     - running out of memory under an address-space cap exits 3 with one
-      `resource limit:` line on stderr and nothing on stdout
+      `resource limit:` line on stderr, the walk's refused estimate, and
+      nothing on stdout
     - fuzzed arguments (family strings with padding and control characters,
       negative, small and huge ranks) always end in exit 0, 1, 2 or 3, and
       nothing but SystemExit escapes a command
@@ -255,15 +256,16 @@ class TestExitCodes:
         assert result.exit_code == 1
 
     def test_out_of_memory_exits_3(self):
-        # A12's two-word keys outgrow a 512 MiB address space after a few
-        # seconds of walking.  The cap is set in the child alone, so the
-        # test never exhausts the host.
+        # E8's walk outgrows a 512 MiB address space within seconds: its
+        # estimate passes the budget of what is left unmapped (about 390 MB)
+        # and still passes one of 800 MB.  The cap is set in the child
+        # alone, so the test never exhausts the host.
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
         result = subprocess.run(
-            [sys.executable, "-m", "rootspin.cli", "count", "A", "12",
-             "--method", "mitm", "--max-r", "78"],
+            [sys.executable, "-m", "rootspin.cli", "count", "E", "8",
+             "--method", "mitm", "--max-r", "120"],
             env=dict(os.environ, PYTHONPATH=str(Path(rootspin.__file__).parents[1])),
             preexec_fn=cap, capture_output=True, text=True, timeout=120,
         )
@@ -271,6 +273,7 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.startswith("resource limit: ")
         assert result.stderr.count("\n") == 1
+        assert "signed-sum tables would need about" in result.stderr
 
     def test_threads_env_var_fallback(self):
         # ROOTSPIN_THREADS is no longer read: even an invalid value is ignored.

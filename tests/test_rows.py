@@ -7,9 +7,10 @@ Claims covered:
       ``signed_sum`` give the same result on the sparse rows as on the dense
       matrix; the signed sum equals an exact Python-int reference, or both
       refuse a total outside int64
-    - ``hnf(rows, m)`` refuses an entry that is not an integer, a coordinate
-      outside [0, m), a zero value, a repeated coordinate and an entry that
-      is not a pair, and reads numpy integers as Python ints
+    - ``hnf(rows, m)`` refuses rows with no length (an int, a generator),
+      an entry that is not an integer, a coordinate outside [0, m), a zero
+      value, a repeated coordinate and an entry that is not a pair, and
+      reads numpy integers as Python ints
     - the dense view equals the rows it is built from, and is checked
       against the memory budget before it is allocated
     - the existence path never builds the dense view: on D69 the tracemalloc
@@ -169,6 +170,14 @@ class TestSparseHNFInput:
         # 2-dimensional lattice, and a zero value a zero pivot
         with pytest.raises(DimensionMismatchError):
             hnf(rows, m)
+
+    @pytest.mark.parametrize(
+        "rows", [lambda: 5, lambda: (((0, 1),) for _ in range(2))], ids=["int", "generator"]
+    )
+    def test_refuses_rows_without_a_length(self, rows):
+        # ``len(vectors)`` raised a bare TypeError on both
+        with pytest.raises(DimensionMismatchError):
+            hnf(rows(), 2)
 
     def test_numpy_integers_become_python_ints(self):
         basis = hnf([((np.int64(1), np.int32(2)),), ((0, 2**80),)], np.int64(2))

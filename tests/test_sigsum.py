@@ -36,8 +36,14 @@ Claims covered:
       enumerations checked, and it takes full tables only to enumerate a
       whole subproblem of at most 16 roots, where it builds one sign vector
     - the walk's tables hold one sign-canonical state per pair {s, -s}:
-      nonnegative one-word keys (A9: 60038 and 4490 states), multi-word
-      keys whose first nonzero word is positive, the zero key first
+      nonnegative one-word keys (A9: half the distinct sums each half
+      keeps, zero counted once), multi-word keys whose first nonzero word
+      is positive, the zero key first
+    - the walk chooses its split: the middle one where nothing prunes, with
+      the same estimate as the split fixed there; a right half that prunes
+      takes more roots (A9 within 1 MiB, A10 within 4 MiB); halves of at
+      most 62 roots and a left half of at least ceil(r/4); the witness
+      search takes the middle split and each subproblem is smaller
     - brute force equals the zero rows of ``signs @ roots`` over all 2^r
       sign vectors for r = 1..18, on one word and on two, and its one table
       pair holds 2^(r-1) (prefix, suffix) pairs, those with root 0 positive;
@@ -47,7 +53,7 @@ Claims covered:
     - both engines refuse a matrix whose column weights reach 2^62, before
       any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
-      routes (D8, C8, A10), stays exact where products of multiplicities
+      routes (D8, C8, A10, D9), stays exact where products of multiplicities
       exceed int64, and refuses a half over 62 roots before any table
     - every engine runs on keys past one word: counts, zero sign vectors
       and a verified witness
@@ -392,16 +398,36 @@ class TestMemoryEstimate:
         assert peak <= result.memory_peak
 
 
+def _pairs_kept(half, other):
+    """Pairs {s, -s} of the signed sums of ``half`` that ``other`` can
+    cancel (every |s_c| at most its weight in c), zero one pair on its own;
+    counted on distinct rows (``np.unique``), with no key table.  The rows
+    of ``half`` are added in order; a partial sum past the weight of
+    ``other`` and the rows still to come cannot end within ``other``'s, so
+    it is dropped at once."""
+    rest = np.abs(half).sum(axis=0) + np.abs(other).sum(axis=0)
+    sums = np.zeros((1, half.shape[1]), np.int64)
+    for a in half:
+        rest = rest - np.abs(a)
+        sums = np.vstack((sums + a, sums - a))
+        sums = np.unique(sums[(np.abs(sums) <= rest).all(axis=1)], axis=0)
+    zero = int((~sums.any(axis=1)).any())
+    return (sums.shape[0] + zero) // 2
+
+
 class TestCanonicalTables:
     # The walk keeps one state per pair {s, -s}: a one-word key is |key|, a
     # key of several words has its first nonzero word positive, and the zero
     # key, its own pair, sorts first.
     def test_packed_tables_hold_nonnegative_keys(self):
         roots = positive_roots(FamilyRank("A", 9)).roots
-        _, _, left, right, _ = sigsum._walk_halves(roots)
+        order, k, left, right, _ = sigsum._walk_halves(roots)
         assert (left[0] >= 0).all() and (right[0] >= 0).all()
-        # tables holding both s and -s would have 120076 and 8980 states
-        assert (left[0].shape[0], right[0].shape[0]) == (60038, 4490)
+        ordered = roots[order]
+        # one state per pair {s, -s} of the sums each half keeps; each half
+        # is walked from its outer end, where the weight bound bites
+        assert left[0].shape[0] == _pairs_kept(ordered[:k], ordered[k:])
+        assert right[0].shape[0] == _pairs_kept(ordered[k:][::-1], ordered[:k])
 
     def test_row_key_tables_hold_canonical_rows(self):
         roots = _stretch_past_key_budget(positive_roots(FamilyRank("E", 6)).roots)
@@ -530,10 +556,16 @@ class TestBruteHalfCube:
 class TestPastR48:
     # Values found by two routes independent of this engine: a one-way
     # pruned partial-sum DP and Freudenthal's recursion for the multiplicity
-    # of the zero weight in V_rho (ROADMAP items 2 and 3).
+    # of the zero weight in V_rho (ROADMAP items 2 and 3); D9's by this
+    # engine at the middle split and by the torus sum (ROADMAP item 1).
     @pytest.mark.parametrize(
         "name,value",
-        [("D8", 458377052160), ("C8", 43303946649600), ("A10", 48251508480)],
+        [
+            ("D8", 458377052160),
+            ("C8", 43303946649600),
+            ("A10", 48251508480),
+            ("D9", 3533153672724480),
+        ],
     )
     def test_counts_agree_with_independent_routes(self, name, value):
         system = positive_roots(FamilyRank.parse(name))
@@ -660,11 +692,102 @@ class TestBackends:
         assert len(distinct_keys) == len(distinct_rows) == len(set(sums)) == len(pairs) == 136
         assert np.array_equal(keys == 0, np.all(rows == 0, axis=1))
 
-    def test_mitm_split_is_count_optimal(self, catalogue):
-        for name in ("E6", "A8", "F4"):
-            roots = catalogue[name].roots
-            k = sigsum.mitm_split(roots.shape[0])
-            assert k in (roots.shape[0] // 2, (roots.shape[0] + 1) // 2), name
+
+
+class TestChosenSplit:
+    # ``pruned_tables`` walks the right half first and stops before root i
+    # once its next doubling could outgrow the 2^i pairs of the roots left
+    # (2n > 2^i), with both halves at most 62 roots and the left half at
+    # least ceil(r/4); the witness search fixes the middle split.
+    @pytest.mark.parametrize(
+        "shape,middle_estimate",
+        [
+            ((32, 1, 10**9), 3732928),
+            ((30, 3, 10**6), 2634360),
+            ((34, 16, 100), 8434895),
+            ((24, 1, 10**9), 379360),
+            ((24, 3, 10**6), 348928),
+            ((24, 1, 10**6), 378944),
+            ((40, 3, 10**6), 47486584),
+            ((44, 4, 1000), 152372320),
+        ],
+        ids=["packed", "rows", "rows_16", "packed_24", "rows_24", "narrow_24", "rows_40", "rows_44"],
+    )
+    def test_unprunable_matrices_keep_the_middle_split(self, shape, middle_estimate):
+        # Nothing prunes, so each half doubles and the walk stops at the
+        # middle.  ``middle_estimate`` is the estimate of the split fixed at
+        # ceil(r/2) with the left half walked first.
+        r = shape[0]
+        _, k, _, _, estimate = sigsum._walk_halves(_hostile(*shape))
+        assert k in (r // 2, (r + 1) // 2)
+        assert estimate == middle_estimate
+
+    @pytest.mark.parametrize("shape", [(25, 1, 10**9), (31, 3, 10**6)], ids=["packed", "rows"])
+    def test_odd_unprunable_matrices_split_below_the_middle(self, shape):
+        # With r = 2h + 1, the right walk holds 2^(h-1) pairs before root
+        # h - 1, and 2n = 2^h > 2^(h-1): the left half takes h roots.
+        r = shape[0]
+        roots = _hostile(*shape)
+        _, k, left, right, _ = sigsum._walk_halves(roots)
+        _, _, mid_left, mid_right, _ = sigsum._walk_halves(roots, (r + 1) // 2)
+        assert k == r // 2
+        assert sigsum._join_counts(left, right) == sigsum._join_counts(mid_left, mid_right) >= 2
+
+    def test_a_heavy_last_root_moves_the_split(self):
+        # The last row, minus the sum of the others, is the heaviest: walked
+        # first, it lets the weight bound bite in the right half, which then
+        # takes more roots than the middle split gives it (1650560 bytes).
+        roots = _hostile(30, 12, 10**3)
+        _, k, left, right, estimate = sigsum._walk_halves(roots)
+        _, _, mid_left, mid_right, mid_estimate = sigsum._walk_halves(roots, 15)
+        assert k < 15 and estimate < mid_estimate == 1650560
+        assert sigsum._join_counts(left, right) == sigsum._join_counts(mid_left, mid_right) == 2
+
+    @pytest.mark.parametrize("name,mib", [("A9", 1), ("A10", 4)])
+    def test_type_a_estimate(self, name, mib):
+        # At the middle split the left half (23 and 28 roots) kept 60038 and
+        # 280974 states, for estimates of 3.73 and 17.6 MiB.
+        system = positive_roots(FamilyRank.parse(name))
+        result = count_mitm(system, limit_r=system.r)
+        assert result.memory_peak <= mib << 20
+
+    @pytest.mark.parametrize("r,k", [(40, 10), (100, 38), (124, 62)])
+    def test_split_at_its_bounds(self, r, k):
+        # Equal roots keep j // 2 + 1 states after j, so 2n > 2^i never
+        # stops the right walk: it ends at the floor ceil(r/4) (r = 40), at
+        # 62 roots (r = 100), or at both (r = 124).
+        _, split, left, right, _ = sigsum._walk_halves(np.ones((r, 1), np.int64))
+        assert split == k
+        assert sigsum._join_counts(left, right) == math.comb(r, r // 2)
+
+    @pytest.mark.parametrize("name", ["E6", "A8", "r48"])
+    def test_witness_subproblems_shrink(self, name, monkeypatch):
+        # Each recursive call of the search has fewer roots than its caller,
+        # and every walk of the search takes the middle split.
+        if name == "r48":
+            roots = _hostile(48, 2, 2)
+        else:
+            roots = positive_roots(FamilyRank.parse(name)).roots.copy()
+        search, walk = sigsum._search_witness, sigsum._walk_halves
+        callers, walks = [], []
+
+        def search_spy(sub):
+            assert not callers or sub.shape[0] < callers[-1]
+            callers.append(sub.shape[0])
+            try:
+                return search(sub)
+            finally:
+                callers.pop()
+
+        def walk_spy(sub, *args):
+            walks.append((sub.shape[0], *args))
+            return walk(sub, *args)
+
+        monkeypatch.setattr(sigsum, "_search_witness", search_spy)
+        monkeypatch.setattr(sigsum, "_walk_halves", walk_spy)
+        witness = search_spy(roots)
+        assert not (witness @ roots).any()
+        assert walks and all(args == [(r + 1) // 2] for r, *args in walks)
 
 
 class TestKeyOverflow:
