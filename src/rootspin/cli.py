@@ -4,6 +4,13 @@ All JSON goes to stdout with sorted keys so that repeated runs are
 byte-identical apart from the ``timings`` block; diagnostics go to stderr.
 Exit codes: 0 success, 1 internal invariant violation, 2 invalid input,
 3 resource limit, running out of memory included.
+
+Every command writes its JSON through ``_emit``.  A report keeps its
+certificate's blocks as the ``(index, sign)`` tuples of
+``certs.CertificateFamily`` (``_Blocks``), and ``_emit`` writes them one
+block at a time as lists of ``{"root_index": i, "sign": s}`` objects.  No
+dict per root is built: on D69 or C68 those dicts would take more memory
+than the roots and the 2L obstruction together.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import inspect
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 import click
 
@@ -29,8 +37,42 @@ def _family_rank(family: str, rank: int) -> FamilyRank:
     return FamilyRank(family.strip().upper(), rank)
 
 
+@dataclass(frozen=True)
+class _Blocks:
+    """A certificate's blocks in a report, written by ``_emit``."""
+
+    blocks: tuple[certs.Block, ...]
+
+
+# json.dumps writes this string as "\u0000blocks", which no other report
+# value contains.
+_PLACEHOLDER = "\0blocks"
+
+
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    """Write ``obj`` as one line of compact JSON with sorted keys.
+
+    ``json.dumps`` leaves a placeholder where each ``_Blocks`` goes, and the
+    blocks are written there from their tuples, in the text ``json.dumps``
+    gives the list of ``{"root_index": i, "sign": s}`` dicts.
+    """
+    found: list[_Blocks] = []
+
+    def default(o):
+        if not isinstance(o, _Blocks):
+            raise TypeError(f"{type(o).__name__} is not JSON serialisable")
+        found.append(o)
+        return _PLACEHOLDER
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+    pieces = text.split(json.dumps(_PLACEHOLDER))
+    for piece, cert_blocks in zip(pieces, found):
+        click.echo(piece + "[", nl=False)
+        for b, block in enumerate(cert_blocks.blocks):
+            items = ",".join(f'{{"root_index":{i},"sign":{s}}}' for i, s in block)
+            click.echo(f"{',' if b else ''}[{items}]", nl=False)
+        click.echo("]", nl=False)
+    click.echo(pieces[-1])
 
 
 def _certificate_json(cert: certs.CertificateFamily | None):
@@ -40,9 +82,7 @@ def _certificate_json(cert: certs.CertificateFamily | None):
         "available": True,
         "block_count": len(cert.blocks),
         "lower_bound": cert.lower_bound,
-        "blocks": [
-            [{"root_index": i, "sign": s} for i, s in block] for block in cert.blocks
-        ],
+        "blocks": _Blocks(cert.blocks),
     }
 
 

@@ -20,7 +20,9 @@ against the memory budget, and cached read-only.
 Every library entry point takes a ``RootSystem`` or a bare integer matrix
 of row vectors, and turns it into a ``RootSystem`` with ``as_system``
 before anything else: a bare matrix becomes an unnamed system (``id`` is
-None, denominator 1) whose dense view is the validated matrix itself.
+None, denominator 1) whose dense view is the validated matrix itself and
+whose sparse rows are built from it on first use, so an engine that
+refuses its r has built none.
 
 The order of the list is part of the public contract (sign vectors and
 certificates are indexed by position): root patterns are emitted top to
@@ -160,20 +162,35 @@ def sparse_rows(matrix) -> list[Row]:
     return [tuple((c, int(x)) for c, x in enumerate(row) if x) for row in matrix]
 
 
+class _MatrixSystem(RootSystem):
+    """An unnamed RootSystem whose dense view is a validated int64 matrix:
+    its r is the matrix's, and its sparse rows are built on first use."""
+
+    def __init__(self, roots: np.ndarray) -> None:
+        self.__dict__.update(id=None, ambient_dim=roots.shape[1], denominator=1, roots=roots)
+
+    @property
+    def r(self) -> int:
+        return self.roots.shape[0]
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(sparse_rows(self.roots.tolist()))
+
+
 def as_system(system) -> RootSystem:
     """A RootSystem as it is; any other value must be a non-empty integer
     matrix of row vectors, validated once by ``int64_array``, and becomes an
     unnamed RootSystem (denominator 1).  Its dense view is that validated
     array, with no second copy or budget check; a caller's int64 array is
-    used as it is and left writeable."""
+    used as it is and left writeable.  Its sparse rows are built when first
+    read, not here."""
     if isinstance(system, RootSystem):
         return system
     roots = int64_array(system, DimensionMismatchError)
     if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
         raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
-    unnamed = RootSystem(None, tuple(sparse_rows(roots.tolist())), roots.shape[1], 1)
-    unnamed.__dict__["roots"] = roots  # the cached dense view, already validated
-    return unnamed
+    return _MatrixSystem(roots)
 
 
 def row_sum(rows, m: int, terms) -> list[int]:

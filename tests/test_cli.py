@@ -11,6 +11,12 @@ Claims covered:
       every command that builds roots exits 3 with a `resource limit:` line
     - `analyze` times the existence proof in `timings.existence_ms`
     - `certify` emits verified block certificates or available:false
+    - the certificate writer gives, byte for byte, the text json.dumps gives
+      for one {"root_index", "sign"} dict per root: on `certify` and
+      `analyze --json` (timings stripped) of every catalogue id with a
+      certificate and of C68 and D69, and on `table --json`; on D69 the
+      tracemalloc peak of `build_report` plus the writer stays under
+      1.5 MiB, where those dicts took it to 2.57 MiB
     - `oracle` agrees with `analyze`'s exact count and respects --max-r
     - `--max-r` is a non-negative bound (at most 20 for `oracle`), and 0
       means no exact count is attempted
@@ -26,11 +32,14 @@ Claims covered:
       nothing but SystemExit escapes a command
 """
 
+import contextlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,7 +47,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import rootspin
+from rootspin import certs, cli
 from rootspin.cli import main
+from rootspin.rootsys import CATALOGUE, FamilyRank
 
 SCHEMA_KEYS = {
     "ambient_dim",
@@ -172,6 +183,79 @@ class TestCertify:
     def test_e8_emits_verified_assembly(self):
         cert = run_json("certify", "E", "8")
         assert cert["available"] is True and cert["block_count"] == 5
+
+
+def _reference_dumps(obj) -> str:
+    """The CLI's JSON with each certificate as one dict per root, the
+    layout the writer must reproduce byte for byte."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_certificate(fr: FamilyRank) -> dict:
+    cert = certs.certificate(fr)
+    return {
+        "available": True,
+        "block_count": len(cert.blocks),
+        "lower_bound": cert.lower_bound,
+        "blocks": [[{"root_index": i, "sign": s} for i, s in block] for block in cert.blocks],
+    }
+
+
+def _reference_report(report: dict) -> dict:
+    """A report read back from stdout, without its timings and with the
+    certificate rebuilt from the library's (index, sign) tuples."""
+    report = {k: v for k, v in report.items() if k != "timings"}
+    if report["certificate"]["available"]:
+        report["certificate"] = _reference_certificate(FamilyRank(report["family"], report["rank"]))
+    return report
+
+
+def _without_timings(stdout: str) -> str:
+    return re.sub(r',"timings":\{[^{}]*\}', "", stdout)
+
+
+_CERTIFIED = [str(fr) for fr in CATALOGUE if certs.certificate(fr) is not None] + ["C68", "D69"]
+
+
+class TestCertificateWriter:
+    @pytest.mark.parametrize("name", _CERTIFIED)
+    def test_certify_matches_the_dict_layout(self, name):
+        fr = FamilyRank.parse(name)
+        result = run("certify", fr.family, str(fr.rank))
+        assert result.exit_code == 0
+        assert result.stdout == _reference_dumps(_reference_certificate(fr))
+
+    @pytest.mark.parametrize("name", _CERTIFIED)
+    def test_analyze_matches_the_dict_layout(self, name):
+        fr = FamilyRank.parse(name)
+        result = run("analyze", fr.family, str(fr.rank), "--json")
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["certificate"]["available"] is True
+        assert _without_timings(result.stdout) == _reference_dumps(_reference_report(report))
+
+    def test_table_matches_the_dict_layout(self):
+        result = run("table", "--json")
+        assert result.exit_code == 0
+        reports = json.loads(result.stdout)
+        assert sum(rep["certificate"]["available"] for rep in reports) == len(_CERTIFIED) - 2
+        assert _without_timings(result.stdout) == _reference_dumps(
+            [_reference_report(rep) for rep in reports]
+        )
+
+    def test_d69_report_and_writer_stay_small(self):
+        fr = FamilyRank("D", 69)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            cli._emit(cli.build_report(FamilyRank("D", 5))[0])  # one-time imports and caches
+            tracemalloc.start()
+            try:
+                report, _ = cli.build_report(fr)
+                cli._emit(report)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report["certificate"]["block_count"] == 17
+        assert peak < 1.5 * 2**20, peak
 
 
 class TestOracle:

@@ -24,6 +24,9 @@ Claims covered:
       the bare input proving existence by the witness search
     - every engine compares r with its limit before the dense view is
       built: on A100 (r = 5050) each refuses and leaves no dense view
+    - a bare matrix's sparse rows are built on first read: brute force,
+      meet-in-the-middle and the oracle refuse a 5050 x 100 matrix without
+      building them
     - readers of the id handle an unnamed system: the dense view's refusal
       names its shape and ``format_root_list`` refuses it
 """
@@ -270,11 +273,35 @@ class TestUnnamedSystems:
         assert rootsys.as_system(g2) is g2
         matrix = g2.roots.copy()
         unnamed = rootsys.as_system(matrix)
+        assert "rows" not in vars(unnamed)
         assert (unnamed.id, unnamed.rows, unnamed.denominator) == (None, g2.rows, 1)
         assert unnamed.roots is matrix and matrix.flags.writeable
         assert str(unnamed) == "the unnamed 6 x 2 matrix"
         with pytest.raises(InvalidRankError, match="the unnamed 6 x 2 matrix has no family"):
             format_root_list(unnamed)
+
+    @pytest.mark.parametrize(
+        "engine,match",
+        [
+            (count_bruteforce, "brute force needs r <= 26, got r = 5050"),
+            (count_mitm, "meet-in-the-middle needs r <= 48, got r = 5050"),
+            (invariant_dimension, "2\\^5050 exceeds limit 2\\^14"),
+        ],
+        ids=["brute_force", "mitm", "oracle"],
+    )
+    def test_limits_checked_before_rows_are_built(self, engine, match, monkeypatch):
+        matrix = np.random.default_rng(5050).integers(-3, 3, size=(5050, 100), endpoint=True)
+        system = rootsys.as_system(matrix)
+        with pytest.raises(ResourceLimitError, match=match):
+            engine(system)
+        assert "rows" not in vars(system)
+
+        def no_rows(matrix):
+            raise AssertionError("sparse rows built")
+
+        monkeypatch.setattr(rootsys, "sparse_rows", no_rows)
+        with pytest.raises(ResourceLimitError, match=match):
+            engine(matrix)
 
     @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "A4", "D4", "D5"])
     def test_engines_agree_on_bare_roots(self, name, catalogue):

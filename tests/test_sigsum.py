@@ -31,7 +31,9 @@ Claims covered:
       budget is what of the limit the process has not mapped yet
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
       middle and brute force, pruned or not, on one-word keys and on keys
-      of up to 4 words, and brute force reports it as ``memory_peak``; the
+      of up to 4 words, and brute force reports it as ``memory_peak``; where
+      the left walk's last doubling sets it, it counts the right table held
+      through that walk, without which it falls below the peak; the
       witness search's peak stays within the largest estimate its walks and
       enumerations checked, and it takes full tables only to enumerate a
       whole subproblem of at most 16 roots, where it builds one sign vector
@@ -330,6 +332,23 @@ class TestMemoryEstimate:
         result, peak = _traced_peak(lambda: count_mitm(roots))
         assert result.value >= 2  # all signs equal, and their negation
         assert peak <= result.memory_peak
+
+    def test_mitm_estimate_holds_the_right_table_through_the_left_walk(self):
+        # Coordinate 0 is nonzero on root 16 alone, which the walk puts last
+        # in the left half: the left walk's last doubling holds 2^15 states
+        # beside the right table and then prunes them all, so the join holds
+        # the right table alone and that doubling sets the estimate.  Less
+        # the right table held through it, the estimate is below the peak.
+        rng = np.random.default_rng(34)
+        roots = np.zeros((34, 2), np.int64)
+        roots[:, 1] = rng.integers(1, 10**6, size=34, endpoint=True) * rng.choice([-1, 1], 34)
+        roots[16, 0] = 1
+        _, k, left, right, _ = sigsum._walk_halves(roots)
+        assert (k, left[0].shape[0], _words(roots)) == (17, 0, 1)
+        result, peak = _traced_peak(lambda: count_mitm(roots))
+        held = 16 * right[0].shape[0]  # a one-word key and a multiplicity a state
+        assert result.value == 0
+        assert result.memory_peak - held < peak <= result.memory_peak
 
     @pytest.mark.parametrize("engine", [count_bruteforce], ids=["brute_force"])
     @pytest.mark.parametrize(
