@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, InvalidRankError
-from .rootsys import FamilyRank, RootSystem, positive_roots, root_index_map, row_sum
+from .rootsys import FamilyRank, RootSystem, is_int, positive_roots, root_index_map, row_sum
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
 
@@ -261,6 +261,9 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
         return False, f"certificate for {cert.system_id} applied to {system}"
     seen: set[int] = set()
     for b, block in enumerate(cert.blocks):
+        for i, s in block:
+            if (type(i) is not int or type(s) is not int) and not (is_int(i) and is_int(s)):
+                return False, f"block {b} holds a root index or sign that is not an integer"
         indices = [i for i, _ in block]
         if any(i < 0 or i >= system.r for i in indices):
             return False, f"block {b} references a root index out of range"

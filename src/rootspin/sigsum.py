@@ -24,7 +24,8 @@ ways.  Three routes are implemented and cross-checked:
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  Both the sum and the lattice
   are taken over the sparse rows (``rootsys``), in Python ints, so the
-  dense matrix is never built for it.  ``hnf`` inserts the roots one
+  dense matrix is never built for it.  ``hnf`` checks each root as it
+  reads it, with no pre-pass or copy of the rows, and inserts the roots one
   at a time into a Hermite-normal-form basis of at most m vectors, kept
   reduced after every change, so a root already in the lattice reduces to
   zero in a few steps and is skipped; membership in 2L is decided exactly
@@ -50,7 +51,7 @@ import operator
 import resource
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -120,7 +121,11 @@ class LatticeBasis:
 
     def contains(self, vector, multiple: int = 1) -> bool:
         """Exact membership of ``vector`` in ``multiple * L``; ``vector`` is
-        refused unless it is a sequence of ``ambient_dim`` integers."""
+        refused unless it is a sequence of ``ambient_dim`` integers, and
+        ``multiple`` unless it is a nonzero integer."""
+        if not is_int(multiple) or not multiple:
+            raise DimensionMismatchError("the multiple must be a nonzero integer")
+        multiple = int(multiple)
         arr = integer_array(vector, DimensionMismatchError)
         if arr.shape != (self.ambient_dim,):
             raise DimensionMismatchError("vector length does not match lattice dimension")
@@ -337,49 +342,24 @@ def _rereduce(basis: dict[int, dict[int, int]], i: int) -> None:
             _reduce_at(basis[k], later, basis)
 
 
-def _integer_rows(rows, m):
-    """The sparse rows in Python ints, refused unless every entry is a
-    ``(coordinate, value)`` pair of integers with the coordinate in [0, m)
-    and the value nonzero.
-
-    A few passes over the entries, each in C: ``is_int`` depends only on a
-    value's type, so one value of each type stands for all of them, and
-    rows of Python ints are returned as they are."""
-    try:
-        pairs = list(chain.from_iterable(rows))
-        shapes = set(map(len, pairs))
-    except TypeError:
-        shapes = None
-    if shapes is None or shapes - {2}:
-        raise DimensionMismatchError("a sparse row entry is not a (coordinate, value) pair")
-    coords, values = zip(*pairs) if pairs else ((), ())
-    entries = coords + values + (m,)
-    types = dict(zip(map(type, entries), entries))
-    if not all(map(is_int, types.values())):
-        raise DimensionMismatchError("sparse row entries must be integers")
-    if min(coords, default=0) < 0 or max(coords, default=-1) >= m or 0 in values:
-        raise DimensionMismatchError(
-            f"sparse rows need coordinates in [0, {m}) and nonzero values"
-        )
-    if set(types) == {int}:
-        return rows
-    return [tuple((int(c), int(x)) for c, x in row) for row in rows]
-
-
 def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     """Reduced column Hermite normal form of the lattice the vectors generate.
 
     ``vectors`` are the rows of a non-empty 2-D integer matrix, as a list or
     an array, with entries of any size; a float, bool or string entry, or
     any other shape, raises ``DimensionMismatchError``.  When
-    ``ambient_dim`` is given they are a sequence of sparse rows of
-    ``(coordinate, value)`` pairs over distinct coordinates
-    (``RootSystem.rows``) instead: a ``vectors`` with no length (a scalar,
-    a generator), an entry that is not an integer, a coordinate outside
+    ``ambient_dim`` is given they are a sequence of sparse rows, each an
+    iterable of ``(coordinate, value)`` pairs over distinct coordinates
+    (``RootSystem.rows``), instead: an ``ambient_dim`` that is negative or
+    not an integer, a ``vectors`` with no length (a scalar, a generator),
+    an entry that is not a pair of integers, a coordinate outside
     ``[0, ambient_dim)``, a zero value or a repeated coordinate raises
-    ``DimensionMismatchError``, at a cost linear in the entries.  Dense
-    rows are converted once into sparse ones.  The vectors are inserted one
-    at a time into a basis of at most m sparse vectors, one per pivot row.
+    ``DimensionMismatchError``.  There is no pre-pass: each row is checked
+    pair by pair as it is read into the sparse vector that is inserted,
+    numpy integers becoming Python ints.  Dense rows are converted once
+    into sparse ones and read by the same loop.  The vectors are inserted
+    one at a time into a basis of at most m sparse vectors, one per pivot
+    row.
     A vector is reduced at its leading row by the basis vector with that
     pivot; when the pivot does not divide the entry, Euclid's steps between
     the two leave their gcd as the new pivot and the remainder goes on.  A
@@ -400,19 +380,31 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
         m = dense.shape[1]
         vectors = sparse_rows(dense.tolist())
     else:
+        if not is_int(m) or m < 0:
+            raise DimensionMismatchError("the ambient dimension must be an integer >= 0")
+        m = int(m)
         try:
             size = len(vectors)
         except TypeError:
             raise DimensionMismatchError("sparse rows must be a sequence of rows") from None
         if not size:
             raise DimensionMismatchError("need at least one vector")
-        vectors = _integer_rows(vectors, m)
-        m = int(m)
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
     for row in vectors:
-        v = dict(row)
-        if len(v) < len(row):
-            raise DimensionMismatchError("a sparse row repeats a coordinate")
+        v = {}
+        try:
+            for c, x in row:
+                if type(c) is not int or type(x) is not int:
+                    if not (is_int(c) and is_int(x)):
+                        raise DimensionMismatchError("sparse row entries must be integers")
+                    c, x = int(c), int(x)
+                if not 0 <= c < m or not x or c in v:
+                    raise DimensionMismatchError(
+                        f"sparse rows need distinct coordinates in [0, {m}) and nonzero values"
+                    )
+                v[c] = x
+        except (TypeError, ValueError):
+            raise DimensionMismatchError("a sparse row entry is not a pair") from None
         while v:
             i = min(v)
             b = basis.get(i)

@@ -6,7 +6,9 @@ Claims covered:
     - block counts and bounds match the closed forms (A: n/2 blocks,
       C: floor((n+1)/4), D: floor((n+1)/4), E8: 5 blocks)
     - non-existence families return None
-    - verify rejects mismatched systems, tampered signs and broken covers
+    - verify rejects mismatched systems, tampered signs and broken covers,
+      and reports an index or sign that is not an integer (a float, a bool,
+      a string) as a diagnostic, not an exception; numpy integers verify
     - an unnamed system (a bare matrix) gets no certificate: it is refused
       with a RootspinError, and verify rejects it by name
     - the assembled witnesses are genuine zero signed sums, including E8
@@ -179,6 +181,38 @@ def test_verify_rejects_overlapping_blocks():
     bad = CertificateFamily(fr, (cert.blocks[0], cert.blocks[0]))
     ok, diagnostic = verify_report(positive_roots(fr), bad)
     assert not ok and "overlaps" in diagnostic
+
+
+def _retyped(cert, b, at, index=None, sign=None):
+    """``cert`` with the entry ``at`` of block ``b`` given another index or sign."""
+    blocks = [list(block) for block in cert.blocks]
+    i, s = blocks[b][at]
+    blocks[b][at] = (i if index is None else index(i), s if sign is None else sign(s))
+    return CertificateFamily(cert.system_id, tuple(map(tuple, blocks)))
+
+
+@pytest.mark.parametrize(
+    "retype",
+    [dict(index=float), dict(index=bool), dict(index=str), dict(sign=float), dict(sign=bool),
+     dict(sign=np.bool_), dict(sign=lambda s: None)],
+    ids=["float_index", "bool_index", "str_index", "float_sign", "bool_sign", "numpy_bool_sign",
+         "none_sign"],
+)
+def test_verify_rejects_entries_that_are_not_integers(retype):
+    # a float index raised a bare TypeError from row_sum; a sign of 1.0 and
+    # an index of True (root 1) verified as "ok"
+    fr = FamilyRank("A", 4)
+    cert = certificate(fr)
+    at = [i for i, _ in cert.blocks[1]].index(1)  # root 1, signed +1: bool keeps both
+    ok, diagnostic = verify_report(positive_roots(fr), _retyped(cert, 1, at, **retype))
+    assert (ok, diagnostic) == (False, "block 1 holds a root index or sign that is not an integer")
+
+
+def test_verify_accepts_numpy_integers():
+    fr = FamilyRank("A", 4)
+    cert = certificate(fr)
+    blocks = tuple(tuple((np.int64(i), np.int8(s)) for i, s in block) for block in cert.blocks)
+    assert verify_report(positive_roots(fr), CertificateFamily(fr, blocks)) == (True, "ok")
 
 
 @pytest.mark.parametrize("family,rank,builds", [("A", 6, 1), ("C", 7, 1), ("D", 8, 1), ("E", 8, 1),

@@ -10,6 +10,10 @@ Claims covered:
       and ``count E 6 --method mitm --json`` with exit 0 and the published
       counts, and between them every span run.py expects of its count
       workload fires
+    - it runs ``analyze D 5 --json`` (brute force) and ``analyze E 6
+      --json`` (meet-in-the-middle) with exit 0 and the published counts,
+      and between them every span run.py expects of its catalogue workload
+      fires, ``sigsum.hnf`` reading r vectors in
     - it runs ``oracle G 2`` and ``analyze A 56 --json`` with exit 0 and
       the expected output, and every span run.py expects of its oracle and
       lattice workloads fires, the counters read from the traced
@@ -66,6 +70,20 @@ def test_traced_count_fires_every_expected_span(run):
         assert out["count"]["exact"] == count
         fired |= _fired(trace)
     assert set(run.EXPECTED_SPANS["count"]) <= fired
+
+
+def test_traced_catalogue_fires_every_expected_span(run):
+    fired = set()
+    for args, method, count, r in (
+        (("analyze", "D", "5", "--json"), "brute_force", 2688, 20),
+        (("analyze", "E", "6", "--json"), "meet_in_middle", 13697920, 36),
+    ):
+        out, trace = _traced(run, *args)
+        assert (out["method"], out["count"]["exact"], out["exists"]) == (method, count, True)
+        (basis,) = [s for s in trace["spans"] if s["name"] == "sigsum.hnf"]
+        assert basis["counters"]["vectors_in"] == r
+        fired |= _fired(trace)
+    assert set(run.EXPECTED_SPANS["catalogue"]) <= fired
 
 
 def test_traced_oracle_and_lattice_fire_every_expected_span(run):

@@ -9,8 +9,13 @@ Claims covered:
       refuse a total outside int64
     - ``hnf(rows, m)`` refuses rows with no length (an int, a generator),
       an entry that is not an integer, a coordinate outside [0, m), a zero
-      value, a repeated coordinate and an entry that is not a pair, and
-      reads numpy integers as Python ints
+      value, a repeated coordinate, an entry that is not a pair (a dict row
+      included) and an m that is negative or not an integer, reads numpy
+      integers as Python ints and a row that is a generator of pairs as
+      the tuple it yields
+    - ``hnf`` checks each row as it inserts it, with no copy of the rows:
+      on D69 the tracemalloc peak of ``obstruction_2L`` stays at most
+      0.25 MiB
     - the dense view equals the rows it is built from, and is checked
       against the memory budget before it is allocated
     - the existence path never builds the dense view: on D69 the tracemalloc
@@ -163,10 +168,13 @@ class TestSparseHNFInput:
             ([((0, 1, 2),)], 2),
             ([((0,),)], 2),
             ([5], 2),
+            ([(), ()], -1),
+            ([(), ()], True),
+            ([{0: 1}], 2),
         ],
         ids=["float", "bool", "str", "none", "float_coordinate", "float_m", "coordinate_past_m",
              "coordinate_m", "negative_coordinate", "zero_value", "repeated_coordinate", "triple", "single",
-             "scalar_row"],
+             "scalar_row", "negative_m", "bool_m", "dict_row"],
     )
     def test_refuses_all_but_integer_pairs_in_range(self, rows, m):
         # 1.5 would stay in the basis, row 5 would become a pivot of a
@@ -189,6 +197,25 @@ class TestSparseHNFInput:
 
     def test_empty_rows_span_the_zero_lattice(self):
         assert hnf([(), ()], 2) == hnf([(0, 0)])
+
+    def test_a_row_may_be_any_iterable_of_pairs(self):
+        # a generator row raised a bare TypeError from ``len(row)``
+        pairs = ((0, 2), (1, 3))
+        assert hnf([(pair for pair in pairs)], 2) == hnf([pairs], 2) == hnf([(2, 3)])
+
+    def test_obstruction_checks_rows_without_copying_them(self):
+        # the pre-pass that flattened every row peaked at 0.79 MiB on D69,
+        # more than the 0.30 MB the rows themselves hold
+        system = positive_roots(FamilyRank("D", 69))
+        obstruction_2L(system)
+        tracemalloc.start()
+        try:
+            result = obstruction_2L(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak <= 0.25 * 2**20, peak
 
 
 class TestDenseView:

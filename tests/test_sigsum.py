@@ -62,8 +62,9 @@ Claims covered:
     - matrix and sign entries must be integers that int64 holds exactly,
       at every entry point; numpy integers are integers, bools are not
     - ``hnf`` takes only a non-empty 2-D integer matrix, with entries of any
-      size, and ``LatticeBasis.contains`` only a vector of integers: floats,
-      bools and strings are refused, never truncated or parsed
+      size, and ``LatticeBasis.contains`` only a vector of integers and a
+      nonzero integer multiple: floats, bools and strings are refused,
+      never truncated or parsed
 """
 
 import math
@@ -986,6 +987,22 @@ class TestHNF:
         for vector in ([1.5, 0], [True, 0], ["1", 0], 5, None, [[1, 0]], [1, 0, 0]):
             with pytest.raises(DimensionMismatchError):
                 basis.contains(vector)
+
+    @pytest.mark.parametrize(
+        "multiple", [0, 1.5, 2.0, True, np.bool_(True), "2", None],
+        ids=["zero", "float", "integral_float", "bool", "numpy_bool", "str", "none"],
+    )
+    def test_membership_refuses_all_but_a_nonzero_integer_multiple(self, multiple):
+        # 0 divided by zero, 1.5 answered False and True acted as 1
+        basis = hnf([(1, 0), (0, 1)])
+        with pytest.raises(DimensionMismatchError):
+            basis.contains([2, 0], multiple=multiple)
+
+    def test_membership_with_negative_and_numpy_multiples(self):
+        basis = hnf([(2, 0), (0, 3)])
+        assert basis.contains([4, -6], multiple=-2)
+        assert not basis.contains([2, 0], multiple=-2)
+        assert basis.contains([2**70, 3 * 2**64], multiple=np.int64(2**62))
 
     def test_integers_of_any_size_accepted(self):
         basis = hnf([[2**100, np.int32(3)], [1, 0]])
