@@ -8,14 +8,14 @@ with zero signed sum, which lower-bounds the number of solutions.
 
 Every block formula is translated once into (index, sign) pairs against the
 canonical root order; ``verify`` re-checks the result by direct coordinate
-summation over the sparse rows, independently of the translation.
+summation over the sparse rows, independently of the translation.  Nothing
+here uses numpy: the blocks, the checks and the assembled witness are all
+Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalCheckError, InvalidRankError
 from .rootsys import FamilyRank, RootSystem, is_int, positive_roots, root_index_map, row_sum
@@ -256,14 +256,18 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
 
 
 def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, str]:
-    """Check a certificate against a system; returns (ok, diagnostic)."""
+    """Check a certificate against a system; returns (ok, diagnostic), also
+    for a block that is not a sequence of (index, sign) pairs."""
     if cert.system_id != system.id:
         return False, f"certificate for {cert.system_id} applied to {system}"
     seen: set[int] = set()
     for b, block in enumerate(cert.blocks):
-        for i, s in block:
-            if (type(i) is not int or type(s) is not int) and not (is_int(i) and is_int(s)):
-                return False, f"block {b} holds a root index or sign that is not an integer"
+        try:
+            for i, s in block:
+                if (type(i) is not int or type(s) is not int) and not (is_int(i) and is_int(s)):
+                    return False, f"block {b} holds a root index or sign that is not an integer"
+        except (TypeError, ValueError):
+            return False, f"block {b} is not a sequence of (index, sign) pairs"
         indices = [i for i, _ in block]
         if any(i < 0 or i >= system.r for i in indices):
             return False, f"block {b} references a root index out of range"
@@ -285,13 +289,31 @@ def verify(system: RootSystem, cert: CertificateFamily) -> bool:
     return verify_report(system, cert)[0]
 
 
-def assembled_witness(cert: CertificateFamily) -> np.ndarray:
-    """The full sign vector taking every block in its + orientation."""
-    r = sum(len(b) for b in cert.blocks)
-    signs = np.zeros(r, dtype=np.int64)
-    for block in cert.blocks:
-        for i, s in block:
-            signs[i] = s
-    if np.any(signs == 0):
-        raise InternalCheckError("certificate blocks do not cover all roots")
-    return signs
+def assembled_witness(cert: CertificateFamily) -> tuple[int, ...]:
+    """The full sign vector taking every block in its + orientation, as a
+    tuple of Python ints +-1, one per root.
+
+    The blocks must cover the indices 0..r-1 once each, r being their total
+    size: an index that is not an integer (a bool included), negative, out of
+    range or repeated, a sign other than the integer +-1, or a block that is
+    not a sequence of (index, sign) pairs, raises ``InternalCheckError``.
+    """
+    try:
+        r = sum(len(b) for b in cert.blocks)
+        signs = [0] * r  # r indices, each in range and new: every root is covered
+        for block in cert.blocks:
+            for i, s in block:
+                if not (type(i) is int or is_int(i)) or not 0 <= i < r:
+                    raise InternalCheckError(f"certificate root index {i!r} is not in [0, {r})")
+                if signs[i]:
+                    raise InternalCheckError(
+                        f"certificate blocks do not cover all roots: {i} repeats"
+                    )
+                if not (type(s) is int or is_int(s)) or s not in (-1, 1):
+                    raise InternalCheckError(f"certificate sign {s!r} is not the integer +1 or -1")
+                signs[i] = int(s)
+    except (TypeError, ValueError):
+        raise InternalCheckError(
+            "certificate blocks are not sequences of (index, sign) pairs"
+        ) from None
+    return tuple(signs)

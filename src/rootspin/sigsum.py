@@ -29,13 +29,19 @@ ways.  Three routes are implemented and cross-checked:
   at a time into a Hermite-normal-form basis of at most m vectors, kept
   reduced after every change, so a root already in the lattice reduces to
   zero in a few steps and is skipped; membership in 2L is decided exactly
-  by reducing sum(a_i) against the doubled basis down to zero.
+  by reducing sum(a_i) against the doubled basis down to zero
+  (``LatticeBasis._member``, which takes the sum as the list of Python ints
+  it already is, past the input checks of ``LatticeBasis.contains``).
 
 Every entry point takes a ``RootSystem`` or a bare integer matrix and
 turns it into a ``RootSystem`` first (``rootsys.as_system``); each engine
 compares ``system.r`` with its limit before it reads the dense view
 ``system.roots``, which only brute force, meet-in-the-middle, enumeration
-and the witness search read.
+and the witness search read.  So ``exists_strong_dependence`` on a named
+system calls no numpy function: the obstruction, the certificate and the
+check of its witness all run on the sparse rows in Python ints, and the
+witness is a tuple of Python ints on every route.  numpy is still imported
+with this module, for the engines.
 
 ``count(system, method, max_r)`` is the one counting entry point.
 ``choose_engine`` holds the ``auto`` rule (brute force when r <= 20 and
@@ -122,14 +128,19 @@ class LatticeBasis:
     def contains(self, vector, multiple: int = 1) -> bool:
         """Exact membership of ``vector`` in ``multiple * L``; ``vector`` is
         refused unless it is a sequence of ``ambient_dim`` integers, and
-        ``multiple`` unless it is a nonzero integer."""
+        ``multiple`` unless it is a nonzero integer.  The inputs are checked
+        here and converted to Python ints; ``_member`` decides."""
         if not is_int(multiple) or not multiple:
             raise DimensionMismatchError("the multiple must be a nonzero integer")
-        multiple = int(multiple)
         arr = integer_array(vector, DimensionMismatchError)
         if arr.shape != (self.ambient_dim,):
             raise DimensionMismatchError("vector length does not match lattice dimension")
-        v = [int(x) for x in arr.tolist()]
+        return self._member([int(x) for x in arr.tolist()], int(multiple))
+
+    def _member(self, v: list[int], multiple: int) -> bool:
+        """``contains`` on a list of ``ambient_dim`` Python ints and a nonzero
+        Python int, unchecked: the vector is reduced against the multiplied
+        basis, pivot by pivot, down to zero or to a remainder."""
         for col, row in zip(self.columns, self.pivot_rows):
             pivot = multiple * col[row]
             if v[row] % pivot != 0:
@@ -149,7 +160,7 @@ class ObstructionResult:
 @dataclass(frozen=True)
 class ExistenceResult:
     exists: bool
-    witness: np.ndarray | None
+    witness: tuple[int, ...] | None
     obstruction: ObstructionResult
     method: str
     certificate: certs.CertificateFamily | None = None
@@ -435,12 +446,13 @@ def obstruction_2L(system) -> ObstructionResult:
     """Necessary condition for a zero signed sum: sum(a_i) must lie in 2L.
 
     Fail certifies non-existence; Pass never asserts existence.  The sum
-    and the basis are both taken over the sparse rows, exactly.
+    and the basis are both taken over the sparse rows, exactly, and the sum
+    goes to the membership test as the list of Python ints it is.
     """
     system = as_system(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(repeat(1, system.r)))
     basis = hnf(system.rows, system.ambient_dim)
-    if basis.contains(total, multiple=2):
+    if basis._member(total, 2):
         return ObstructionResult(True)
     return ObstructionResult(
         False, "sum of all roots is not in twice the root lattice"
@@ -483,9 +495,12 @@ def exists_strong_dependence(system) -> ExistenceResult:
     The 2L obstruction runs first; its failure proves non-existence.  A
     catalogued root system is then proved both ways: the obstruction must
     pass exactly when its family has a verified block certificate, which
-    supplies the witness.  An unnamed system (a bare matrix) that passes the
-    obstruction goes to a witness search on the walk of ``count_mitm``,
-    within its limits and recursive past r = 16.
+    supplies the witness, which is checked by its exact signed sum over the
+    sparse rows; no numpy function runs on this route.  An unnamed system (a
+    bare matrix) that passes the obstruction goes to a witness search on the
+    walk of ``count_mitm``, within its limits and recursive past r = 16.
+    On both routes the witness is a tuple of Python ints +-1, one per root,
+    or None when no zero sum exists.
     """
     system = as_system(system)
     obstruction = obstruction_2L(system)
@@ -498,11 +513,12 @@ def exists_strong_dependence(system) -> ExistenceResult:
         if cert is None:
             return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
         witness = certs.assembled_witness(cert)
-        if np.any(signed_sum(system, witness) != 0):
+        if any(row_sum(system.rows, system.ambient_dim, enumerate(witness))):
             raise InternalCheckError(f"certificate witness for {system.id} does not verify")
         return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
     if not obstruction.passed:
         return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
     _check_mitm_limits(system.r, DEFAULT_MITM_LIMIT)
-    witness = _search_witness(system.roots)
+    signs = _search_witness(system.roots)
+    witness = None if signs is None else tuple(signs.tolist())
     return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)

@@ -9,9 +9,17 @@ Claims covered:
     - verify rejects mismatched systems, tampered signs and broken covers,
       and reports an index or sign that is not an integer (a float, a bool,
       a string) as a diagnostic, not an exception; numpy integers verify
+    - verify reports a block that is not iterable, or an entry that does
+      not unpack into an (index, sign) pair, as a diagnostic, not an
+      exception
     - an unnamed system (a bare matrix) gets no certificate: it is refused
       with a RootspinError, and verify rejects it by name
-    - the assembled witnesses are genuine zero signed sums, including E8
+    - the assembled witnesses are genuine zero signed sums, including E8,
+      and tuples of Python ints +-1, from numpy integer blocks too
+    - assembling a witness refuses an index that is negative, out of range,
+      repeated or not an integer (a bool included), a sign that is not the
+      integer +-1, and a block that is not a sequence of pairs, with an
+      InternalCheckError
     - a certificate builds its root system once and none for non-existence,
       and none when it is given the system already built
 """
@@ -22,6 +30,7 @@ import pytest
 from rootspin import (
     CertificateFamily,
     FamilyRank,
+    InternalCheckError,
     RootspinError,
     assembled_witness,
     certificate,
@@ -243,3 +252,70 @@ def test_every_block_sums_to_zero_individually(catalogue):
             for i, s in block:
                 partial += s * system.roots[i]
             assert not partial.any(), (name, block)
+
+
+@pytest.mark.parametrize(
+    "blocks,b",
+    [((((0,),),), 0), (((5,),), 0), ((None,), 0), ((((0, 1, 2),),), 0), ("first", 1)],
+    ids=["short_entry", "int_entry", "none_block", "long_entry", "second_block"],
+)
+def test_verify_reports_blocks_that_are_not_pairs(blocks, b):
+    # each raised a bare ValueError or TypeError
+    fr = FamilyRank("A", 4)
+    if blocks == "first":
+        blocks = certificate(fr).blocks[:1] + (None,)
+    bad = CertificateFamily(fr, blocks)
+    system = positive_roots(fr)
+    diagnostic = f"block {b} is not a sequence of (index, sign) pairs"
+    assert verify_report(system, bad) == (False, diagnostic)
+    assert not verify(system, bad)
+
+
+def test_assembled_witness_is_a_tuple_of_python_ints(catalogue):
+    for name, system in catalogue.items():
+        cert = certificate(system)
+        if cert is None:
+            continue
+        witness = assembled_witness(cert)
+        assert type(witness) is tuple and len(witness) == system.r, name
+        assert all(type(s) is int and s in (-1, 1) for s in witness), name
+    a4 = certificate(FamilyRank("A", 4))
+    blocks = tuple(tuple((np.int64(i), np.int8(s)) for i, s in block) for block in a4.blocks)
+    from_numpy = assembled_witness(CertificateFamily(a4.system_id, blocks))
+    assert from_numpy == assembled_witness(a4)
+    assert all(type(s) is int for s in from_numpy)
+
+
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        (((0, 1), (-1, -1)), "index -1 is not in"),
+        (((0, 1), (2, -1)), "index 2 is not in"),
+        (((0, 1), (True, -1)), "index True is not in"),
+        (((0, 1), (1.0, -1)), "index 1.0 is not in"),
+        (((0, 1), ("1", -1)), "index '1' is not in"),
+        (((0, 1), (0, -1)), "do not cover all roots"),
+        (((0, 1.0), (1, -1)), "sign 1.0 is not"),
+        (((0, True), (1, -1)), "sign True is not"),
+        (((0, np.bool_(True)), (1, -1)), "sign np.True_ is not"),
+        (((0, 2), (1, -1)), "sign 2 is not"),
+        (((0, 0), (1, -1)), "sign 0 is not"),
+        (((0, None), (1, -1)), "sign None is not"),
+    ],
+    ids=["negative_index", "index_out_of_range", "bool_index", "float_index", "str_index",
+         "repeated_index", "float_sign", "bool_sign", "numpy_bool_sign", "sign_two", "sign_zero",
+         "none_sign"],
+)
+def test_assembled_witness_refuses_what_does_not_cover_the_roots(block, message):
+    # -1 wrapped round to root 1, True stood for root 1, 1.0 was coerced to
+    # 1, and 2 raised a bare IndexError
+    with pytest.raises(InternalCheckError, match=message):
+        assembled_witness(CertificateFamily(FamilyRank("A", 2), (block,)))
+
+
+@pytest.mark.parametrize("blocks", [(None,), (((0,),),), (((0, 1, 2),),), ((5,),)],
+                         ids=["none_block", "short_entry", "long_entry", "int_entry"])
+def test_assembled_witness_refuses_blocks_that_are_not_pairs(blocks):
+    # each raised a bare TypeError or ValueError
+    with pytest.raises(InternalCheckError, match="not sequences of"):
+        assembled_witness(CertificateFamily(FamilyRank("A", 2), blocks))

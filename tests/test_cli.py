@@ -10,6 +10,10 @@ Claims covered:
     - a root system over the memory budget is refused before it is built:
       every command that builds roots exits 3 with a `resource limit:` line
     - `analyze` times the existence proof in `timings.existence_ms`
+    - `analyze` calls no numpy function when it counts nothing: every rank
+      the lattice workload of `perfbench/run.py` picks from, C8, D8 and E8
+      (r > 48), A7, B6 and E7 (the obstruction fails) and A8 under
+      `max_r=0` run with numpy replaced by a stub that raises
     - `certify` emits verified block certificates or available:false
     - the certificate writer gives, byte for byte, the text json.dumps gives
       for one {"root_index", "sign"} dict per root: on `certify` and
@@ -40,14 +44,16 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import rootspin
-from rootspin import certs, cli
+from rootspin import _kernels, certs, cli, rootsys, sigsum
 from rootspin.cli import main
 from rootspin.rootsys import CATALOGUE, FamilyRank
 
@@ -143,6 +149,30 @@ class TestAnalyze:
         timings = run_json("analyze", "E", "6", "--json")["timings"]
         assert {"count_ms", "existence_ms", "total_ms"} <= set(timings)
         assert 0 <= timings["existence_ms"] <= timings["total_ms"]
+
+    def test_existence_path_calls_no_numpy(self, monkeypatch, lattice_ranks):
+        class NoNumpy(types.ModuleType):
+            """numpy, but only the two types that ``isinstance`` checks read."""
+
+            def __getattr__(self, name):
+                if name in ("integer", "ndarray"):
+                    return getattr(np, name)
+                if name.startswith("__"):  # repr and introspection
+                    raise AttributeError(name)
+                raise AssertionError(f"numpy.{name} on the existence path")
+
+        stub = NoNumpy("numpy")
+        for module in (sigsum, certs, rootsys, cli, _kernels):
+            monkeypatch.setattr(module, "np", stub, raising=False)
+        others = [("C", 8), ("D", 8), ("E", 8), ("A", 7), ("B", 6), ("E", 7)]
+        for family, rank in lattice_ranks + others:
+            fr = FamilyRank(family, rank)
+            report, exit_code = cli.build_report(fr)
+            assert exit_code == 0, fr
+            assert report["count"] == ({"lower_bound": certs.lower_bound(fr)} if report["exists"]
+                                       else {"zero": True}), fr
+        report, exit_code = cli.build_report(FamilyRank("A", 8), max_r=0)
+        assert (report["count"], exit_code) == ({"lower_bound": 16}, 0)
 
 
 class TestCount:

@@ -22,7 +22,6 @@ Claims covered:
       costs come out of ``-X importtime``
 """
 
-import importlib.util
 import json
 import subprocess
 import sys
@@ -31,19 +30,6 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def run():
-    """``perfbench/run.py`` as a module; it runs nothing on import."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 def _traced(run, *args):

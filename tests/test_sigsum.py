@@ -19,10 +19,15 @@ Claims covered:
       and a Fail always implies a zero brute-force count
     - the obstruction's column sums are exact for every int64 entry
     - the obstruction on A160 and C120 passes within 3 s each
+    - the obstruction's own membership test answers as ``contains`` does on
+      its sum and basis, on every catalogue id and every rank the lattice
+      workload of ``perfbench/run.py`` picks from
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
       obstruction passes exactly when a certificate exists; past r = 16 the
-      witness search recurses on the walked halves (see test_properties)
+      witness search recurses on the walked halves (see test_properties);
+      the witness is a tuple of Python ints +-1 on both routes, and a
+      certificate witness whose signed sum is not zero is an internal error
     - ``count`` runs brute force up to r = 20 (and r <= max_r) and
       meet-in-the-middle above, with each engine's limit, and looks the
       engines up at call time
@@ -64,11 +69,13 @@ Claims covered:
     - ``hnf`` takes only a non-empty 2-D integer matrix, with entries of any
       size, and ``LatticeBasis.contains`` only a vector of integers and a
       nonzero integer multiple: floats, bools and strings are refused,
-      never truncated or parsed
+      never truncated or parsed, and so is anything that is not a flat
+      sequence of ``ambient_dim`` integers
 """
 
 import math
 import os
+from fractions import Fraction
 import resource
 import subprocess
 import sys
@@ -984,7 +991,10 @@ class TestHNF:
 
     def test_membership_refuses_all_but_integers(self):
         basis = hnf([(1, 0), (0, 1)])
-        for vector in ([1.5, 0], [True, 0], ["1", 0], 5, None, [[1, 0]], [1, 0, 0]):
+        for vector in ([1.5, 0], [True, 0], ["1", 0], 5, None, [[1, 0]], [1, 0, 0], [1],
+                       (x for x in (1, 0)), {0: 1, 1: 0}, {0, 1}, b"\x01\x00", "10",
+                       np.array(1), [[1, 0], [0, 1]], [[1], [0, 1]], [np.float64(1), 0],
+                       [np.bool_(True), 0], [Fraction(1), 0], [None, 0]):
             with pytest.raises(DimensionMismatchError):
                 basis.contains(vector)
 
@@ -1063,6 +1073,21 @@ class TestObstruction:
         assert obstruction_2L([[-2**63], [-2**63]]).passed
         assert not obstruction_2L([[-2**63], [2**62]]).passed
 
+    def test_membership_test_agrees_with_contains(self, catalogue, lattice_ranks, monkeypatch):
+        # the obstruction reduces its Python-int sum without contains's checks
+        built = []
+        monkeypatch.setattr(sigsum, "hnf", lambda *args: built.append(hnf(*args)) or built[-1])
+        systems = list(catalogue.values()) + [_sys(f, n) for f, n in lattice_ranks]
+        outcomes = set()
+        for system in systems:
+            built.clear()
+            passed = obstruction_2L(system).passed
+            total = rootsys.row_sum(system.rows, system.ambient_dim,
+                                    ((i, 1) for i in range(system.r)))
+            assert len(built) == 1 and passed == built[0].contains(total, 2), str(system)
+            outcomes.add(passed)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("family,rank", [("A", 160), ("C", 120)])
     def test_large_rank_time_budget(self, family, rank):
         # 12 880 and 14 400 roots: about 0.3 s each with the incremental HNF
@@ -1091,6 +1116,25 @@ class TestExistence:
             assert result.witness is None
             assert result.certificate is None
             assert not result.obstruction.passed
+
+    @pytest.mark.parametrize(
+        "roots",
+        [_sys("D", 5), [[1, 1], [2, 3], [3, 4]], _sys("A", 6).roots],
+        ids=["certificate", "search", "search_r21"],
+    )
+    def test_witness_is_a_tuple_of_python_ints(self, roots):
+        witness = exists_strong_dependence(roots).witness
+        assert type(witness) is tuple
+        assert all(type(s) is int and s in (-1, 1) for s in witness)
+        assert not signed_sum(roots, witness).any()
+
+    def test_certificate_witness_must_sum_to_zero(self, monkeypatch):
+        g2 = _sys("G", 2)
+        good = certs.assembled_witness(certs.certificate(g2))
+        bad = tuple(-s if i == 0 else s for i, s in enumerate(good))
+        monkeypatch.setattr(certs, "assembled_witness", lambda cert: bad)
+        with pytest.raises(InternalCheckError, match="certificate witness for G2 does not verify"):
+            exists_strong_dependence(g2)
 
     def test_obstruction_pass_without_certificate_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(certs, "certificate", lambda fr: None)
