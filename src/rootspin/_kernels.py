@@ -33,12 +33,16 @@ cache: a suffix table of at most 256 KiB of keys, and a few prefix keys at
 a time broadcast against it.  Its tables are int32 when a key takes one
 word and the largest, ``sum_i |delta_i|``, fits in 31 bits, so the block
 holds twice as many keys.
+
+Each call reads ``rootsys.memory_budget()`` once and checks every table
+estimate against it with ``rootsys.check_budget`` before allocating.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import rootsys
 from .errors import ResourceLimitError
 
 # Word capacity budget: strictly below 2^62, so a word plus its offset never wraps.
@@ -122,9 +126,7 @@ def _walk_bytes(states: int, unit: int) -> int:
     return 2 * states * (2 * unit + 10)
 
 
-def pruned_tables(
-    roots: np.ndarray, memory_budget: int, k: int | None = None
-) -> tuple[tuple, tuple, int, int]:
+def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple[tuple, tuple, int, int]:
     """Deduplicated signed-sum tables of ``roots[:k]`` and ``roots[k:]``,
     pruned to the sums that can still reach zero, and the split k.
 
@@ -155,9 +157,10 @@ def pruned_tables(
 
     Returns ``((keys, counts), (keys, counts), estimate, k)``: both tables
     sorted by their 1-D key view, so a zero key comes first, the largest
-    byte estimate checked against ``memory_budget`` before each doubling
+    byte estimate checked against the memory budget before each doubling
     and the join, and the split.
     """
+    budget = rootsys.memory_budget()
     r, m = roots.shape
     deltas, places = key_packing(roots)
     words = deltas.shape[1]
@@ -177,10 +180,7 @@ def pruned_tables(
     def check(need: int) -> None:
         nonlocal estimate
         estimate = max(estimate, need)
-        if need > memory_budget:
-            raise ResourceLimitError(
-                f"signed-sum tables would need about {need} bytes (> budget {memory_budget})"
-            )
+        rootsys.check_budget(need, budget, "signed-sum tables")
 
     def prune(cand: np.ndarray, binding: np.ndarray, remaining: np.ndarray) -> np.ndarray:
         """Mask of the candidates whose binding coordinates all satisfy
@@ -275,10 +275,10 @@ def pruned_tables(
     return (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate, split
 
 
-def _split_tables(deltas, k, memory_budget, scratch=0, half=False):
+def _split_tables(deltas, k, scratch=0, half=False):
     """Key tables of the signed sums of ``deltas[:k]`` and ``deltas[k:]``,
     of the dtype of ``deltas`` and each indexed by sign mask, and the byte
-    estimate checked against ``memory_budget`` before either is built.  With
+    estimate checked against the memory budget before either is built.  With
     ``half`` (k >= 1) root 0 is held positive: the first table is
     ``signed_sum_keys(deltas[1:k]) + deltas[0]``, 2^(k-1) keys, indexed by
     the sign mask of roots 1..k-1."""
@@ -287,19 +287,16 @@ def _split_tables(deltas, k, memory_budget, scratch=0, half=False):
     # two shifted copies and the new table (2.5 tables); and the caller's
     # scratch bytes
     estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words * 4 + scratch
-    if estimate > memory_budget:
-        raise ResourceLimitError(
-            f"signed-sum tables would need about {estimate} bytes (> budget {memory_budget})"
-        )
+    rootsys.check_budget(estimate, rootsys.memory_budget(), "signed-sum tables")
     prefix = signed_sum_keys(deltas[int(half):k])
     if half:
         prefix += deltas[0]
     return _flat(prefix), _flat(signed_sum_keys(deltas[k:])), estimate
 
 
-def count_zero_full(roots: np.ndarray, memory_budget: int) -> tuple[int, int]:
+def count_zero_full(roots: np.ndarray) -> tuple[int, int]:
     """Exact number of sign vectors with zero signed sum, by exhaustive
-    enumeration, and the byte estimate checked against ``memory_budget``.
+    enumeration, and the byte estimate checked against the memory budget.
 
     Negating every sign pairs the sign vectors off without fixed points and
     keeps a zero sum zero, so the count is twice the number of zero sums
@@ -319,9 +316,7 @@ def count_zero_full(roots: np.ndarray, memory_budget: int) -> tuple[int, int]:
     if deltas.shape[1] == 1 and sum(abs(d) for d in deltas[:, 0].tolist()) < 1 << 31:
         deltas = deltas.astype(np.int32)  # no signed sum leaves int32
     q = min(r - 1, (_SUFFIX_BLOCK_BYTES // deltas[0].nbytes).bit_length() - 1)
-    prefix, suffix, estimate = _split_tables(
-        deltas, r - q, memory_budget, _COMPARE_BLOCK_BYTES, True
-    )
+    prefix, suffix, estimate = _split_tables(deltas, r - q, _COMPARE_BLOCK_BYTES, True)
     step = max(1, _COMPARE_BLOCK_BYTES >> q)
     value = sum(
         int(np.count_nonzero(prefix[i:i + step, None] == suffix))

@@ -112,8 +112,6 @@ def _blocks_a(system: RootSystem) -> list[list[tuple[int, int]]]:
 def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
     n = system.id.rank
     k, eps = divmod(n, 4)
-    if eps not in (0, 3):
-        raise AssertionError("C blocks exist only for n = 0, 3 mod 4")
     at = _lookup(system)
     blocks = []
     for l in range(k):
@@ -150,12 +148,9 @@ def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
 
 def _blocks_d(system: RootSystem) -> list[list[tuple[int, int]]]:
     n = system.id.rank
-    k, eps = divmod(n, 4)
-    if eps not in (0, 1):
-        raise AssertionError("D blocks exist only for n = 0, 1 mod 4")
     at = _lookup(system)
     blocks = []
-    for l in range(k):
+    for l in range(n // 4):
         a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
         block: list[tuple[int, int]] = []
         # Alternating signs use the literal global subscript j.
@@ -224,8 +219,14 @@ def _blocks_e8(system: RootSystem) -> list[list[tuple[int, int]]]:
     return [bulk, fan] + shifted
 
 
+# Block builders of the systems ``lower_bound`` certifies: the classical by family.
+_BUILDERS = {"A": _blocks_a, "C": _blocks_c, "D": _blocks_d, "E6": _one_block(_E6_SIGNS),
+             "E8": _blocks_e8, "F4": _one_block(_F4_SIGNS), "G2": _one_block(_G2_SIGNS)}
+
+
 def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
-    """Verified block certificate, or None exactly when no zero sum exists.
+    """Verified block certificate, or None exactly when no zero sum exists,
+    that is when ``lower_bound`` is 0, decided before any root is built.
 
     Takes a root system already built, or an id whose system is then built
     once; the blocks index into it and are verified against it.  An
@@ -234,20 +235,11 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     fr = system.id if isinstance(system, RootSystem) else system
     if fr is None:
         raise InvalidRankError(f"{system} has no family and rank to certify")
-    n = fr.rank
-    build = {
-        "A": _blocks_a if n % 2 == 0 else None,
-        "B": None,
-        "C": _blocks_c if n % 4 in (0, 3) else None,
-        "D": _blocks_d if n % 4 in (0, 1) else None,
-        "E": {6: _one_block(_E6_SIGNS), 7: None, 8: _blocks_e8}.get(n),
-        "F": _one_block(_F4_SIGNS),
-        "G": _one_block(_G2_SIGNS),
-    }[fr.family]
-    if build is None:
+    if not lower_bound(fr):
         return None
     if not isinstance(system, RootSystem):
         system = positive_roots(fr)
+    build = _BUILDERS.get(fr.family) or _BUILDERS[str(fr)]
     cert = CertificateFamily(fr, tuple(tuple(b) for b in build(system)))
     ok, diagnostic = verify_report(system, cert)
     if not ok:

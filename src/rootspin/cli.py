@@ -111,9 +111,10 @@ def build_report(fr: FamilyRank, method: str = "auto",
     }
     exit_code = 0
 
+    # A report that counts nothing is labelled by the route that proved existence.
+    report["method"] = existence.method
     if not existence.exists:
         report["count"] = {"zero": True}
-        report["method"] = sigsum.METHOD_OBSTRUCTION
     else:
         bound = certs.lower_bound(fr)
         # A forced engine past its limit refuses (exit 3); auto just skips.
@@ -136,7 +137,6 @@ def build_report(fr: FamilyRank, method: str = "auto",
         else:
             # Partial report: existence plus the published bound only.
             report["count"] = {"lower_bound": bound}
-            report["method"] = sigsum.METHOD_CERTIFICATE
 
     timings["total_ms"] = (time.perf_counter() - t_start) * 1000.0
     report["timings"] = {k: round(v, 3) for k, v in sorted(timings.items())}
@@ -196,7 +196,7 @@ def cmd_roots(family: str, rank: int) -> None:
 @main.command("analyze")
 @click.argument("family")
 @click.argument("rank", type=int)
-@click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
+@click.option("--method", type=click.Choice(sigsum.METHODS), default="auto")
 @click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
               help=f"Largest r to count exactly (default: {sigsum.DEFAULT_MITM_LIMIT} for auto, "
                    "else the forced engine's own limit; 0 counts nothing).")
@@ -214,7 +214,7 @@ def cmd_analyze(family: str, rank: int, method: str, max_r: int | None, as_json:
 @main.command("count")
 @click.argument("family")
 @click.argument("rank", type=int)
-@click.option("--method", type=click.Choice(["auto", "brute", "mitm"]), default="auto")
+@click.option("--method", type=click.Choice(sigsum.METHODS), default="auto")
 @click.option("--max-r", "max_r", type=click.IntRange(min=0), default=None,
               help=f"Largest r the engine may count (default: brute {sigsum.DEFAULT_BRUTE_LIMIT}, "
                    f"mitm {sigsum.DEFAULT_MITM_LIMIT}).")

@@ -17,6 +17,9 @@ force, meet-in-the-middle, enumeration and the witness search): it is built
 from the rows on first use, once its 8 * r * ambient_dim bytes are checked
 against the memory budget, and cached read-only.
 
+Every byte estimate of the package, the kernels' included, is checked by
+``check_budget`` against ``memory_budget()`` before it is allocated.
+
 Every library entry point takes a ``RootSystem`` or a bare integer matrix
 of row vectors, and turns it into a ``RootSystem`` with ``as_system``
 before anything else: a bare matrix becomes an unnamed system (``id`` is
@@ -36,6 +39,7 @@ six-element list.
 from __future__ import annotations
 
 import itertools
+import resource
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,6 +59,35 @@ _RANK_RANGES = {
     "G": (2, 2),
 }
 
+DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
+
+
+def memory_budget() -> int:
+    """The bytes an allocation is checked against: ``DEFAULT_MEMORY_BUDGET``,
+    or, when a soft address-space limit (``RLIMIT_AS``) is set, the part of
+    it the process has not mapped yet, if that is less.  So a capped run is
+    refused by its estimate, not by numpy failing to allocate mid-walk."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY:
+        return DEFAULT_MEMORY_BUDGET
+    try:
+        with open("/proc/self/statm") as statm:
+            mapped = int(statm.read().split()[0]) * resource.getpagesize()
+    except OSError:  # no procfs: the limit alone
+        mapped = 0
+    return min(DEFAULT_MEMORY_BUDGET, soft - mapped)
+
+
+def check_budget(need: int, budget: int, what: str) -> None:
+    """Refuse ``what`` when the ``need`` bytes it would take exceed ``budget``."""
+    if need > budget:
+        raise ResourceLimitError(f"{what} would need about {need} bytes (> budget {budget})")
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True, order=True)
 class FamilyRank:
@@ -67,7 +100,10 @@ class FamilyRank:
         if self.family not in _RANK_RANGES:
             raise InvalidRankError(f"unknown family {self.family!r}")
         lo, hi = _RANK_RANGES[self.family]
-        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
+        if not is_int(self.rank):
+            raise InvalidRankError(f"a rank must be an integer, not {type(self.rank).__name__}")
+        object.__setattr__(self, "rank", int(self.rank))
+        if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidRankError(f"{self.family}{self.rank} is outside the admissible range")
 
     @classmethod
@@ -110,13 +146,8 @@ class RootSystem:
     def roots(self) -> np.ndarray:
         """The dense (r, ambient_dim) int64 matrix of the rows, read-only,
         built on first use once its size is checked against the budget."""
-        from . import sigsum  # sigsum imports this module
-
-        need, budget = 8 * self.r * self.ambient_dim, sigsum.memory_budget()
-        if need > budget:
-            raise ResourceLimitError(
-                f"the dense roots of {self} would need about {need} bytes (> budget {budget})"
-            )
+        need = 8 * self.r * self.ambient_dim
+        check_budget(need, memory_budget(), f"the dense roots of {self}")
         roots = np.zeros((self.r, self.ambient_dim), dtype=np.int64)
         for i, row in enumerate(self.rows):
             for c, x in row:
@@ -132,11 +163,6 @@ CATALOGUE: tuple[FamilyRank, ...] = tuple(
                           ("D", range(4, 9)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
     for n in ranks
 )
-
-
-def is_int(value) -> bool:
-    """True for a Python or numpy integer; bools are not integers here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def integer_array(values, error: type[Exception]) -> np.ndarray:
@@ -306,15 +332,9 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
 
     Deterministic: repeated calls return identical ordered lists.  The size
     of the sparse rows (``_rows_bytes``) is checked against the memory
-    budget (``sigsum.memory_budget``) before anything is built.
+    budget (``check_budget``) before anything is built.
     """
-    from . import sigsum  # sigsum imports this module
-
-    estimate, budget = _rows_bytes(fr), sigsum.memory_budget()
-    if estimate > budget:
-        raise ResourceLimitError(
-            f"the roots of {fr} would need about {estimate} bytes (> budget {budget})"
-        )
+    check_budget(_rows_bytes(fr), memory_budget(), f"the roots of {fr}")
     rows, denominator = _build_rows(fr)
     if len(rows) != root_count(fr):
         raise AssertionError(f"root count mismatch for {fr}")

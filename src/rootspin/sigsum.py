@@ -54,7 +54,6 @@ All counts are exact Python integers; no floating point enters any path.
 from __future__ import annotations
 
 import operator
-import resource
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -79,23 +78,7 @@ DEFAULT_BRUTE_LIMIT = 26
 DEFAULT_MITM_LIMIT = 48
 AUTO_BRUTE_MAX = 20  # auto: brute force up to this r, meet-in-the-middle above
 ENUMERATION_LIMIT = 16
-DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
-
-
-def memory_budget() -> int:
-    """The bytes an allocation is checked against: ``DEFAULT_MEMORY_BUDGET``,
-    or, when a soft address-space limit (``RLIMIT_AS``) is set, the part of
-    it the process has not mapped yet, if that is less.  So a capped run is
-    refused by its estimate, not by numpy failing to allocate mid-walk."""
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft == resource.RLIM_INFINITY:
-        return DEFAULT_MEMORY_BUDGET
-    try:
-        with open("/proc/self/statm") as statm:
-            mapped = int(statm.read().split()[0]) * resource.getpagesize()
-    except OSError:  # no procfs: the limit alone
-        mapped = 0
-    return min(DEFAULT_MEMORY_BUDGET, soft - mapped)
+METHODS = ("auto", "brute", "mitm")  # the engines ``count`` may be asked for
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,7 @@ def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     if system.r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {system.r}")
     start = time.perf_counter()
-    value, estimate = _kernels.count_zero_full(system.roots, memory_budget())
+    value, estimate = _kernels.count_zero_full(system.roots)
     return CountResult(value, METHOD_BRUTE, time.perf_counter() - start, estimate)
 
 
@@ -258,7 +241,7 @@ def _walk_halves(roots: np.ndarray, k: int | None = None):
     split from its table sizes unless ``k`` fixes it."""
     last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
     order = np.argsort(last, kind="stable")
-    left, right, estimate, k = _kernels.pruned_tables(roots[order], memory_budget(), k)
+    left, right, estimate, k = _kernels.pruned_tables(roots[order], k)
     return order, k, left, right, estimate
 
 
@@ -280,7 +263,7 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
     meet-in-the-middle.  ``max_r=None`` keeps the engine's own limit
     (26 for brute force, 48 for meet-in-the-middle).
     """
-    if method not in ("auto", "brute", "mitm"):
+    if method not in METHODS:
         raise ValueError(f"unknown counting method {method!r}")
     if method == "auto":
         brute = r <= AUTO_BRUTE_MAX and (max_r is None or r <= max_r)
@@ -312,7 +295,7 @@ def _zero_masks(roots: np.ndarray) -> np.ndarray:
     """Sign masks of the zero signed sums of at most 16 roots, in order."""
     # The table of the empty half holds one key: that of the zero sum.
     deltas, _ = _kernels.key_packing(roots)
-    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0], memory_budget())
+    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0])
     return np.flatnonzero(keys == zero)
 
 

@@ -179,7 +179,6 @@ class Scalar:
 
 ZERO = Scalar()
 ONE = Scalar.of(1)
-I = Scalar(b=1)
 I_SQRT2 = Scalar(d=1)
 
 

@@ -434,12 +434,12 @@ class TestRootBudget:
     def test_over_budget_exits_3_before_building(self, argv, monkeypatch):
         # A100 has 5050 sparse roots with 19 900 nonzeros: about 0.6 MB by
         # the estimate.
-        from rootspin import rootsys, sigsum
+        from rootspin import rootsys
 
         def refuse(_):
             raise AssertionError("roots were built before the budget check")
 
-        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 1 << 18)
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 1 << 18)
         monkeypatch.setattr(rootsys, "_build_rows", refuse)
         result = run(*argv)
         assert result.exit_code == 3

@@ -1,0 +1,59 @@
+"""The package's import graph.
+
+Claims covered:
+    - no function of ``rootspin`` imports a sibling module (a lazy import
+      of a third-party module such as numpy is allowed)
+    - the module-level relative imports form an acyclic graph
+"""
+
+import ast
+from pathlib import Path
+
+import rootspin
+
+PACKAGE = Path(rootspin.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _siblings(node) -> set[str]:
+    """The ``rootspin`` modules an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        if node.level:
+            base = "rootspin" + ("." + base if base else "")
+        names = [base] if base != "rootspin" else [f"rootspin.{a.name}" for a in node.names]
+    else:
+        return set()
+    return {name.split(".")[1] for name in names if name.startswith("rootspin.")}
+
+
+def test_no_function_imports_a_sibling_module():
+    lazy = [
+        f"{name}.py:{node.lineno} {fn.name}"
+        for name, tree in MODULES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if _siblings(node)
+    ]
+    assert not lazy
+
+
+def test_module_level_imports_are_acyclic():
+    graph = {
+        name: {dep for node in ast.walk(tree) for dep in _siblings(node)} & MODULES.keys()
+        for name, tree in MODULES.items()
+    }
+    done: set[str] = set()
+
+    def visit(name, path):
+        assert name not in path, " -> ".join([*path, name])
+        if name not in done:
+            for dep in sorted(graph[name]):
+                visit(dep, [*path, name])
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])

@@ -5,7 +5,9 @@ Claims covered:
     - cardinalities match the closed forms for every family
     - scaled coordinates stay within {-2..2}; F4 is the only denominator-2 system
     - the canonical order is deterministic and roots are pairwise distinct
-    - inadmissible ranks are rejected, never remapped; a bool is not a rank
+    - inadmissible ranks are rejected, never remapped; a numpy integer is a
+      rank, stored as a Python int, and a bool, float or string is refused
+      by its type
     - a system over the memory budget is refused before any root is built
     - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
@@ -108,6 +110,19 @@ def test_roots_are_read_only():
 def test_inadmissible_ranks_rejected(family, rank):
     with pytest.raises(InvalidRankError):
         FamilyRank(family, rank)
+
+
+def test_numpy_integer_ranks_are_ranks():
+    fr = FamilyRank("A", np.int64(3))
+    assert fr == FamilyRank("A", 3) and hash(fr) == hash(FamilyRank("A", 3))
+    assert type(fr.rank) is int
+    assert positive_roots(FamilyRank("D", np.int32(5))).r == 20
+
+
+@pytest.mark.parametrize("rank,kind", [(True, "bool"), (3.0, "float"), ("3", "str")])
+def test_ranks_that_are_not_integers_refused_by_type(rank, kind):
+    with pytest.raises(InvalidRankError, match=f"must be an integer, not {kind}"):
+        FamilyRank("A", rank)
 
 
 def test_oversized_system_refused_before_building(monkeypatch):

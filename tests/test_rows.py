@@ -226,16 +226,16 @@ class TestDenseView:
 
     def test_checked_against_the_budget_before_it_is_built(self, monkeypatch):
         system = positive_roots(FamilyRank("A", 10))  # 55 x 10: 4400 bytes
-        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4399)
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 4399)
         with pytest.raises(ResourceLimitError, match="dense roots of A10 would need about 4400 "):
             system.roots
         assert "roots" not in vars(system)
-        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4400)
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 4400)
         assert system.roots.shape == (55, 10)
 
     def test_refusal_names_an_unnamed_matrix(self, monkeypatch):
         system = RootSystem(None, positive_roots(FamilyRank("A", 10)).rows, 10, 1)
-        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 4399)
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 4399)
         with pytest.raises(ResourceLimitError, match="of the unnamed 55 x 10 matrix would need"):
             system.roots
 

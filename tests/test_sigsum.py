@@ -34,6 +34,10 @@ Claims covered:
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table; under an address-space limit the
       budget is what of the limit the process has not mapped yet
+    - every estimate goes through ``rootsys.check_budget`` before the memory
+      it covers is allocated: brute force, meet-in-the-middle, enumeration,
+      the bare-matrix witness search, the sparse rows and the dense view;
+      an engine's ``memory_peak`` is the largest need it checked
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
       middle and brute force, pruned or not, on one-word keys and on keys
       of up to 4 words, and brute force reports it as ``memory_peak``; where
@@ -264,7 +268,7 @@ class TestCounting:
         # 64 bytes: below the smallest of the five estimates, the three-root
         # witness search's 288 (its enumeration: tables of 8 keys and 1 key,
         # 8 bytes each, times 4).  At r = 24 the search walks its halves.
-        monkeypatch.setattr(sigsum, "DEFAULT_MEMORY_BUDGET", 64)
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 64)
 
         def refuse(_):
             raise AssertionError("a table was built before the budget check")
@@ -278,7 +282,7 @@ class TestMemoryBudget:
     def test_default_without_a_lower_address_space_limit(self, monkeypatch):
         for soft in (resource.RLIM_INFINITY, 1 << 50):
             monkeypatch.setattr(resource, "getrlimit", lambda _, soft=soft: (soft, soft))
-            assert sigsum.memory_budget() == sigsum.DEFAULT_MEMORY_BUDGET
+            assert rootsys.memory_budget() == rootsys.DEFAULT_MEMORY_BUDGET
 
     def test_address_space_limit_less_what_is_mapped(self):
         # The cap is set in the child alone.
@@ -288,13 +292,99 @@ class TestMemoryBudget:
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
         result = subprocess.run(
-            [sys.executable, "-c", "from rootspin import sigsum; print(sigsum.memory_budget())"],
-            env=dict(os.environ, PYTHONPATH=str(Path(sigsum.__file__).parents[1])),
+            [sys.executable, "-c", "from rootspin import rootsys; print(rootsys.memory_budget())"],
+            env=dict(os.environ, PYTHONPATH=str(Path(rootsys.__file__).parents[1])),
             preexec_fn=limit, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         # numpy and the interpreter already map tens of MiB of the cap
         assert 0 < int(result.stdout) < cap - (16 << 20)
+
+
+def _logged(fn, events):
+    """``fn``, appending "alloc" to ``events`` before each call."""
+    return lambda *args, **kwargs: events.append("alloc") or fn(*args, **kwargs)
+
+
+class _NumpyLogging:
+    """numpy, with one function logged by ``_logged``."""
+
+    def __init__(self, name, events):
+        setattr(self, name, _logged(getattr(np, name), events))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestBudgetGate:
+    # Every estimate goes through ``rootsys.check_budget`` before the memory
+    # it covers is allocated: the full tables (``signed_sum_keys``), the
+    # candidates of each walk doubling (``np.empty`` in ``_kernels``), the
+    # sparse rows (``_build_rows``) and the dense view (``np.zeros`` in
+    # ``rootsys``).  Each system's rows and dense view are built before the
+    # spy goes in, so an engine's checks are its tables' alone.
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        log, check = [], rootsys.check_budget
+
+        def spy(need, budget, what):
+            log.append(("check", need))
+            check(need, budget, what)
+
+        monkeypatch.setattr(rootsys, "check_budget", spy)
+        monkeypatch.setattr(_kernels, "signed_sum_keys", _logged(_kernels.signed_sum_keys, log))
+        monkeypatch.setattr(rootsys, "_build_rows", _logged(rootsys._build_rows, log))
+        monkeypatch.setattr(_kernels, "np", _NumpyLogging("empty", log))
+        return log
+
+    @staticmethod
+    def _checked_first(events):
+        """The needs checked; asserts that a check comes before the first
+        allocation."""
+        assert "alloc" in events
+        assert events[0] != "alloc" and events[0][0] == "check"
+        return [e[1] for e in events if e != "alloc"]
+
+    @pytest.mark.parametrize(
+        "engine,family,rank",
+        [
+            (count_bruteforce, "F", 4),
+            (count_bruteforce, "D", 6),
+            (count_mitm, "E", 6),
+            (count_mitm, "A", 9),
+            (count_mitm, "C", 7),
+        ],
+    )
+    def test_engine_peak_is_its_largest_check(self, engine, family, rank, events):
+        system = _sys(family, rank)
+        assert system.roots.shape[0] == system.r
+        events.clear()
+        result = engine(system, limit_r=system.r)
+        assert result.memory_peak == max(self._checked_first(events))
+
+    def test_enumeration(self, events):
+        g2 = _sys("G", 2)
+        assert g2.roots.shape == (6, 2)
+        events.clear()
+        assert len(enumerate_zero_signs(g2)) == 4
+        self._checked_first(events)
+
+    def test_bare_matrix_witness_search(self, events):
+        result = exists_strong_dependence(_hostile(24, 1, 10**9))
+        assert result.exists and result.method == sigsum.METHOD_MITM
+        self._checked_first(events)
+
+    def test_positive_roots(self, events):
+        positive_roots(FamilyRank("B", 3))
+        assert self._checked_first(events) == [rootsys._rows_bytes(FamilyRank("B", 3))]
+
+    def test_dense_view(self, events, monkeypatch):
+        system = _sys("A", 10)
+        events.clear()
+        monkeypatch.setattr(rootsys, "np", _NumpyLogging("zeros", events))
+        assert system.roots.shape == (55, 10)
+        assert self._checked_first(events) == [4400]
 
 
 def _hostile(r, m, bound, seed=7):
@@ -880,7 +970,7 @@ def _decodes_every_key(roots):
     table of ``roots``, indexed by sign mask."""
     r = roots.shape[0]
     deltas, _ = _kernels.key_packing(roots)
-    keys, _, _ = _kernels._split_tables(deltas, r, sigsum.DEFAULT_MEMORY_BUDGET)
+    keys, _, _ = _kernels._split_tables(deltas, r)
     signs = np.array([sigsum.signs_from_mask(mask, r) for mask in range(1 << r)])
     decoded = [_kernels.key_vector(roots, keys[i:i + 1]) for i in range(1 << r)]
     return np.array_equal(decoded, signs @ roots)
