@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, InvalidRankError
-from .rootsys import FamilyRank, RootSystem, is_int, positive_roots, root_index_map, row_sum
+from .rootsys import FamilyRank, RootSystem, is_int, positive_roots, row_sum
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
 
@@ -90,7 +90,7 @@ def _lookup(system: RootSystem):
     nu - l_i - l_j.  The vector is looked up as the sparse row it stands for.
     """
     n = system.ambient_dim
-    idx = root_index_map(system)
+    idx = {row: i for i, row in enumerate(system.rows)}
 
     def at(*terms: int, base: int = 0) -> int:
         v = dict.fromkeys(range(n), base) if base else {}
@@ -249,30 +249,19 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
 
 def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, str]:
     """Check a certificate against a system; returns (ok, diagnostic), also
-    for a block that is not a sequence of (index, sign) pairs."""
+    for blocks that ``assembled_witness`` refuses, whose text it reports."""
     if cert.system_id != system.id:
         return False, f"certificate for {cert.system_id} applied to {system}"
-    seen: set[int] = set()
+    try:
+        witness = assembled_witness(cert)
+    except InternalCheckError as exc:
+        return False, str(exc)
+    if len(witness) != system.r:
+        return False, f"blocks cover {len(witness)} of {system.r} root indices"
     for b, block in enumerate(cert.blocks):
-        try:
-            for i, s in block:
-                if (type(i) is not int or type(s) is not int) and not (is_int(i) and is_int(s)):
-                    return False, f"block {b} holds a root index or sign that is not an integer"
-        except (TypeError, ValueError):
-            return False, f"block {b} is not a sequence of (index, sign) pairs"
-        indices = [i for i, _ in block]
-        if any(i < 0 or i >= system.r for i in indices):
-            return False, f"block {b} references a root index out of range"
-        if len(set(indices)) != len(indices) or seen.intersection(indices):
-            return False, f"block {b} overlaps another block or repeats an index"
-        seen.update(indices)
-        if any(s not in (-1, 1) for _, s in block):
-            return False, f"block {b} carries a sign outside {{+1, -1}}"
         partial = row_sum(system.rows, system.ambient_dim, block)
         if any(partial):
             return False, f"block {b} has non-zero partial sum {partial}"
-    if len(seen) != system.r:
-        return False, f"blocks cover {len(seen)} of {system.r} root indices"
     return True, "ok"
 
 
@@ -286,26 +275,35 @@ def assembled_witness(cert: CertificateFamily) -> tuple[int, ...]:
     tuple of Python ints +-1, one per root.
 
     The blocks must cover the indices 0..r-1 once each, r being their total
-    size: an index that is not an integer (a bool included), negative, out of
-    range or repeated, a sign other than the integer +-1, or a block that is
-    not a sequence of (index, sign) pairs, raises ``InternalCheckError``.
+    size: a block list that is not a sequence, a block that is not a
+    sequence of (index, sign) pairs, an index or sign that is not an integer
+    (a bool included), an index out of range or repeated, or a sign other
+    than +-1, raises ``InternalCheckError`` naming the block.
     """
+    b = None  # the block being read, None while the list itself is
     try:
-        r = sum(len(b) for b in cert.blocks)
+        len(cert.blocks)  # a sequence, so the two passes read the same blocks
+        r = 0
+        for b, block in enumerate(cert.blocks):
+            r += len(block)
         signs = [0] * r  # r indices, each in range and new: every root is covered
-        for block in cert.blocks:
+        for b, block in enumerate(cert.blocks):
             for i, s in block:
-                if not (type(i) is int or is_int(i)) or not 0 <= i < r:
-                    raise InternalCheckError(f"certificate root index {i!r} is not in [0, {r})")
+                if not ((type(i) is int or is_int(i)) and (type(s) is int or is_int(s))):
+                    raise InternalCheckError(
+                        f"block {b} holds a root index or sign that is not an integer"
+                    )
+                if not 0 <= i < r:
+                    raise InternalCheckError(f"block {b} references a root index out of range")
                 if signs[i]:
                     raise InternalCheckError(
-                        f"certificate blocks do not cover all roots: {i} repeats"
+                        f"block {b} overlaps another block or repeats an index"
                     )
-                if not (type(s) is int or is_int(s)) or s not in (-1, 1):
-                    raise InternalCheckError(f"certificate sign {s!r} is not the integer +1 or -1")
+                if s not in (-1, 1):
+                    raise InternalCheckError(f"block {b} carries a sign outside {{+1, -1}}")
                 signs[i] = int(s)
     except (TypeError, ValueError):
-        raise InternalCheckError(
-            "certificate blocks are not sequences of (index, sign) pairs"
-        ) from None
+        if b is None:
+            raise InternalCheckError("certificate blocks are not a sequence of blocks") from None
+        raise InternalCheckError(f"block {b} is not a sequence of (index, sign) pairs") from None
     return tuple(signs)

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRankError, ResourceLimitError
+from .errors import DimensionMismatchError, InternalCheckError, InvalidRankError, ResourceLimitError
 
 # Admissible rank ranges; anything else is rejected, never remapped to an
 # isomorphic family (e.g. C2 is not treated as B2).
@@ -337,13 +337,8 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
     check_budget(_rows_bytes(fr), memory_budget(), f"the roots of {fr}")
     rows, denominator = _build_rows(fr)
     if len(rows) != root_count(fr):
-        raise AssertionError(f"root count mismatch for {fr}")
+        raise InternalCheckError(f"root count mismatch for {fr}")
     return RootSystem(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
-
-
-def root_index_map(system: RootSystem) -> dict[Row, int]:
-    """Map each sparse row to its position in the canonical order."""
-    return {row: i for i, row in enumerate(system.rows)}
 
 
 def format_root_list(system: RootSystem) -> str:

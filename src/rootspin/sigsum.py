@@ -273,13 +273,23 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
 
 
 def count(system, method: str = "auto", max_r: int | None = None) -> CountResult:
-    """Exact count by the engine ``choose_engine`` picks, within its limit."""
+    """Exact count by the engine ``choose_engine`` picks, within its limit.
+
+    On a named system the count must reach the published lower bound
+    (``certs.lower_bound``) and be zero exactly when the bound is, or
+    ``InternalCheckError`` is raised; a bare matrix has no bound.
+    """
     system = as_system(system)
     engine, limit = choose_engine(system.r, method, max_r)
     # Looked up as module globals at call time, so a wrapped engine runs.
-    if engine == "brute":
-        return count_bruteforce(system, limit)
-    return count_mitm(system, limit)
+    result = (count_bruteforce if engine == "brute" else count_mitm)(system, limit)
+    if system.id is not None:
+        bound = certs.lower_bound(system.id)
+        if result.value < bound or (result.value == 0) != (bound == 0):
+            raise InternalCheckError(
+                f"{system.id}: exact count {result.value} contradicts lower bound {bound}"
+            )
+    return result
 
 
 def enumerate_zero_signs(system) -> list[np.ndarray]:

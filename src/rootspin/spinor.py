@@ -56,6 +56,7 @@ _ZERO_PARTS = (0, 0, 0, 0, 1)
 # Past 64 the oracle runs no faster, and at 256 the D4 process peaks about
 # 0.25 MiB higher in RSS.
 _BLOCK = 64
+DEFAULT_ORACLE_LIMIT = 14  # largest r invariant_dimension runs on by default
 
 
 def _raw(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
@@ -255,9 +256,13 @@ class SpinorElement:
         return not self.terms
 
 
-def _check_index(j: int, eta: SpinorElement) -> None:
+def _check_index(j: int, eta: SpinorElement) -> int:
+    """``j`` as a Python int, refused unless it is an integer (not a bool) in 0..rank-1."""
+    if not is_int(j):
+        raise IndexOutOfRangeError(f"generator index {j!r} is not an integer")
     if not 0 <= j < eta.rank:
         raise IndexOutOfRangeError(f"generator index {j} outside 0..{eta.rank - 1}")
+    return int(j)
 
 
 def _koszul_sign(mask: int, j: int) -> int:
@@ -271,7 +276,7 @@ def _koszul_sign(mask: int, j: int) -> int:
 
 def act_x(j: int, eta: SpinorElement) -> SpinorElement:
     """Contraction generator: i*sqrt(2) * (x_j contract eta)."""
-    _check_index(j, eta)
+    j = _check_index(j, eta)
     out: dict[int, Scalar] = {}
     bit = 1 << j
     for mask, coeff in eta.terms.items():
@@ -283,7 +288,7 @@ def act_x(j: int, eta: SpinorElement) -> SpinorElement:
 
 def act_y(j: int, eta: SpinorElement) -> SpinorElement:
     """Creation generator: i*sqrt(2) * (y_j wedge eta); kills repeated factors."""
-    _check_index(j, eta)
+    j = _check_index(j, eta)
     out: dict[int, Scalar] = {}
     bit = 1 << j
     for mask, coeff in eta.terms.items():
@@ -300,7 +305,7 @@ def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
     for e_2), and each is scaled at once.  Both send mask to mask ^ bit, so
     keys never collide and no term cancels.
     """
-    _check_index(j, eta)
+    j = _check_index(j, eta)
     if axis == 1:
         scale, wedge = Scalar.times_inv_sqrt2, 1
     elif axis == 2:
@@ -364,7 +369,7 @@ def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
     return total
 
 
-def invariant_dimension(system, limit_r: int = 14) -> int:
+def invariant_dimension(system, limit_r: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Dimension of the joint kernel of all torus directions.
 
     Walks every monomial, extracts the +-i eigenvalue of each paired

@@ -9,9 +9,9 @@ Claims covered:
     - verify rejects mismatched systems, tampered signs and broken covers,
       and reports an index or sign that is not an integer (a float, a bool,
       a string) as a diagnostic, not an exception; numpy integers verify
-    - verify reports a block that is not iterable, or an entry that does
-      not unpack into an (index, sign) pair, as a diagnostic, not an
-      exception
+    - verify reports a block list or block that is not a sequence (None,
+      an int, a generator), or an entry that does not unpack into an
+      (index, sign) pair, as a diagnostic, not an exception
     - an unnamed system (a bare matrix) gets no certificate: it is refused
       with a RootspinError, and verify rejects it by name
     - the assembled witnesses are genuine zero signed sums, including E8,
@@ -19,7 +19,7 @@ Claims covered:
     - assembling a witness refuses an index that is negative, out of range,
       repeated or not an integer (a bool included), a sign that is not the
       integer +-1, and a block that is not a sequence of pairs, with an
-      InternalCheckError
+      InternalCheckError whose text names the block, as verify reports it
     - a certificate builds its root system once and none for non-existence,
       and none when it is given the system already built
 """
@@ -271,6 +271,27 @@ def test_verify_reports_blocks_that_are_not_pairs(blocks, b):
     assert not verify(system, bad)
 
 
+@pytest.mark.parametrize(
+    "blocks,diagnostic",
+    [
+        (None, "certificate blocks are not a sequence of blocks"),
+        (5, "certificate blocks are not a sequence of blocks"),
+        ((block for block in certificate(FamilyRank("G", 2)).blocks),
+         "certificate blocks are not a sequence of blocks"),
+        ([None], "block 0 is not a sequence of (index, sign) pairs"),
+        ([((0, 1), (3, 1)), ((i, 1) for i in (1, 2, 4, 5))],
+         "block 1 is not a sequence of (index, sign) pairs"),
+    ],
+    ids=["none_list", "int_list", "generator_list", "none_block", "generator_block"],
+)
+def test_verify_reports_block_lists_it_cannot_read(blocks, diagnostic):
+    # None and 5 raised a bare TypeError; a generator block was read up by
+    # the type pass and then seen as empty; a generator block list passed
+    # here, but assembled_witness read it up sizing it and gave all zeros
+    fr = FamilyRank("G", 2)
+    assert verify_report(positive_roots(fr), CertificateFamily(fr, blocks)) == (False, diagnostic)
+
+
 def test_assembled_witness_is_a_tuple_of_python_ints(catalogue):
     for name, system in catalogue.items():
         cert = certificate(system)
@@ -286,21 +307,24 @@ def test_assembled_witness_is_a_tuple_of_python_ints(catalogue):
     assert all(type(s) is int for s in from_numpy)
 
 
+_NOT_INTEGER = "block 0 holds a root index or sign that is not an integer"
+
+
 @pytest.mark.parametrize(
     "block,message",
     [
-        (((0, 1), (-1, -1)), "index -1 is not in"),
-        (((0, 1), (2, -1)), "index 2 is not in"),
-        (((0, 1), (True, -1)), "index True is not in"),
-        (((0, 1), (1.0, -1)), "index 1.0 is not in"),
-        (((0, 1), ("1", -1)), "index '1' is not in"),
-        (((0, 1), (0, -1)), "do not cover all roots"),
-        (((0, 1.0), (1, -1)), "sign 1.0 is not"),
-        (((0, True), (1, -1)), "sign True is not"),
-        (((0, np.bool_(True)), (1, -1)), "sign np.True_ is not"),
-        (((0, 2), (1, -1)), "sign 2 is not"),
-        (((0, 0), (1, -1)), "sign 0 is not"),
-        (((0, None), (1, -1)), "sign None is not"),
+        (((0, 1), (-1, -1)), "block 0 references a root index out of range"),
+        (((0, 1), (2, -1)), "block 0 references a root index out of range"),
+        (((0, 1), (True, -1)), _NOT_INTEGER),
+        (((0, 1), (1.0, -1)), _NOT_INTEGER),
+        (((0, 1), ("1", -1)), _NOT_INTEGER),
+        (((0, 1), (0, -1)), "block 0 overlaps another block or repeats an index"),
+        (((0, 1.0), (1, -1)), _NOT_INTEGER),
+        (((0, True), (1, -1)), _NOT_INTEGER),
+        (((0, np.bool_(True)), (1, -1)), _NOT_INTEGER),
+        (((0, 2), (1, -1)), r"block 0 carries a sign outside {\+1, -1}"),
+        (((0, 0), (1, -1)), r"block 0 carries a sign outside {\+1, -1}"),
+        (((0, None), (1, -1)), _NOT_INTEGER),
     ],
     ids=["negative_index", "index_out_of_range", "bool_index", "float_index", "str_index",
          "repeated_index", "float_sign", "bool_sign", "numpy_bool_sign", "sign_two", "sign_zero",
@@ -317,5 +341,6 @@ def test_assembled_witness_refuses_what_does_not_cover_the_roots(block, message)
                          ids=["none_block", "short_entry", "long_entry", "int_entry"])
 def test_assembled_witness_refuses_blocks_that_are_not_pairs(blocks):
     # each raised a bare TypeError or ValueError
-    with pytest.raises(InternalCheckError, match="not sequences of"):
+    with pytest.raises(InternalCheckError,
+                       match=r"block 0 is not a sequence of \(index, sign\) pairs"):
         assembled_witness(CertificateFamily(FamilyRank("A", 2), blocks))

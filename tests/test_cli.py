@@ -2,7 +2,10 @@
 
 Claims covered:
     - `roots` emits the bit-exact text format; invalid input exits 2, as an
-      invalid rank does on `certify` and `oracle`
+      invalid rank does on `certify` and `oracle`, and a root count that
+      misses its closed form exits 1 with one `internal error:` line
+    - `count` and `analyze` exit 1 with one `internal error:` line and
+      nothing on stdout when an exact count contradicts the published bound
     - `analyze` JSON carries the fixed schema keys and the published values
       for E6 / E7 / E8, with the documented exit codes
     - forced methods that exceed limits exit 3 with a partial report
@@ -98,6 +101,15 @@ class TestRoots:
         result = run("roots", "F", "4")
         assert result.stdout.splitlines()[0] == "F 4 24 4 2"
 
+    def test_root_count_mismatch_is_an_internal_error(self, monkeypatch):
+        # raised a bare AssertionError, printed as a traceback
+        build = rootsys._build_rows
+        monkeypatch.setattr(rootsys, "_build_rows", lambda fr: (build(fr)[0][1:], build(fr)[1]))
+        result = run("roots", "A", "3")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "internal error: root count mismatch for A3\n"
+
     def test_lowercase_family_accepted(self):
         assert run("roots", "g", "2").stdout == run("roots", "G", "2").stdout
 
@@ -188,6 +200,17 @@ class TestCount:
 
     def test_over_limit_exits_3(self):
         assert run("count", "E", "8", "--json").exit_code == 3
+
+    @pytest.mark.parametrize("argv", [("count", "G", "2"), ("analyze", "G", "2", "--json")],
+                             ids=["count", "analyze"])
+    def test_count_below_the_bound_is_an_internal_error(self, monkeypatch, argv):
+        # ``count`` printed 2 for G2, whose published bound is 4
+        monkeypatch.setattr(sigsum, "count_bruteforce",
+                            lambda *_: sigsum.CountResult(2, sigsum.METHOD_BRUTE, 0.0))
+        result = run(*argv)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "internal error: G2: exact count 2 contradicts lower bound 4\n"
 
     def test_mitm_past_r48(self):
         # D8 (r = 56): the pruned half tables hold at most about 23 000 sums,

@@ -9,6 +9,7 @@ Claims covered:
       rank, stored as a Python int, and a bool, float or string is refused
       by its type
     - a system over the memory budget is refused before any root is built
+    - a root count that misses its closed form is an InternalCheckError
     - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
 """
@@ -18,6 +19,7 @@ import pytest
 
 from rootspin import (
     FamilyRank,
+    InternalCheckError,
     InvalidRankError,
     ResourceLimitError,
     format_root_list,
@@ -135,6 +137,16 @@ def test_oversized_system_refused_before_building(monkeypatch):
     monkeypatch.setattr(rootsys, "_build_rows", refuse)
     with pytest.raises(ResourceLimitError, match="the roots of A20000 "):
         positive_roots(FamilyRank("A", 20000))
+
+
+def test_root_count_mismatch_is_an_internal_error(monkeypatch):
+    # raised a bare AssertionError, outside RootspinError
+    from rootspin import rootsys
+
+    build = rootsys._build_rows
+    monkeypatch.setattr(rootsys, "_build_rows", lambda fr: (build(fr)[0][1:], build(fr)[1]))
+    with pytest.raises(InternalCheckError, match="^root count mismatch for A3$"):
+        positive_roots(FamilyRank("A", 3))
 
 
 def test_catalogue_ids():

@@ -30,7 +30,9 @@ Claims covered:
       certificate witness whose signed sum is not zero is an internal error
     - ``count`` runs brute force up to r = 20 (and r <= max_r) and
       meet-in-the-middle above, with each engine's limit, and looks the
-      engines up at call time
+      engines up at call time; on a named system a count below the
+      published lower bound, or nonzero where the bound is 0, is an
+      internal error, and a bare matrix is not checked
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table; under an address-space limit the
       budget is what of the limit the process has not mapped yet
@@ -747,6 +749,18 @@ class TestCountEntryPoint:
         sigsum.count(_sys("G", 2))
         sigsum.count(_sys("G", 2), "mitm")
         assert calls == ["count_bruteforce", "count_mitm"]
+
+    @pytest.mark.parametrize("family,rank,bound", [("G", 2, 4), ("B", 3, 0)])
+    def test_count_checks_the_published_bound(self, monkeypatch, family, rank, bound):
+        # 2 is below G2's bound 4, and nonzero where B3's bound is 0.
+        monkeypatch.setattr(sigsum, "count_bruteforce",
+                            lambda *_: sigsum.CountResult(2, sigsum.METHOD_BRUTE, 0.0))
+        system = _sys(family, rank)
+        message = f"^{family}{rank}: exact count 2 contradicts lower bound {bound}$"
+        with pytest.raises(InternalCheckError, match=message):
+            sigsum.count(system)
+        # A bare matrix has no bound to contradict.
+        assert sigsum.count(system.roots).value == 2
 
 
 def _words(roots):

@@ -4,7 +4,8 @@ Claims covered:
     - Scalar implements Q[i, sqrt(2)] exactly (i^2 = -1, sqrt(2)^2 = 2,
       and the dedicated fast transforms agree with generic multiplication)
     - generator actions reproduce the hand-checked contractions/wedges,
-      Koszul signs included
+      Koszul signs included; a generator index that is not an integer (a
+      bool included) is refused, and a numpy integer acts as its int
     - paired real generators act by +-i depending on membership, and the
       full Clifford anticommutation relations hold on all monomials (r <= 5)
     - the torus action is diagonal with purely imaginary eigenvalues
@@ -126,6 +127,23 @@ class TestGeneratorActions:
             act_x(3, mono(3, 0))
         with pytest.raises(IndexOutOfRangeError):
             act_e(0, 3, mono(3, 0))
+
+    @pytest.mark.parametrize("j", [True, False, 0.0, 1.5, "0", None], ids=repr)
+    @pytest.mark.parametrize("act", [act_x, act_y, lambda j, eta: act_e(j, 1, eta)],
+                             ids=["act_x", "act_y", "act_e"])
+    def test_index_that_is_not_an_integer_refused(self, act, j):
+        # True acted as generator 1; 0.0 and 1.5 raised a bare TypeError
+        with pytest.raises(IndexOutOfRangeError, match="is not an integer"):
+            act(j, mono(3, 0))
+
+    @pytest.mark.parametrize("act", [act_x, act_y, lambda j, eta: act_e(j, 1, eta)],
+                             ids=["act_x", "act_y", "act_e"])
+    def test_numpy_index_acts_as_its_int(self, act):
+        # np.int64 masks reached the terms
+        eta = mono(3, 0) + mono(3, 1)
+        result = act(np.int64(1), eta)
+        assert result == act(1, eta)
+        assert all(type(mask) is int for mask in result.terms)
 
     def test_linearity(self):
         eta = mono(4, 0, 2) + mono(4, 1).scaled(Scalar.of(Fraction(2, 3)))
