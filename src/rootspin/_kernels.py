@@ -2,10 +2,11 @@
 
 The engines work on key tables of signed sums, one key per sum, so that
 equal keys mean equal sums.  ``_split_tables`` enumerates runs of roots over
-all 2^h sign masks (brute force, enumeration); ``pruned_tables`` walks each
-meet-in-the-middle half one root at a time, keeping the distinct sums that
-can still reach zero with their multiplicities, and chooses the split from
-its table sizes (counting, witness search).
+all 2^h sign masks (brute force; enumeration, through ``zero_masks``);
+``pruned_tables`` sorts the roots by their last nonzero coordinate, walks
+each meet-in-the-middle half one root at a time, keeping the distinct sums
+that can still reach zero with their multiplicities, and chooses the split
+from its table sizes (counting, witness search).
 
 A key is W int64 words, laid out by ``key_packing`` alone (``key_vector``
 decodes).  Coordinate c gets radix ``2*B_c + 1`` where ``B_c = sum_i
@@ -126,9 +127,13 @@ def _walk_bytes(states: int, unit: int) -> int:
     return 2 * states * (2 * unit + 10)
 
 
-def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple[tuple, tuple, int, int]:
-    """Deduplicated signed-sum tables of ``roots[:k]`` and ``roots[k:]``,
+def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple:
+    """Deduplicated signed-sum tables of the two halves of ``roots``,
     pruned to the sums that can still reach zero, and the split k.
+
+    The roots are first sorted, stably, by their last nonzero coordinate:
+    the roots of each half then finish their coordinates early, so the
+    weight bound below bites.
 
     The right half is walked first, from the last root, then the left half
     from the first, one doubling per root.  A state ``(key, multiplicity)``
@@ -151,16 +156,20 @@ def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple[tuple, tuple
     the left half at least ceil(r/4) roots, so that a recursion on the
     halves shrinks.  For r <= 2 * HALF_MAX (``sigsum._check_mitm_limits``)
     the left half then has at most HALF_MAX roots too, since 2n never
-    reaches 2^62.  On an unprunable matrix that is the middle split; when
-    the roots are sorted by their last nonzero coordinate, the right half
-    prunes deepest and takes more of them.
+    reaches 2^62.  On an unprunable matrix that is the middle split; the
+    right half, at the end of the sorted roots, prunes deepest and takes
+    more of them.
 
-    Returns ``((keys, counts), (keys, counts), estimate, k)``: both tables
-    sorted by their 1-D key view, so a zero key comes first, the largest
-    byte estimate checked against the memory budget before each doubling
-    and the join, and the split.
+    Returns ``(order, k, (keys, counts), (keys, counts), estimate)``: the
+    stable sort permutation, so that the halves are ``roots[order][:k]``
+    and ``roots[order][k:]``, the split, both tables sorted by their 1-D
+    key view, so a zero key comes first, and the largest byte estimate
+    checked against the memory budget before each doubling and the join.
     """
     budget = rootsys.memory_budget()
+    last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
+    order = np.argsort(last, kind="stable")
+    roots = roots[order]
     r, m = roots.shape
     deltas, places = key_packing(roots)
     words = deltas.shape[1]
@@ -272,7 +281,7 @@ def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple[tuple, tuple
     # a mask (8W + 9 bytes a left key), or with the matched indices and
     # counts (40); and one chunk of matched counts as two Python-int lists
     check(base + (nl + nr) * unit + nl * max(8 * words + 9, 40) + min(nl, nr, JOIN_CHUNK) * 80)
-    return (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate, split
+    return order, split, (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate
 
 
 def _split_tables(deltas, k, scratch=0, half=False):
@@ -292,6 +301,13 @@ def _split_tables(deltas, k, scratch=0, half=False):
     if half:
         prefix += deltas[0]
     return _flat(prefix), _flat(signed_sum_keys(deltas[k:])), estimate
+
+
+def zero_masks(roots: np.ndarray) -> np.ndarray:
+    """Sign masks of the zero signed sums of at most 16 roots, in order."""
+    # The table of the empty half holds one key: that of the zero sum.
+    keys, zero, _ = _split_tables(key_packing(roots)[0], roots.shape[0])
+    return np.flatnonzero(keys == zero)
 
 
 def count_zero_full(roots: np.ndarray) -> tuple[int, int]:

@@ -138,14 +138,17 @@ def build_report(fr: FamilyRank, method: str = "auto",
     return report, exit_code
 
 
-def _print_report_text(report: dict) -> None:
-    count = report["count"]
+def _count_text(count: dict, exact: str, bound: str) -> str:
+    """A report's ``count`` as text: ``<exact> N``, ``<bound> N`` or ``0``."""
     if "exact" in count:
-        shown = f"exact {count['exact']}"
-    elif "lower_bound" in count:
-        shown = f"at least {count['lower_bound']}"
-    else:
-        shown = "0"
+        return f"{exact} {count['exact']}"
+    if "lower_bound" in count:
+        return f"{bound} {count['lower_bound']}"
+    return "0"
+
+
+def _print_report_text(report: dict) -> None:
+    shown = _count_text(report["count"], "exact", "at least")
     click.echo(f"system       {report['family']}{report['rank']}")
     click.echo(f"roots        {report['r']} in dimension {report['ambient_dim']}"
                f" (denominator {report['denominator']})")
@@ -273,13 +276,7 @@ def cmd_table(max_r: int | None, as_json: bool) -> None:
         click.echo(header)
         click.echo("-" * len(header))
         for rep in reports:
-            count = rep["count"]
-            if "exact" in count:
-                shown = f"= {count['exact']}"
-            elif "lower_bound" in count:
-                shown = f">= {count['lower_bound']}"
-            else:
-                shown = "0"
+            shown = _count_text(rep["count"], "=", ">=")
             click.echo(
                 f"{rep['family'] + str(rep['rank']):<8}{rep['r']:>5}  "
                 f"{'yes' if rep['exists'] else 'no':<8}{rep['obstruction']:<13}"

@@ -6,11 +6,11 @@ ways.  Three routes are implemented and cross-checked:
 
 * ``count_bruteforce``: exhaustive enumeration of the 2^(r-1) sign vectors
   with root 0 positive, doubled (blocked prefix x suffix scans).
-* ``count_mitm``: meet-in-the-middle with pruning and deduplication.  The
-  roots are sorted by their last nonzero coordinate; each half is walked
-  from its outer end to the split, keeping every distinct partial sum with
-  its multiplicity and dropping those that can no longer reach zero
-  (``_kernels.pruned_tables``), and the two tables are joined on their
+* ``count_mitm``: meet-in-the-middle with pruning and deduplication.
+  ``_kernels.pruned_tables`` sorts the roots by their last nonzero
+  coordinate and walks each half from its outer end to the split, keeping
+  every distinct partial sum with its multiplicity and dropping those that
+  can no longer reach zero; the two tables are joined on their
   common keys, each a sum packed into W int64 words (one word for every
   catalogue system).  The right half, where that pruning bites deepest,
   is walked first and sets the split: it stops once its next doubling
@@ -29,9 +29,9 @@ ways.  Three routes are implemented and cross-checked:
   at a time into a Hermite-normal-form basis of at most m vectors, kept
   reduced after every change, so a root already in the lattice reduces to
   zero in a few steps and is skipped; membership in 2L is decided exactly
-  by reducing sum(a_i) against the doubled basis down to zero
-  (``LatticeBasis._member``, which takes the sum as the list of Python ints
-  it already is, past the input checks of ``LatticeBasis.contains``).
+  by reducing sum(a_i), a list of Python ints, against the doubled basis
+  down to zero (``LatticeBasis.contains``, whose input checks call no
+  numpy function on a list).
 
 Every entry point takes a ``RootSystem`` or a bare integer matrix and
 turns it into a ``RootSystem`` first (``rootsys.as_system``); each engine
@@ -109,21 +109,20 @@ class LatticeBasis:
     ambient_dim: int
 
     def contains(self, vector, multiple: int = 1) -> bool:
-        """Exact membership of ``vector`` in ``multiple * L``; ``vector`` is
-        refused unless it is a sequence of ``ambient_dim`` integers, and
-        ``multiple`` unless it is a nonzero integer.  The inputs are checked
-        here and converted to Python ints; ``_member`` decides."""
+        """Exact membership of ``vector`` in ``multiple * L``, by reducing it
+        against the multiplied basis, pivot by pivot.  ``vector`` must be a
+        list, tuple or 1-D array of ``ambient_dim`` integers, and ``multiple``
+        a nonzero integer; no numpy function runs on a list or tuple."""
         if not is_int(multiple) or not multiple:
             raise DimensionMismatchError("the multiple must be a nonzero integer")
-        arr = integer_array(vector, DimensionMismatchError)
-        if arr.shape != (self.ambient_dim,):
-            raise DimensionMismatchError("vector length does not match lattice dimension")
-        return self._member([int(x) for x in arr.tolist()], int(multiple))
-
-    def _member(self, v: list[int], multiple: int) -> bool:
-        """``contains`` on a list of ``ambient_dim`` Python ints and a nonzero
-        Python int, unchecked: the vector is reduced against the multiplied
-        basis, pivot by pivot, down to zero or to a remainder."""
+        if isinstance(vector, np.ndarray):
+            vector = vector.tolist()
+        if not (isinstance(vector, (list, tuple)) and len(vector) == self.ambient_dim
+                and all(map(is_int, vector))):
+            raise DimensionMismatchError(
+                f"the vector must be a list, tuple or 1-D array of {self.ambient_dim} integers"
+            )
+        v, multiple = [int(x) for x in vector], int(multiple)
         for col, row in zip(self.columns, self.pivot_rows):
             pivot = multiple * col[row]
             if v[row] % pivot != 0:
@@ -232,26 +231,13 @@ def _check_mitm_limits(r: int, limit_r: int) -> None:
         )
 
 
-def _walk_halves(roots: np.ndarray, k: int | None = None):
-    """Sort permutation, split, tables and byte estimate of the walk, on
-    roots within ``_check_mitm_limits``.  Sorted by their last nonzero
-    coordinate, the roots of each half finish their coordinates early, so
-    the pruning of ``pruned_tables`` bites, and bites deepest in the right
-    half, which then takes more of the roots: ``pruned_tables`` chooses the
-    split from its table sizes unless ``k`` fixes it."""
-    last = roots.shape[1] - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)
-    order = np.argsort(last, kind="stable")
-    left, right, estimate, k = _kernels.pruned_tables(roots[order], k)
-    return order, k, left, right, estimate
-
-
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
     """Exact count by meet-in-the-middle, at the split the walk chooses
     from its table sizes; agrees with brute force everywhere."""
     system = as_system(system)
     _check_mitm_limits(system.r, limit_r)
     start = time.perf_counter()
-    _, _, left, right, estimate = _walk_halves(system.roots)
+    _, _, left, right, estimate = _kernels.pruned_tables(system.roots)
     value = _join_counts(left, right)
     return CountResult(value, METHOD_MITM, time.perf_counter() - start, estimate)
 
@@ -298,15 +284,7 @@ def enumerate_zero_signs(system) -> list[np.ndarray]:
     r = system.r
     if r > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
-    return [signs_from_mask(int(mask), r) for mask in _zero_masks(system.roots)]
-
-
-def _zero_masks(roots: np.ndarray) -> np.ndarray:
-    """Sign masks of the zero signed sums of at most 16 roots, in order."""
-    # The table of the empty half holds one key: that of the zero sum.
-    deltas, _ = _kernels.key_packing(roots)
-    keys, zero, _ = _kernels._split_tables(deltas, roots.shape[0])
-    return np.flatnonzero(keys == zero)
+    return [signs_from_mask(int(mask), r) for mask in _kernels.zero_masks(system.roots)]
 
 
 def _subtract(v: dict[int, int], q: int, b: dict[int, int]) -> None:
@@ -440,12 +418,12 @@ def obstruction_2L(system) -> ObstructionResult:
 
     Fail certifies non-existence; Pass never asserts existence.  The sum
     and the basis are both taken over the sparse rows, exactly, and the sum
-    goes to the membership test as the list of Python ints it is.
+    is a list of Python ints, which ``contains`` checks without numpy.
     """
     system = as_system(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(repeat(1, system.r)))
     basis = hnf(system.rows, system.ambient_dim)
-    if basis._member(total, 2):
+    if basis.contains(total, 2):
         return ObstructionResult(True)
     return ObstructionResult(
         False, "sum of all roots is not in twice the root lattice"
@@ -466,9 +444,9 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     often 0.  At r <= 16 the search takes the first zero mask of the full
     table and builds one sign vector."""
     if roots.shape[0] <= ENUMERATION_LIMIT:
-        masks = _zero_masks(roots)[:1]
+        masks = _kernels.zero_masks(roots)[:1]
         return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
-    order, k, left, right, _ = _walk_halves(roots, (roots.shape[0] + 1) // 2)
+    order, k, left, right, _ = _kernels.pruned_tables(roots, (roots.shape[0] + 1) // 2)
     il, _ = _common_keys(left[0], right[0])
     if not il.size:
         return None

@@ -74,17 +74,28 @@ def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
     return _raw(a // g, b // g, c // g, d // g, q // g)
 
 
+def _rational(x, what: str):
+    """``x`` as a Python int or a ``Fraction``, refused unless it is an
+    integer (not a bool) or a ``Fraction``: never a float or a string."""
+    if is_int(x):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x
+    raise DimensionMismatchError(f"{what} must be integers or Fractions, got {x!r}")
+
+
 class Scalar:
     """Exact element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q[i, sqrt(2)].
 
     The components ``a``, ``b``, ``c`` and ``d`` read back as exact
     ``Fraction``s; inside, they are int numerators over one denominator.
+    Each component must be an integer or a ``Fraction``.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [Fraction(v) for v in (a, b, c, d)]
+        parts = [Fraction(_rational(v, "Scalar components")) for v in (a, b, c, d)]
         q = lcm(*(p.denominator for p in parts))
         self._parts = _reduced(*(p.numerator * (q // p.denominator) for p in parts), q)._parts
 
@@ -164,6 +175,7 @@ class Scalar:
 
     def times_rational(self, value) -> "Scalar":
         """Product with an int or ``Fraction``, through its numerator and denominator."""
+        value = _rational(value, "rational factors")
         a, b, c, d, q = self._parts
         n = value.numerator
         return _reduced(a * n, b * n, c * n, d * n, q * value.denominator)
@@ -306,12 +318,9 @@ def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
     keys never collide and no term cancels.
     """
     j = _check_index(j, eta)
-    if axis == 1:
-        scale, wedge = Scalar.times_inv_sqrt2, 1
-    elif axis == 2:
-        scale, wedge = Scalar.times_i_inv_sqrt2, -1
-    else:
-        raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis}")
+    if not is_int(axis) or axis not in (1, 2):
+        raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis!r}")
+    scale, wedge = (Scalar.times_inv_sqrt2, 1) if axis == 1 else (Scalar.times_i_inv_sqrt2, -1)
     out: dict[int, Scalar] = {}
     bit = 1 << j
     below = bit - 1
@@ -340,12 +349,7 @@ def _direction(X) -> list:
         raise DimensionMismatchError(
             "a torus direction must be a sequence of coordinates"
         ) from None
-    for x in xs:
-        if not (is_int(x) or isinstance(x, Fraction)):
-            raise DimensionMismatchError(
-                f"torus coordinates must be integers or Fractions, got {x!r}"
-            )
-    return [x if isinstance(x, Fraction) else int(x) for x in xs]
+    return [_rational(x, "torus coordinates") for x in xs]
 
 
 def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:

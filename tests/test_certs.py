@@ -22,6 +22,7 @@ Claims covered:
       InternalCheckError whose text names the block, as verify reports it
     - a certificate builds its root system once and none for non-existence,
       and none when it is given the system already built
+    - a builder whose blocks fail verification is an internal error
 """
 
 import numpy as np
@@ -151,6 +152,17 @@ def test_published_dimensions_are_tight(catalogue):
     for name in ("G2", "F4", "E6"):
         system = catalogue[name]
         assert count_mitm(system).value == lower_bound(system.id), name
+
+
+def test_broken_builder_is_an_internal_error(monkeypatch):
+    build = certs._BUILDERS["G2"]
+
+    def flipped(system):
+        return [[(i, -s if i == 0 else s) for i, s in block] for block in build(system)]
+
+    monkeypatch.setitem(certs._BUILDERS, "G2", flipped)
+    with pytest.raises(InternalCheckError, match="certificate construction for G2 is broken"):
+        certificate(FamilyRank("G", 2))
 
 
 def test_verify_rejects_system_mismatch():

@@ -24,6 +24,7 @@ Claims covered:
       certificate and of C68 and D69, and on `table --json`; on D69 the
       tracemalloc peak of `build_report` plus the writer stays under
       1.5 MiB, where those dicts took it to 2.57 MiB
+    - the JSON writer refuses a value json.dumps cannot write
     - `oracle` agrees with `analyze`'s exact count and respects --max-r
     - `--max-r` is a non-negative bound (at most 20 for `oracle`), and 0
       means no exact count is attempted
@@ -309,6 +310,11 @@ class TestCertificateWriter:
                 tracemalloc.stop()
         assert report["certificate"]["block_count"] == 17
         assert peak < 1.5 * 2**20, peak
+
+
+    def test_writer_refuses_what_json_cannot_write(self):
+        with pytest.raises(TypeError, match="set is not JSON serialisable"):
+            cli._emit({"blocks": {1}})
 
 
 class TestOracle:

@@ -4,6 +4,8 @@ Claims covered:
     - no function of ``rootspin`` imports a sibling module (a lazy import
       of a third-party module such as numpy is allowed)
     - the module-level relative imports form an acyclic graph
+    - no module reads an underscore-named attribute of a sibling module,
+      as ``module._name`` or by ``from .module import _name``
 """
 
 import ast
@@ -39,6 +41,33 @@ def test_no_function_imports_a_sibling_module():
         if _siblings(node)
     ]
     assert not lazy
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree) -> list[str]:
+    """The underscore names a module reads from its sibling modules."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is None and node.level == 1
+        for alias in node.names
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _private(node.attr):
+                reads.append(f"{node.lineno} {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module and _siblings(node):
+            reads += [f"{node.lineno} {a.name}" for a in node.names if _private(a.name)]
+    return reads
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    reads = [f"{name}.py:{read}" for name, tree in MODULES.items() for read in _private_reads(tree)]
+    assert not reads
 
 
 def test_module_level_imports_are_acyclic():

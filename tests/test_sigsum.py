@@ -71,12 +71,17 @@ Claims covered:
     - every engine runs on keys past one word: counts, zero sign vectors
       and a verified witness
     - matrix and sign entries must be integers that int64 holds exactly,
-      at every entry point; numpy integers are integers, bools are not
+      at every entry point; numpy integers are integers, bools are not; a
+      matrix that is not a non-empty 2-D one is refused, and so is an odd
+      exact count
     - ``hnf`` takes only a non-empty 2-D integer matrix, with entries of any
       size, and ``LatticeBasis.contains`` only a vector of integers and a
       nonzero integer multiple: floats, bools and strings are refused,
       never truncated or parsed, and so is anything that is not a flat
-      sequence of ``ambient_dim`` integers
+      sequence of ``ambient_dim`` integers; ``hnf`` refuses an empty
+      sequence of sparse rows
+    - past r = 16 the witness search ends with None when the walked halves
+      share no key
 """
 
 import math
@@ -205,6 +210,18 @@ class TestInputEntries:
                        [[np.int32(x) for x in row] for row in roots]):
             assert count_bruteforce(matrix).value == count_mitm(matrix).value == 2
 
+    @pytest.mark.parametrize(
+        "matrix", [[1, 2], [[]], np.zeros((0, 2), np.int64)], ids=["flat", "no_columns", "no_rows"]
+    )
+    def test_matrices_that_are_not_non_empty_2d_refused(self, matrix):
+        with pytest.raises(DimensionMismatchError, match="non-empty"):
+            sigsum.count(matrix)
+
+    def test_odd_count_is_an_internal_error(self):
+        # negating every sign pairs the zero sums off
+        with pytest.raises(InternalCheckError, match="exact count 3 is odd"):
+            sigsum.CountResult(3, sigsum.METHOD_BRUTE, 0.0)
+
 
 class TestCounting:
     def test_g2_count(self):
@@ -285,6 +302,14 @@ class TestMemoryBudget:
         for soft in (resource.RLIM_INFINITY, 1 << 50):
             monkeypatch.setattr(resource, "getrlimit", lambda _, soft=soft: (soft, soft))
             assert rootsys.memory_budget() == rootsys.DEFAULT_MEMORY_BUDGET
+
+    def test_address_space_limit_alone_without_procfs(self, monkeypatch):
+        def no_procfs(*_):
+            raise OSError("no /proc/self/statm")
+
+        monkeypatch.setattr(rootsys.resource, "getrlimit", lambda _: (1 << 30, 1 << 30))
+        monkeypatch.setattr(rootsys, "open", no_procfs, raising=False)
+        assert rootsys.memory_budget() == 1 << 30
 
     def test_address_space_limit_less_what_is_mapped(self):
         # The cap is set in the child alone.
@@ -443,7 +468,7 @@ class TestMemoryEstimate:
         roots = np.zeros((34, 2), np.int64)
         roots[:, 1] = rng.integers(1, 10**6, size=34, endpoint=True) * rng.choice([-1, 1], 34)
         roots[16, 0] = 1
-        _, k, left, right, _ = sigsum._walk_halves(roots)
+        _, k, left, right, _ = _kernels.pruned_tables(roots)
         assert (k, left[0].shape[0], _words(roots)) == (17, 0, 1)
         result, peak = _traced_peak(lambda: count_mitm(roots))
         held = 16 * right[0].shape[0]  # a one-word key and a multiplicity a state
@@ -487,7 +512,7 @@ class TestMemoryEstimate:
 
         def pruned_spy(*args):
             tables = pruned(*args)
-            estimates.append(tables[2])
+            estimates.append(tables[4])
             return tables
 
         def split_spy(*args):
@@ -540,7 +565,7 @@ class TestCanonicalTables:
     # key, its own pair, sorts first.
     def test_packed_tables_hold_nonnegative_keys(self):
         roots = positive_roots(FamilyRank("A", 9)).roots
-        order, k, left, right, _ = sigsum._walk_halves(roots)
+        order, k, left, right, _ = _kernels.pruned_tables(roots)
         assert (left[0] >= 0).all() and (right[0] >= 0).all()
         ordered = roots[order]
         # one state per pair {s, -s} of the sums each half keeps; each half
@@ -552,7 +577,7 @@ class TestCanonicalTables:
         roots = _stretch_past_key_budget(positive_roots(FamilyRank("E", 6)).roots)
         words = _words(roots)
         assert words > 1
-        _, _, left, right, _ = sigsum._walk_halves(roots)
+        _, _, left, right, _ = _kernels.pruned_tables(roots)
         for keys, _ in (left, right):
             rows = keys.view(np.int64).reshape(keys.shape[0], words)
             nonzero = rows.any(axis=1)
@@ -849,7 +874,7 @@ class TestChosenSplit:
         # middle.  ``middle_estimate`` is the estimate of the split fixed at
         # ceil(r/2) with the left half walked first.
         r = shape[0]
-        _, k, _, _, estimate = sigsum._walk_halves(_hostile(*shape))
+        _, k, _, _, estimate = _kernels.pruned_tables(_hostile(*shape))
         assert k in (r // 2, (r + 1) // 2)
         assert estimate == middle_estimate
 
@@ -859,8 +884,8 @@ class TestChosenSplit:
         # h - 1, and 2n = 2^h > 2^(h-1): the left half takes h roots.
         r = shape[0]
         roots = _hostile(*shape)
-        _, k, left, right, _ = sigsum._walk_halves(roots)
-        _, _, mid_left, mid_right, _ = sigsum._walk_halves(roots, (r + 1) // 2)
+        _, k, left, right, _ = _kernels.pruned_tables(roots)
+        _, _, mid_left, mid_right, _ = _kernels.pruned_tables(roots, (r + 1) // 2)
         assert k == r // 2
         assert sigsum._join_counts(left, right) == sigsum._join_counts(mid_left, mid_right) >= 2
 
@@ -869,8 +894,8 @@ class TestChosenSplit:
         # first, it lets the weight bound bite in the right half, which then
         # takes more roots than the middle split gives it (1650560 bytes).
         roots = _hostile(30, 12, 10**3)
-        _, k, left, right, estimate = sigsum._walk_halves(roots)
-        _, _, mid_left, mid_right, mid_estimate = sigsum._walk_halves(roots, 15)
+        _, k, left, right, estimate = _kernels.pruned_tables(roots)
+        _, _, mid_left, mid_right, mid_estimate = _kernels.pruned_tables(roots, 15)
         assert k < 15 and estimate < mid_estimate == 1650560
         assert sigsum._join_counts(left, right) == sigsum._join_counts(mid_left, mid_right) == 2
 
@@ -887,7 +912,7 @@ class TestChosenSplit:
         # Equal roots keep j // 2 + 1 states after j, so 2n > 2^i never
         # stops the right walk: it ends at the floor ceil(r/4) (r = 40), at
         # 62 roots (r = 100), or at both (r = 124).
-        _, split, left, right, _ = sigsum._walk_halves(np.ones((r, 1), np.int64))
+        _, split, left, right, _ = _kernels.pruned_tables(np.ones((r, 1), np.int64))
         assert split == k
         assert sigsum._join_counts(left, right) == math.comb(r, r // 2)
 
@@ -899,7 +924,7 @@ class TestChosenSplit:
             roots = _hostile(48, 2, 2)
         else:
             roots = positive_roots(FamilyRank.parse(name)).roots.copy()
-        search, walk = sigsum._search_witness, sigsum._walk_halves
+        search, walk = sigsum._search_witness, _kernels.pruned_tables
         callers, walks = [], []
 
         def search_spy(sub):
@@ -915,7 +940,7 @@ class TestChosenSplit:
             return walk(sub, *args)
 
         monkeypatch.setattr(sigsum, "_search_witness", search_spy)
-        monkeypatch.setattr(sigsum, "_walk_halves", walk_spy)
+        monkeypatch.setattr(_kernels, "pruned_tables", walk_spy)
         witness = search_spy(roots)
         assert not (witness @ roots).any()
         assert walks and all(args == [(r + 1) // 2] for r, *args in walks)
@@ -1093,6 +1118,10 @@ class TestHNF:
         with pytest.raises(DimensionMismatchError):
             hnf(vectors)
 
+    def test_empty_sparse_rows_refused(self):
+        with pytest.raises(DimensionMismatchError, match="at least one vector"):
+            hnf([], 3)
+
     def test_membership_refuses_all_but_integers(self):
         basis = hnf([(1, 0), (0, 1)])
         for vector in ([1.5, 0], [True, 0], ["1", 0], 5, None, [[1, 0]], [1, 0, 0], [1],
@@ -1178,7 +1207,7 @@ class TestObstruction:
         assert not obstruction_2L([[-2**63], [2**62]]).passed
 
     def test_membership_test_agrees_with_contains(self, catalogue, lattice_ranks, monkeypatch):
-        # the obstruction reduces its Python-int sum without contains's checks
+        # the obstruction tests its Python-int sum against the one basis it built
         built = []
         monkeypatch.setattr(sigsum, "hnf", lambda *args: built.append(hnf(*args)) or built[-1])
         systems = list(catalogue.values()) + [_sys(f, n) for f, n in lattice_ranks]
@@ -1273,6 +1302,14 @@ class TestExistence:
         assert not result.exists
         assert result.obstruction.passed
         assert result.method == sigsum.METHOD_MITM
+
+    def test_search_negative_past_the_enumeration_limit(self):
+        # sum = 118 lies in 2L = 2Z, but 100 > 16 + 2 rules out any zero
+        # sum; at r = 18 the search walks its halves, which share no key.
+        roots = [[1]] * 16 + [[100], [2]]
+        assert obstruction_2L(roots).passed
+        result = exists_strong_dependence(roots)
+        assert (result.exists, result.witness, result.method) == (False, None, sigsum.METHOD_MITM)
 
     def test_obstruction_pass_is_not_existence(self):
         # sum = (24,0) lies in 2L, yet 16 > 1+1+2+4 rules out any zero sum.

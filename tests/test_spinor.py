@@ -16,8 +16,12 @@ Claims covered:
     - each of the oracle's three self-checks (sqrt(2) parts cancel, the
       paired action is diagonal, its eigenvalue is +-i) fires when the
       action is broken, in the library and as exit 1 of `oracle`
-    - the oracle builds no Fraction; torus directions take only ints and
-      Fractions, and masks outside 0..2^rank - 1 are refused
+    - the oracle builds no Fraction; torus directions, Scalar components
+      and the factor of ``times_rational`` take only ints and Fractions
+      (numpy integers as ints), masks outside 0..2^rank - 1 are refused,
+      and so is an axis of act_e that is not the integer 1 or 2
+    - elements of different ranks do not add, and scaling by zero gives
+      the zero element of the same rank
     - the one-pass act_e equals (act_x +- act_y) scaled by 1/sqrt(2) or
       i/sqrt(2) on random multi-term elements, partner masks and
       cancelled terms included
@@ -433,6 +437,47 @@ class TestInputChecks:
             SpinorElement.monomial(0, 1)
         with pytest.raises(DimensionMismatchError):
             SpinorElement(-1)
+
+    @pytest.mark.parametrize(
+        "axis", [True, False, 2.0, 1.0, np.bool_(True), "1", None, 0, 3],
+        ids=["true", "false", "float_2", "float_1", "np_bool", "str", "none", "zero", "three"],
+    )
+    def test_act_e_refuses_all_but_the_integers_1_and_2(self, axis):
+        # True acted as axis 1 and 2.0 as axis 2
+        with pytest.raises(IndexOutOfRangeError, match="axis must be 1 or 2"):
+            act_e(0, axis, mono(2, 0))
+
+    def test_act_e_takes_numpy_integer_axes(self):
+        eta = mono(3, 0) + mono(3, 1, 2)
+        for axis in (1, 2):
+            assert act_e(1, np.int64(axis), eta) == act_e(1, axis, eta)
+
+    @pytest.mark.parametrize(
+        "bad", [0.1, 2.0, True, np.bool_(True), np.float64(1.0), "1/3", None, 1j],
+        ids=["float", "integral_float", "bool", "np_bool", "np_float", "str", "none", "complex"],
+    )
+    def test_scalar_refuses_all_but_integers_and_fractions(self, bad):
+        # 0.1 was stored as 3602879701896397/2^55, True as 1, "1/3" was parsed
+        for parts in ((bad,), (0, 0, 0, bad)):
+            with pytest.raises(DimensionMismatchError):
+                Scalar(*parts)
+        with pytest.raises(DimensionMismatchError):
+            ONE.times_rational(bad)
+
+    def test_scalar_takes_numpy_integers_as_ints(self):
+        s = Scalar(np.int64(3), Fraction(1, 2), np.int32(-1))
+        assert s == Scalar(3, Fraction(1, 2), -1)
+        assert all(type(p) is int for p in s._parts)
+        assert ONE.times_rational(np.int64(3)) == Scalar(3)
+
+    def test_elements_of_different_ranks_do_not_add(self):
+        for combine in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(DimensionMismatchError, match="different exterior algebras"):
+                combine(mono(2, 0), mono(3, 0))
+
+    def test_scaled_by_zero_is_the_zero_element(self):
+        zero = (mono(3, 0) + mono(3, 1, 2)).scaled(ZERO)
+        assert zero.is_zero and zero == SpinorElement(3)
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
