@@ -89,6 +89,14 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_limit(limit, name: str) -> int:
+    """An engine's largest admitted r as a Python int, refused unless it is
+    an integer (not a bool) >= 0."""
+    if not is_int(limit) or limit < 0:
+        raise DimensionMismatchError(f"{name} must be an integer >= 0, got {limit!r}")
+    return int(limit)
+
+
 @dataclass(frozen=True, order=True)
 class FamilyRank:
     """A family letter plus rank, validated on construction."""

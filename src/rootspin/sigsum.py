@@ -67,7 +67,9 @@ from .errors import (
     LengthMismatchError,
     ResourceLimitError,
 )
-from .rootsys import as_system, int64_array, integer_array, is_int, row_sum, sparse_rows
+from .rootsys import (
+    as_system, check_limit, int64_array, integer_array, is_int, row_sum, sparse_rows,
+)
 
 METHOD_BRUTE = "brute_force"
 METHOD_MITM = "meet_in_middle"
@@ -180,6 +182,7 @@ def signed_sum(system, signs) -> np.ndarray:
 def count_bruteforce(system, limit_r: int = DEFAULT_BRUTE_LIMIT) -> CountResult:
     """Exact count of zero signed sums by exhaustive enumeration: the sign
     vectors with root 0 positive are scanned, and negation doubles them."""
+    limit_r = check_limit(limit_r, "limit_r")
     system = as_system(system)
     if system.r > limit_r:
         raise ResourceLimitError(f"brute force needs r <= {limit_r}, got r = {system.r}")
@@ -234,6 +237,7 @@ def _check_mitm_limits(r: int, limit_r: int) -> None:
 def count_mitm(system, limit_r: int = DEFAULT_MITM_LIMIT) -> CountResult:
     """Exact count by meet-in-the-middle, at the split the walk chooses
     from its table sizes; agrees with brute force everywhere."""
+    limit_r = check_limit(limit_r, "limit_r")
     system = as_system(system)
     _check_mitm_limits(system.r, limit_r)
     start = time.perf_counter()
@@ -247,10 +251,13 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
 
     ``auto`` takes brute force when r <= 20 and r <= max_r, otherwise
     meet-in-the-middle.  ``max_r=None`` keeps the engine's own limit
-    (26 for brute force, 48 for meet-in-the-middle).
+    (26 for brute force, 48 for meet-in-the-middle); any other ``max_r``
+    must be an integer >= 0 (``rootsys.check_limit``).
     """
     if method not in METHODS:
         raise ValueError(f"unknown counting method {method!r}")
+    if max_r is not None:
+        max_r = check_limit(max_r, "max_r")
     if method == "auto":
         brute = r <= AUTO_BRUTE_MAX and (max_r is None or r <= max_r)
         method = "brute" if brute else "mitm"

@@ -32,6 +32,12 @@ tags can never meet.  Each check then reads the single term whose key is
 (m << r) | m.  Blocks bound the live terms by ``_BLOCK``, where one
 element of all 2^r monomials would hold 2^r.
 
+Scalars are immutable, so ``act_e`` computes each product once per
+distinct (coefficient, Koszul sign) within a call and gives every term
+with that key the same object.  A block starts with every coefficient
+``ONE`` and each action multiplies by a unit, so it holds a few shared
+Scalars instead of one per term; every check still reads every term.
+
 The roots enter only through their sparse rows (``RootSystem.rows``): each
 monomial's signed root sum is taken with ``rootsys.row_sum`` in Python
 ints, so the zero test is exact for entries of any size, and a bare matrix
@@ -40,6 +46,7 @@ is first made a ``RootSystem`` by ``rootsys.as_system``.  No numpy here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -49,13 +56,13 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import as_system, is_int, row_sum
+from .rootsys import as_system, check_limit, is_int, row_sum
 
 _ZERO_PARTS = (0, 0, 0, 0, 1)
 # Monomials per tagged block of invariant_dimension (module docstring).
-# Past 64 the oracle runs no faster, and at 256 the D4 process peaks about
-# 0.25 MiB higher in RSS.
-_BLOCK = 64
+# A block holds a few shared Scalars, not one per term, so 256 peaks no
+# higher in RSS than 64 on D4 and runs faster; 1024 runs no faster.
+_BLOCK = 256
 DEFAULT_ORACLE_LIMIT = 14  # largest r invariant_dimension runs on by default
 
 
@@ -211,11 +218,19 @@ class SpinorElement:
     def __init__(self, rank: int, terms: dict[int, Scalar] | None = None):
         if not is_int(rank) or rank < 0:
             raise DimensionMismatchError(f"rank must be a non-negative integer, got {rank!r}")
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise DimensionMismatchError(
+                f"terms must map monomial masks to Scalars, got {type(terms).__name__}"
+            )
         size = 1 << int(rank)
         kept: dict[int, Scalar] = {}
-        for m, s in (terms or {}).items():
+        for m, s in terms.items():
             if not (is_int(m) and 0 <= m < size):
                 raise IndexOutOfRangeError(f"monomial mask {m!r} outside 0..{size - 1}")
+            if not isinstance(s, Scalar):
+                raise DimensionMismatchError(f"coefficient of mask {m} must be a Scalar, got {s!r}")
             if not s.is_zero:
                 kept[int(m)] = s
         self.rank = int(rank)
@@ -324,20 +339,26 @@ def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
     out: dict[int, Scalar] = {}
     bit = 1 << j
     below = bit - 1
+    # Terms with equal coefficients and signs share one product (module docstring).
+    shared = {1: {}, -1: {}}
     for mask, coeff in eta.terms.items():
         sign = -1 if (mask & below).bit_count() & 1 else 1
         if not mask & bit:
             sign *= wedge
-        out[mask ^ bit] = scale(coeff.times_i_sqrt2(sign))
+        products = shared[sign]
+        parts = coeff._parts
+        product = products.get(parts)
+        if product is None:
+            product = products[parts] = scale(coeff.times_i_sqrt2(sign))
+        out[mask ^ bit] = product
     return _element(eta.rank, out)
 
 
 def _rotation_term(j: int, eta: SpinorElement) -> SpinorElement:
     """e^{(j)}_1 e^{(j)}_2 applied to eta; must collapse into Q[i]."""
     term = act_e(j, 1, act_e(j, 2, eta))
-    for coeff in term.terms.values():
-        if not coeff.in_gaussian_part:
-            raise InternalCheckError("sqrt(2) components failed to cancel in a paired action")
+    if any(c._parts[2] or c._parts[3] for c in term.terms.values()):
+        raise InternalCheckError("sqrt(2) components failed to cancel in a paired action")
     return term
 
 
@@ -384,6 +405,7 @@ def invariant_dimension(system, limit_r: int = DEFAULT_ORACLE_LIMIT) -> int:
     and block; every check still applies to each monomial on its own, and
     each monomial's signed root sum is tested for zero over the sparse rows.
     """
+    limit_r = check_limit(limit_r, "limit_r")
     system = as_system(system)
     r = system.r
     if r > limit_r:

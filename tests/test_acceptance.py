@@ -140,12 +140,13 @@ def test_criterion_3_lower_bound_consistency(catalogue):
 
 
 def test_criterion_4_oracle_equivalence():
-    ids = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+    ids = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("C", 3),
+           ("D", 4), ("G", 2)]
     start = time.perf_counter()
     pairs = []
     for family, rank in ids:
         system = _sys(family, rank)
-        dim = invariant_dimension(system)
+        dim = invariant_dimension(system, limit_r=15)  # A5 has r = 15
         count = count_bruteforce(system).value
         assert dim == count, (family, rank, dim, count)
         pairs.append(f"{family}{rank}={dim}")

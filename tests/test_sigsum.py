@@ -19,9 +19,9 @@ Claims covered:
       and a Fail always implies a zero brute-force count
     - the obstruction's column sums are exact for every int64 entry
     - the obstruction on A160 and C120 passes within 3 s each
-    - the obstruction's own membership test answers as ``contains`` does on
-      its sum and basis, on every catalogue id and every rank the lattice
-      workload of ``perfbench/run.py`` picks from
+    - the obstruction passes exactly where ``certs.lower_bound`` is nonzero,
+      and builds one basis per system, on every catalogue id and every rank
+      the lattice workload of ``perfbench/run.py`` picks from
     - the existence pipeline returns verified witnesses or obstruction proofs,
       and on catalogued systems the certificate, after checking that the
       obstruction passes exactly when a certificate exists; past r = 16 the
@@ -33,6 +33,9 @@ Claims covered:
       engines up at call time; on a named system a count below the
       published lower bound, or nonzero where the bound is 0, is an
       internal error, and a bare matrix is not checked
+    - a limit of brute force or meet-in-the-middle, or a ``max_r`` of
+      ``count``, that is not an integer >= 0 is refused; numpy integers
+      are integers and ``max_r=None`` keeps each engine's own limit
     - resource limits are exercised, and every engine checks the memory
       budget before it builds a table; under an address-space limit the
       budget is what of the limit the process has not mapped yet
@@ -121,6 +124,14 @@ from rootspin.rootsys import CATALOGUE
 
 def _sys(family, rank):
     return positive_roots(FamilyRank(family, rank))
+
+
+# Limits every engine refuses: 6.5 was compared as a number, True acted as
+# 1, "x" and None raised a bare TypeError, and -1 read "needs r <= -1".
+BAD_LIMITS = pytest.mark.parametrize(
+    "bad", [6.5, True, "x", None, -1, np.float64(6.0)],
+    ids=["float", "bool", "str", "none", "negative", "np_float"],
+)
 
 
 class TestSignedSum:
@@ -267,6 +278,18 @@ class TestCounting:
     def test_mitm_limit(self):
         with pytest.raises(ResourceLimitError):
             count_mitm(_sys("E", 8))
+
+    @BAD_LIMITS
+    def test_brute_limit_must_be_an_integer_at_least_zero(self, bad):
+        with pytest.raises(DimensionMismatchError, match="limit_r must be an integer >= 0"):
+            count_bruteforce(_sys("G", 2), bad)
+        assert count_bruteforce(_sys("G", 2), np.int64(6)).value == 4
+
+    @BAD_LIMITS
+    def test_mitm_limit_must_be_an_integer_at_least_zero(self, bad):
+        with pytest.raises(DimensionMismatchError, match="limit_r must be an integer >= 0"):
+            count_mitm(_sys("G", 2), bad)
+        assert count_mitm(_sys("G", 2), np.int64(6)).value == 4
 
     @pytest.mark.parametrize(
         "engine",
@@ -753,6 +776,16 @@ class TestCountEntryPoint:
         with pytest.raises(ValueError):
             sigsum.choose_engine(6, "dp")
 
+    @pytest.mark.parametrize("bad", [6.5, True, "x", -1, np.float64(6.0)],
+                             ids=["float", "bool", "str", "negative", "np_float"])
+    def test_max_r_must_be_an_integer_at_least_zero(self, bad):
+        g2 = _sys("G", 2)
+        for method in sigsum.METHODS:
+            with pytest.raises(DimensionMismatchError, match="max_r must be an integer >= 0"):
+                sigsum.count(g2, method, bad)
+        assert sigsum.choose_engine(6, max_r=np.int64(6)) == ("brute", 6)
+        assert sigsum.count(g2, max_r=None).value == sigsum.count(g2, max_r=np.int32(6)).value == 4
+
     def test_count_runs_the_chosen_engine(self):
         d5, a6 = _sys("D", 5), _sys("A", 6)  # r = 20 and r = 21
         assert sigsum.count(d5).method == sigsum.METHOD_BRUTE
@@ -1206,20 +1239,24 @@ class TestObstruction:
         assert obstruction_2L([[-2**63], [-2**63]]).passed
         assert not obstruction_2L([[-2**63], [2**62]]).passed
 
-    def test_membership_test_agrees_with_contains(self, catalogue, lattice_ranks, monkeypatch):
-        # the obstruction tests its Python-int sum against the one basis it built
-        built = []
-        monkeypatch.setattr(sigsum, "hnf", lambda *args: built.append(hnf(*args)) or built[-1])
+    def test_agrees_with_the_published_existence(self, catalogue, lattice_ranks):
+        # certs.lower_bound shares no lattice code: on these systems the
+        # obstruction passes exactly where a zero signed sum exists
         systems = list(catalogue.values()) + [_sys(f, n) for f, n in lattice_ranks]
         outcomes = set()
         for system in systems:
-            built.clear()
             passed = obstruction_2L(system).passed
-            total = rootsys.row_sum(system.rows, system.ambient_dim,
-                                    ((i, 1) for i in range(system.r)))
-            assert len(built) == 1 and passed == built[0].contains(total, 2), str(system)
+            assert passed == (certs.lower_bound(system.id) > 0), str(system)
             outcomes.add(passed)
         assert outcomes == {True, False}
+
+    def test_builds_one_basis_per_system(self, catalogue, lattice_ranks, monkeypatch):
+        built = []
+        monkeypatch.setattr(sigsum, "hnf", lambda *args: built.append(hnf(*args)) or built[-1])
+        for system in list(catalogue.values()) + [_sys(f, n) for f, n in lattice_ranks]:
+            built.clear()
+            obstruction_2L(system)
+            assert len(built) == 1, str(system)
 
     @pytest.mark.parametrize("family,rank", [("A", 160), ("C", 120)])
     def test_large_rank_time_budget(self, family, rank):

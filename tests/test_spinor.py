@@ -19,12 +19,15 @@ Claims covered:
     - the oracle builds no Fraction; torus directions, Scalar components
       and the factor of ``times_rational`` take only ints and Fractions
       (numpy integers as ints), masks outside 0..2^rank - 1 are refused,
-      and so is an axis of act_e that is not the integer 1 or 2
+      and so is an axis of act_e that is not the integer 1 or 2, a
+      coefficient that is not a Scalar, terms that are not a mapping, and
+      a limit of invariant_dimension that is not an integer >= 0
     - elements of different ranks do not add, and scaling by zero gives
       the zero element of the same rank
     - the one-pass act_e equals (act_x +- act_y) scaled by 1/sqrt(2) or
       i/sqrt(2) on random multi-term elements, partner masks and
-      cancelled terms included
+      cancelled terms included, and terms sharing a coefficient under both
+      Koszul signs; on D4 the oracle builds far fewer than r * 2^r Scalars
     - the tagged blocks of invariant_dimension give every monomial the
       eigen signs it has alone, one _rotation_term per generator and block;
       a moved tag is caught as "not diagonal"; the zero test is exact past
@@ -245,6 +248,18 @@ class TestInvariantDimension:
         with pytest.raises(ResourceLimitError):
             invariant_dimension(positive_roots(FamilyRank("A", 5)), limit_r=14)
 
+    @pytest.mark.parametrize(
+        "bad", [6.5, True, "x", None, -1, np.float64(6.0)],
+        ids=["float", "bool", "str", "none", "negative", "np_float"],
+    )
+    def test_limit_must_be_an_integer_at_least_zero(self, bad):
+        # 6.5 was compared as a number, True acted as 1 ("exceeds limit
+        # 2^True"), "x" and None raised a bare TypeError
+        g2 = positive_roots(FamilyRank("G", 2))
+        with pytest.raises(DimensionMismatchError, match="limit_r must be an integer >= 0"):
+            invariant_dimension(g2, bad)
+        assert invariant_dimension(g2, np.int64(6)) == 4
+
 
 # Reference arithmetic on 4-tuples of Fractions (a, b, c, d), meaning
 # a + b*i + c*sqrt(2) + d*i*sqrt(2).
@@ -380,6 +395,18 @@ class TestSelfChecks:
         self._fails(g2, "not diagonal")
 
 
+def test_oracle_shares_its_scalars(monkeypatch, catalogue):
+    # Unshared, every term of every generator action built its own Scalars:
+    # about 196k on D4, 4 per term for each of the r * 2^r (term, generator)
+    # pairs.  Shared, each action builds a few per block.
+    system = catalogue["D4"]
+    built = []
+    raw = spinor._raw
+    monkeypatch.setattr(spinor, "_raw", lambda *parts: built.append(1) or raw(*parts))
+    assert invariant_dimension(system) == 64
+    assert len(built) <= system.r * (1 << system.r) // 16
+
+
 def test_oracle_builds_no_fraction(monkeypatch, catalogue):
     built = []
 
@@ -428,6 +455,15 @@ class TestInputChecks:
             SpinorElement.monomial(6, mask)
         with pytest.raises(IndexOutOfRangeError):
             SpinorElement(6, {0: ONE, mask: ONE})
+
+    @pytest.mark.parametrize(
+        "terms", [{0: 1}, {0: None}, {0: Fraction(1)}, {1: ONE, 0: "1"}, [1], "ab", 3],
+        ids=["int", "none", "fraction", "str_coeff", "list", "str", "int_terms"],
+    )
+    def test_coefficients_must_be_scalars_in_a_mapping(self, terms):
+        # {0: 1}, {0: None} and [1] raised a bare AttributeError
+        with pytest.raises(DimensionMismatchError):
+            SpinorElement(2, terms)
 
     def test_masks_inside_range_accepted(self):
         assert list(SpinorElement.monomial(6, 63).terms) == [63]
@@ -485,14 +521,20 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def act_e_cases(draw):
-    """(j, axis, eta): up to 8 terms of rank <= 5, often with the partner
-    m ^ 2^j of each mask, and sometimes with terms cancelled by a sum."""
+    """(j, axis, eta): up to 8 drawn masks of rank <= 5, often with the partner
+    m ^ 2^j of each mask, often with terms that share one or two
+    coefficients, each under both Koszul signs (the masks m ^ 1 flip the
+    parity below j > 0), and sometimes with terms cancelled by a sum."""
     r = draw(st.integers(1, 5))
     j = draw(st.integers(0, r - 1))
     masks = set(draw(st.lists(st.integers(0, (1 << r) - 1), max_size=8)))
     if draw(st.booleans()):
         masks |= {m ^ (1 << j) for m in masks}
     coeffs = st.tuples(_small, _small, _small, _small).map(lambda c: Scalar(*c))
+    if draw(st.booleans()):
+        coeffs = st.sampled_from(draw(st.lists(coeffs, min_size=1, max_size=2)))
+        if j > 0:
+            masks |= {m ^ 1 for m in masks}
     eta = SpinorElement(r, {m: draw(coeffs) for m in sorted(masks)})
     if draw(st.booleans()):
         gone = draw(st.sets(st.sampled_from(sorted(masks)))) if masks else set()
