@@ -34,26 +34,33 @@ class CertificateFamily:
         return 2 ** len(self.blocks)
 
 
+def _bound_parts(fr: FamilyRank) -> tuple[int, int]:
+    """The published lower bound as (c, k), meaning c * 2^k, so that existence
+    (c != 0) is read without building 2^k, which a huge rank cannot hold."""
+    n = fr.rank
+    if fr.family == "A":
+        return (1, n // 2) if n % 2 == 0 else (0, 0)
+    if fr.family == "B":
+        return 0, 0
+    if fr.family == "C":
+        return (1, (n + 1) // 4) if n % 4 in (0, 3) else (0, 0)
+    if fr.family == "D":
+        return (1, (n + 1) // 4) if n % 4 in (0, 1) else (0, 0)
+    if fr.family == "E":
+        return {6: 13697920, 7: 0, 8: 369600}[n], 0
+    if fr.family == "F":
+        return 34432, 0
+    return 4, 0  # G2
+
+
 def lower_bound(fr: FamilyRank) -> int:
     """Published lower bound on the count of zero signed sums (0 = none exist).
 
     For E6, F4 and G2 this is the exact count; for E8 it is 369600, which is
     strictly larger than what the assembled certificate's blocks certify.
     """
-    n = fr.rank
-    if fr.family == "A":
-        return 2 ** (n // 2) if n % 2 == 0 else 0
-    if fr.family == "B":
-        return 0
-    if fr.family == "C":
-        return 2 ** ((n + 1) // 4) if n % 4 in (0, 3) else 0
-    if fr.family == "D":
-        return 2 ** ((n + 1) // 4) if n % 4 in (0, 1) else 0
-    if fr.family == "E":
-        return {6: 13697920, 7: 0, 8: 369600}[n]
-    if fr.family == "F":
-        return 34432
-    return 4  # G2
+    c, k = _bound_parts(fr)
+    return c << k
 
 
 def _alternating_blocks(k: int, pair_idx, extra_idx) -> list[list[tuple[int, int]]]:
@@ -226,7 +233,8 @@ _BUILDERS = {"A": _blocks_a, "C": _blocks_c, "D": _blocks_d, "E6": _one_block(_E
 
 def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     """Verified block certificate, or None exactly when no zero sum exists,
-    that is when ``lower_bound`` is 0, decided before any root is built.
+    that is when ``lower_bound`` is 0, decided before any root is built and
+    without building the bound itself.
 
     Takes a root system already built, or an id whose system is then built
     once; the blocks index into it and are verified against it.  An
@@ -235,7 +243,7 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     fr = system.id if isinstance(system, RootSystem) else system
     if fr is None:
         raise InvalidRankError(f"{system} has no family and rank to certify")
-    if not lower_bound(fr):
+    if not _bound_parts(fr)[0]:
         return None
     if not isinstance(system, RootSystem):
         system = positive_roots(fr)

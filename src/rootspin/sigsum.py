@@ -18,8 +18,8 @@ ways.  Three routes are implemented and cross-checked:
   are closed under negation, so a table holds one sign-canonical state per
   pair {s, -s}; a left pair meets the negated right pair exactly where
   both tables hold its key, and counts twice unless it is the zero sum.
-  The witness search walks the same halves, split in the middle, and
-  recurses into each of them.
+  The witness search walks the same halves, split in the middle,
+  recurses into each of them and recombines their signs in Python ints.
 * ``obstruction_2L``: a necessary condition for existence.  Since
   e_i * a_i = a_i (mod 2L) for L the lattice generated by the roots, any
   zero signed sum forces sum(a_i) into 2L.  Both the sum and the lattice
@@ -39,9 +39,9 @@ compares ``system.r`` with its limit before it reads the dense view
 ``system.roots``, which only brute force, meet-in-the-middle, enumeration
 and the witness search read.  So ``exists_strong_dependence`` on a named
 system calls no numpy function: the obstruction, the certificate and the
-check of its witness all run on the sparse rows in Python ints, and the
-witness is a tuple of Python ints on every route.  numpy is still imported
-with this module, for the engines.
+check of its witness all run on the sparse rows in Python ints.  One exact
+sum checks the witness of both routes, a tuple of Python ints +-1 like each
+enumerated vector.  numpy is still imported with this module, for the engines.
 
 ``count(system, method, max_r)`` is the one counting entry point.
 ``choose_engine`` holds the ``auto`` rule (brute force when r <= 20 and
@@ -150,16 +150,9 @@ class ExistenceResult:
     certificate: certs.CertificateFamily | None = None
 
 
-def signs_vector(signs) -> np.ndarray:
-    arr = int64_array(signs, LengthMismatchError)
-    if arr.ndim != 1 or not np.all(np.abs(arr) == 1):
-        raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
-    return arr
-
-
-def signs_from_mask(mask: int, r: int) -> np.ndarray:
-    """Sign vector for an enumeration index: bit t set means sign of root t is -1."""
-    return np.array([-1 if (mask >> t) & 1 else 1 for t in range(r)], dtype=np.int64)
+def signs_from_mask(mask: int, r: int) -> tuple[int, ...]:
+    """Sign tuple of Python ints for an enumeration index: bit t set means root t gets -1."""
+    return tuple(-1 if (mask >> t) & 1 else 1 for t in range(r))
 
 
 def signed_sum(system, signs) -> np.ndarray:
@@ -170,7 +163,9 @@ def signed_sum(system, signs) -> np.ndarray:
     returning a wrapped value.
     """
     system = as_system(system)
-    eps = signs_vector(signs)
+    eps = int64_array(signs, LengthMismatchError)
+    if eps.ndim != 1 or not np.all(np.abs(eps) == 1):
+        raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
     if eps.shape[0] != system.r:
         raise LengthMismatchError(f"expected {system.r} signs, got {eps.shape[0]}")
     total = row_sum(system.rows, system.ambient_dim, enumerate(eps.tolist()))
@@ -285,8 +280,8 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
     return result
 
 
-def enumerate_zero_signs(system) -> list[np.ndarray]:
-    """All sign vectors with zero signed sum, for r <= ENUMERATION_LIMIT."""
+def enumerate_zero_signs(system) -> list[tuple[int, ...]]:
+    """All zero-sum sign tuples of Python ints, in mask order, for r <= ENUMERATION_LIMIT."""
     system = as_system(system)
     r = system.r
     if r > ENUMERATION_LIMIT:
@@ -437,19 +432,20 @@ def obstruction_2L(system) -> ObstructionResult:
     )
 
 
-def _search_witness(roots: np.ndarray) -> np.ndarray | None:
-    """One zero signed sum, or None, by the walk of ``count_mitm`` split
-    in the middle, so that each subproblem has about half the roots: a
-    chosen split recurses deeper, and took longer on F4 and A8.
+def _search_witness(roots: np.ndarray) -> tuple[int, ...] | None:
+    """One zero signed sum as a tuple of Python ints, or None, by the walk
+    of ``count_mitm`` split in the middle, so that each subproblem has about
+    half the roots: a chosen split recurses deeper, and took longer on F4 and A8.
 
     A key both pruned tables hold is a canonical sum v: the left half
     reaches v and -v, and so does the right half, so the right half cancels
     the left sum v.  The same search finds zero sums of the left half with -v
     put first and of the right half with v; times the sign of its extra
-    root, each gives its half's signs.  |v| is at most either half's weight,
-    so neither is heavier than the whole.  The zero key sorts first, so v is
-    often 0.  At r <= 16 the search takes the first zero mask of the full
-    table and builds one sign vector."""
+    root, each gives its half's signs, recombined in Python ints.  |v| is at
+    most either half's weight, so neither is heavier than the whole.  The
+    zero key sorts first, so v is often 0.  At r <= 16 the search takes the
+    first zero mask of the full table and builds one sign vector.  The
+    caller checks the final sum, which any wrong recombination leaves nonzero."""
     if roots.shape[0] <= ENUMERATION_LIMIT:
         masks = _kernels.zero_masks(roots)[:1]
         return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
@@ -461,10 +457,8 @@ def _search_witness(roots: np.ndarray) -> np.ndarray | None:
     v = _kernels.key_vector(ordered, left[0][il[0]:il[0] + 1])
     left = right = None  # the searches below need none of the tables
     halves = [_search_witness(np.vstack(h)) for h in ((-v, ordered[:k]), (v, ordered[k:]))]
-    signs = np.concatenate([s[1:] * s[0] for s in halves])[np.argsort(order)]
-    if np.any(signs @ roots != 0):
-        raise InternalCheckError("witness reconstruction produced a non-zero sum")
-    return signs
+    signs = [s * h[0] for h in halves for s in h[1:]]  # sign of root order[p] at p
+    return tuple(signs[p] for p in np.argsort(order).tolist())
 
 
 def exists_strong_dependence(system) -> ExistenceResult:
@@ -473,30 +467,24 @@ def exists_strong_dependence(system) -> ExistenceResult:
     The 2L obstruction runs first; its failure proves non-existence.  A
     catalogued root system is then proved both ways: the obstruction must
     pass exactly when its family has a verified block certificate, which
-    supplies the witness, which is checked by its exact signed sum over the
-    sparse rows; no numpy function runs on this route.  An unnamed system (a
-    bare matrix) that passes the obstruction goes to a witness search on the
-    walk of ``count_mitm``, within its limits and recursive past r = 16.
-    On both routes the witness is a tuple of Python ints +-1, one per root,
-    or None when no zero sum exists.
+    supplies the witness; no numpy function runs on this route.  An unnamed
+    system (a bare matrix) that passes the obstruction goes to a witness
+    search on the walk of ``count_mitm``, within its limits and recursive
+    past r = 16.  Either witness, a tuple of Python ints +-1 per root or None,
+    is checked by one exact signed sum over the rows (else InternalCheckError).
     """
     system = as_system(system)
     obstruction = obstruction_2L(system)
+    cert, witness, method = None, None, METHOD_OBSTRUCTION
     if system.id is not None:
         cert = certs.certificate(system)
-        if obstruction.passed and cert is None:
-            raise InternalCheckError(f"{system.id}: obstruction passed but no certificate exists")
-        if cert is not None and not obstruction.passed:
-            raise InternalCheckError(f"{system.id}: certificate exists but the obstruction failed")
-        if cert is None:
-            return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-        witness = certs.assembled_witness(cert)
-        if any(row_sum(system.rows, system.ambient_dim, enumerate(witness))):
-            raise InternalCheckError(f"certificate witness for {system.id} does not verify")
-        return ExistenceResult(True, witness, obstruction, METHOD_CERTIFICATE, cert)
-    if not obstruction.passed:
-        return ExistenceResult(False, None, obstruction, METHOD_OBSTRUCTION)
-    _check_mitm_limits(system.r, DEFAULT_MITM_LIMIT)
-    signs = _search_witness(system.roots)
-    witness = None if signs is None else tuple(signs.tolist())
-    return ExistenceResult(witness is not None, witness, obstruction, METHOD_MITM)
+        if obstruction.passed != (cert is not None):
+            raise InternalCheckError(f"{system.id}: the obstruction and the certificate disagree")
+        if cert is not None:
+            witness, method = certs.assembled_witness(cert), METHOD_CERTIFICATE
+    elif obstruction.passed:
+        _check_mitm_limits(system.r, DEFAULT_MITM_LIMIT)
+        witness, method = _search_witness(system.roots), METHOD_MITM
+    if witness is not None and any(row_sum(system.rows, system.ambient_dim, enumerate(witness))):
+        raise InternalCheckError("the witness's signed sum over the roots is not zero")
+    return ExistenceResult(witness is not None, witness, obstruction, method, cert)

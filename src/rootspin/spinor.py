@@ -119,6 +119,8 @@ class Scalar:
     d = property(lambda self: self._component(3))
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         a1, b1, c1, d1, q1 = self._parts
         a2, b2, c2, d2, q2 = other._parts
         if q1 == q2:
@@ -127,13 +129,15 @@ class Scalar:
                         c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + -other
+        return self + -other if isinstance(other, Scalar) else NotImplemented
 
     def __neg__(self) -> "Scalar":
         a, b, c, d, q = self._parts
         return _raw(-a, -b, -c, -d, q)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
         a1, b1, c1, d1, q1 = self._parts
         a2, b2, c2, d2, q2 = other._parts
         return _reduced(
@@ -145,7 +149,7 @@ class Scalar:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self._parts == other._parts
+        return self._parts == other._parts if isinstance(other, Scalar) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._parts)
@@ -224,16 +228,17 @@ class SpinorElement:
             raise DimensionMismatchError(
                 f"terms must map monomial masks to Scalars, got {type(terms).__name__}"
             )
-        size = 1 << int(rank)
+        rank = int(rank)
         kept: dict[int, Scalar] = {}
         for m, s in terms.items():
-            if not (is_int(m) and 0 <= m < size):
-                raise IndexOutOfRangeError(f"monomial mask {m!r} outside 0..{size - 1}")
+            # m >> rank == 0 builds no 2^rank; no mask is named, as repr refuses huge ints
+            if not (is_int(m) and int(m) >> rank == 0):
+                raise IndexOutOfRangeError(f"a monomial mask is outside 0..2^{rank} - 1")
             if not isinstance(s, Scalar):
                 raise DimensionMismatchError(f"coefficient of mask {m} must be a Scalar, got {s!r}")
             if not s.is_zero:
                 kept[int(m)] = s
-        self.rank = int(rank)
+        self.rank = rank
         self.terms = kept
 
     @classmethod
@@ -245,6 +250,8 @@ class SpinorElement:
         return cls(rank, {0: ONE})
 
     def _merged(self, other: "SpinorElement", flip: bool) -> "SpinorElement":
+        if not isinstance(other, SpinorElement):
+            return NotImplemented
         if self.rank != other.rank:
             raise DimensionMismatchError("elements live in different exterior algebras")
         out = dict(self.terms)
@@ -263,6 +270,8 @@ class SpinorElement:
         return self._merged(other, flip=True)
 
     def scaled(self, factor: Scalar) -> "SpinorElement":
+        if not isinstance(factor, Scalar):
+            raise DimensionMismatchError(f"a factor must be a Scalar, got {type(factor).__name__}")
         # Q[i, sqrt(2)] is a field: a product is zero only when the factor is.
         if factor.is_zero:
             return _element(self.rank, {})
@@ -284,7 +293,9 @@ class SpinorElement:
 
 
 def _check_index(j: int, eta: SpinorElement) -> int:
-    """``j`` as a Python int, refused unless it is an integer (not a bool) in 0..rank-1."""
+    """``j`` as a Python int: an integer (not a bool) in 0..rank-1 of the element ``eta``."""
+    if not isinstance(eta, SpinorElement):
+        raise DimensionMismatchError(f"expected a SpinorElement, got {type(eta).__name__}")
     if not is_int(j):
         raise IndexOutOfRangeError(f"generator index {j!r} is not an integer")
     if not 0 <= j < eta.rank:
@@ -380,8 +391,8 @@ def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
     xs = _direction(X)
     if len(xs) != m:
         raise DimensionMismatchError(f"expected {m} coordinates, got {len(xs)}")
-    if eta.rank != r:
-        raise DimensionMismatchError("element rank does not match the number of roots")
+    if not isinstance(eta, SpinorElement) or eta.rank != r:
+        raise DimensionMismatchError(f"expected a SpinorElement of rank {r}")
     total = SpinorElement(eta.rank)
     for j in range(r):
         weight = Fraction(sum(x * xs[c] for c, x in system.rows[j]), 2 * system.denominator)

@@ -21,9 +21,13 @@ Claims covered:
       integer +-1, and a block that is not a sequence of pairs, with an
       InternalCheckError whose text names the block, as verify reports it
     - a certificate builds its root system once and none for non-existence,
-      and none when it is given the system already built
+      and none when it is given the system already built; at a huge rank it
+      decides existence without building the bound 2^k, so it returns None
+      or is refused by the roots' budget at once, tracing under 1 MiB
     - a builder whose blocks fail verification is an internal error
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from rootspin import (
     CertificateFamily,
     FamilyRank,
     InternalCheckError,
+    ResourceLimitError,
     RootspinError,
     assembled_witness,
     certificate,
@@ -253,6 +258,28 @@ def test_roots_built_once_per_certificate(monkeypatch, family, rank, builds):
     calls.clear()
     assert certificate(positive_roots(fr)) == by_id
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "family,rank,exists",
+    [("A", 2734419301102861156352, True), ("C", 114216968522086423844239797344784089088, True),
+     ("D", 10**12, True), ("A", 10**30 + 1, False), ("B", 10**30, False)],
+    ids=["A_even", "C_0_mod_4", "D_0_mod_4", "A_odd", "B"],
+)
+def test_huge_rank_decided_without_building_the_bound(family, rank, exists):
+    # lower_bound's 2^(n/2) was built first: certify A 2734419301102861156352
+    # ran 47 s and grew past 4 GiB before the roots' budget refused it
+    tracemalloc.start()
+    try:
+        if exists:
+            with pytest.raises(ResourceLimitError, match="the roots of"):
+                certificate(FamilyRank(family, rank))
+        else:
+            assert certificate(FamilyRank(family, rank)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_every_block_sums_to_zero_individually(catalogue):

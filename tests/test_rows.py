@@ -348,7 +348,7 @@ class TestUnnamedSystems:
         if r <= sigsum.DEFAULT_BRUTE_LIMIT:
             engines.append(lambda s: count_bruteforce(s).value)
         if r <= sigsum.ENUMERATION_LIMIT:
-            engines.append(lambda s: [v.tolist() for v in enumerate_zero_signs(s)])
+            engines.append(lambda s: [list(v) for v in enumerate_zero_signs(s)])
         if r <= 14:
             engines.append(invariant_dimension)
         for engine in engines:

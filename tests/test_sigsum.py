@@ -27,7 +27,9 @@ Claims covered:
       obstruction passes exactly when a certificate exists; past r = 16 the
       witness search recurses on the walked halves (see test_properties);
       the witness is a tuple of Python ints +-1 on both routes, and a
-      certificate witness whose signed sum is not zero is an internal error
+      witness of either route whose signed sum is not zero is the same
+      internal error; a disagreement of obstruction and certificate is
+      one internal error whichever side passes
     - ``count`` runs brute force up to r = 20 (and r <= max_r) and
       meet-in-the-middle above, with each engine's limit, and looks the
       engines up at call time; on a named system a count below the
@@ -1298,17 +1300,26 @@ class TestExistence:
         assert all(type(s) is int and s in (-1, 1) for s in witness)
         assert not signed_sum(roots, witness).any()
 
-    def test_certificate_witness_must_sum_to_zero(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["certificate", "search"])
+    def test_certificate_witness_must_sum_to_zero(self, route, monkeypatch):
+        # Both routes' witnesses meet one exact check, with one text: the
+        # certificate's on G2, the search's on G2's bare matrix.
         g2 = _sys("G", 2)
         good = certs.assembled_witness(certs.certificate(g2))
         bad = tuple(-s if i == 0 else s for i, s in enumerate(good))
-        monkeypatch.setattr(certs, "assembled_witness", lambda cert: bad)
-        with pytest.raises(InternalCheckError, match="certificate witness for G2 does not verify"):
+        if route == "certificate":
+            monkeypatch.setattr(certs, "assembled_witness", lambda cert: bad)
+        else:
+            monkeypatch.setattr(sigsum, "_search_witness", lambda roots: bad)
+            g2 = g2.roots.copy()
+        with pytest.raises(InternalCheckError,
+                           match="^the witness's signed sum over the roots is not zero$"):
             exists_strong_dependence(g2)
 
     def test_obstruction_pass_without_certificate_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(certs, "certificate", lambda fr: None)
-        with pytest.raises(InternalCheckError, match="no certificate"):
+        with pytest.raises(InternalCheckError,
+                           match="^G2: the obstruction and the certificate disagree$"):
             exists_strong_dependence(_sys("G", 2))
 
     def test_certificate_despite_obstruction_failure_is_an_internal_error(self, monkeypatch):
@@ -1316,7 +1327,8 @@ class TestExistence:
         # though the obstruction alone would already settle non-existence.
         g2_cert = certs.certificate(FamilyRank("G", 2))
         monkeypatch.setattr(certs, "certificate", lambda fr: g2_cert)
-        with pytest.raises(InternalCheckError, match="obstruction failed"):
+        with pytest.raises(InternalCheckError,
+                           match="^B3: the obstruction and the certificate disagree$"):
             exists_strong_dependence(_sys("B", 3))
 
     def test_e8_via_certificate(self):

@@ -19,11 +19,14 @@ Claims covered:
     - the oracle builds no Fraction; torus directions, Scalar components
       and the factor of ``times_rational`` take only ints and Fractions
       (numpy integers as ints), masks outside 0..2^rank - 1 are refused,
+      with no 2^rank built (a rank of 2^33 traces under 1 MiB),
       and so is an axis of act_e that is not the integer 1 or 2, a
       coefficient that is not a Scalar, terms that are not a mapping, and
       a limit of invariant_dimension that is not an integer >= 0
     - elements of different ranks do not add, and scaling by zero gives
-      the zero element of the same rank
+      the zero element of the same rank; a foreign operand of Scalar or
+      SpinorElement arithmetic raises TypeError, and a factor that is not a
+      Scalar or an element that is not a SpinorElement DimensionMismatchError
     - the one-pass act_e equals (act_x +- act_y) scaled by 1/sqrt(2) or
       i/sqrt(2) on random multi-term elements, partner masks and
       cancelled terms included, and terms sharing a coefficient under both
@@ -464,6 +467,46 @@ class TestInputChecks:
         # {0: 1}, {0: None} and [1] raised a bare AttributeError
         with pytest.raises(DimensionMismatchError):
             SpinorElement(2, terms)
+
+    @pytest.mark.parametrize("rank", [0, 6, 64, 10**8, 2**33])
+    def test_large_rank_builds_no_power_of_two(self, rank):
+        # 1 << rank was built before any term was read: 12.7 MiB at 10**8
+        tracemalloc.start()
+        try:
+            element = SpinorElement(rank, {0: ONE})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert element.rank == rank and list(element.terms) == [0]
+        # 2^(2^33) would take 1 GiB to build, so that rank is refused -1 only
+        for mask in [-1] if rank > 10**8 else [-1, 1 << rank]:
+            with pytest.raises(IndexOutOfRangeError, match=rf"outside 0\.\.2\^{rank} - 1$"):
+                SpinorElement(rank, {mask: ONE})
+
+    @pytest.mark.parametrize(
+        "expression,error",
+        [
+            (lambda: ONE + 1, TypeError),
+            (lambda: ONE * 2, TypeError),
+            (lambda: 1 - ONE, TypeError),
+            (lambda: SpinorElement.unit(2) + 1, TypeError),
+            (lambda: SpinorElement.unit(2) - ONE, TypeError),
+            (lambda: SpinorElement.unit(2).scaled(2), DimensionMismatchError),
+            (lambda: act_e(0, 1, {0: ONE}), DimensionMismatchError),
+            (lambda: act_x(0, None), DimensionMismatchError),
+            (lambda: act_y(0, [ONE]), DimensionMismatchError),
+            (lambda: cartan_act([[1, 0]], [1, 0], ONE), DimensionMismatchError),
+        ],
+        ids=["scalar_plus_int", "scalar_times_int", "int_minus_scalar", "element_plus_int",
+             "element_minus_scalar", "scaled_by_int", "act_e_on_dict", "act_x_on_none",
+             "act_y_on_list", "cartan_act_on_scalar"],
+    )
+    def test_foreign_operands_refused(self, expression, error):
+        # every case but int_minus_scalar raised a bare AttributeError
+        with pytest.raises(error):
+            expression()
+        assert ONE != 1 and not (ONE == 1) and SpinorElement.unit(2) != 1
 
     def test_masks_inside_range_accepted(self):
         assert list(SpinorElement.monomial(6, 63).terms) == [63]
