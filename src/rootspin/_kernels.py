@@ -30,10 +30,11 @@ the walk and the blocked prefix x suffix scan (here) are each written once,
 for every W.  The scan is exhaustive over the sign vectors with root 0
 positive, and doubles: negation pairs off the others.  It compares every
 such prefix key with every suffix key exactly once, in blocks that stay in
-cache: a suffix table of at most 256 KiB of keys, and a few prefix keys at
-a time broadcast against it.  Its tables are int32 when a key takes one
-word and the largest, ``sum_i |delta_i|``, fits in 31 bits, so the block
-holds twice as many keys.
+cache: a suffix table of at most ``_BLOCK_BYTES`` (128 KiB) of keys, and a
+few prefix keys at a time broadcast against it, at most ``_BLOCK_BYTES`` of
+booleans a step.  ``signed_sum_keys`` builds each table in place.  Its
+tables are int32 when a key takes one word and the largest, ``sum_i
+|delta_i|``, fits in 31 bits, so the block holds twice as many keys.
 
 Each call reads ``rootsys.memory_budget()`` once and checks every table
 estimate against it with ``rootsys.check_budget`` before allocating.
@@ -48,10 +49,11 @@ from .errors import ResourceLimitError
 
 # Word capacity budget: strictly below 2^62, so a word plus its offset never wraps.
 _KEY_BITS = 62
-# Bytes of keys in the suffix table of the full scan: 2^16 int32 or 2^15 int64 keys.
-_SUFFIX_BLOCK_BYTES = 256 << 10
-# Bytes of booleans one broadcast compare of the full scan produces.
-_COMPARE_BLOCK_BYTES = 512 << 10
+# Bytes of the full scan's suffix table (2^15 int32 or 2^14 int64 keys) and
+# of the booleans each of its broadcast compares produces.  In process on a
+# 2-core Xeon, D6's scan takes about 90 ms; a 256 KiB table with 512 KiB
+# compares takes 83 ms but holds 768 KiB more, and 64 KiB blocks take 105 ms.
+_BLOCK_BYTES = 128 << 10
 # Matched multiplicities the join multiplies at a time as Python ints.
 JOIN_CHUNK = 1 << 14
 # Roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64.
@@ -85,10 +87,16 @@ def key_packing(roots: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
 
 def signed_sum_keys(deltas: np.ndarray) -> np.ndarray:
     """All 2^h signed sums of the rows of ``deltas``, one (2^h, W) table of
-    their dtype indexed by sign mask (bit t set = root t negative)."""
-    keys = np.zeros((1, deltas.shape[1]), dtype=deltas.dtype)
+    their dtype indexed by sign mask (bit t set = root t negative).  It is
+    built in place: root t subtracts its delta from rows 0..2^t - 1 into
+    rows 2^t..2^(t+1) - 1, then adds it to rows 0..2^t - 1, so no doubling
+    holds a second table."""
+    keys = np.zeros((1 << deltas.shape[0], deltas.shape[1]), dtype=deltas.dtype)
+    n = 1
     for d in deltas:
-        keys = np.concatenate((keys + d, keys - d))
+        np.subtract(keys[:n], d, out=keys[n:2 * n])
+        keys[:n] += d
+        n *= 2
     return keys
 
 
@@ -292,9 +300,8 @@ def _split_tables(deltas, k, scratch=0, half=False):
     ``signed_sum_keys(deltas[1:k]) + deltas[0]``, 2^(k-1) keys, indexed by
     the sign mask of roots 1..k-1."""
     r, words = deltas.shape
-    # both tables, where the last doubling of one holds its old table, the
-    # two shifted copies and the new table (2.5 tables); and the caller's
-    # scratch bytes
+    # both tables, four times over (each is built in place, so this leaves
+    # room for what a call holds besides them); and the caller's scratch bytes
     estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words * 4 + scratch
     rootsys.check_budget(estimate, rootsys.memory_budget(), "signed-sum tables")
     prefix = signed_sum_keys(deltas[int(half):k])
@@ -317,13 +324,13 @@ def count_zero_full(roots: np.ndarray) -> tuple[int, int]:
     Negating every sign pairs the sign vectors off without fixed points and
     keeps a zero sum zero, so the count is twice the number of zero sums
     with root 0 positive: only those 2^(r-1) sign vectors are scanned.  The
-    last q roots form a suffix table of at most ``_SUFFIX_BLOCK_BYTES`` of
-    keys, the first r - q >= 1 a prefix table with root 0 positive.  The
+    last q roots form a suffix table of at most ``_BLOCK_BYTES`` of keys,
+    the first r - q >= 1 a prefix table with root 0 positive.  The
     tables are built and compared in int32 when W = 1 and the largest key,
     ``sum_i |delta_i|``, fits in 31 bits, so the suffix block holds twice
     as many keys.  Each step broadcasts a run of prefix keys against the
-    whole suffix table, a boolean block of at most ``_COMPARE_BLOCK_BYTES``,
-    and counts its equal pairs.  Every (prefix, suffix) pair is compared
+    whole suffix table, a boolean block of at most ``_BLOCK_BYTES``, and
+    counts its equal pairs.  Every (prefix, suffix) pair is compared
     exactly once, so the work is Theta(2^(r-1)); only the memory traffic is
     blocked.
     """
@@ -331,9 +338,9 @@ def count_zero_full(roots: np.ndarray) -> tuple[int, int]:
     deltas, _ = key_packing(roots)
     if deltas.shape[1] == 1 and sum(abs(d) for d in deltas[:, 0].tolist()) < 1 << 31:
         deltas = deltas.astype(np.int32)  # no signed sum leaves int32
-    q = min(r - 1, (_SUFFIX_BLOCK_BYTES // deltas[0].nbytes).bit_length() - 1)
-    prefix, suffix, estimate = _split_tables(deltas, r - q, _COMPARE_BLOCK_BYTES, True)
-    step = max(1, _COMPARE_BLOCK_BYTES >> q)
+    q = min(r - 1, (_BLOCK_BYTES // deltas[0].nbytes).bit_length() - 1)
+    prefix, suffix, estimate = _split_tables(deltas, r - q, _BLOCK_BYTES, True)
+    step = max(1, _BLOCK_BYTES >> q)
     value = sum(
         int(np.count_nonzero(prefix[i:i + step, None] == suffix))
         for i in range(0, prefix.shape[0], step)

@@ -81,7 +81,9 @@ def memory_budget() -> int:
 def check_budget(need: int, budget: int, what: str) -> None:
     """Refuse ``what`` when the ``need`` bytes it would take exceed ``budget``."""
     if need > budget:
-        raise ResourceLimitError(f"{what} would need about {need} bytes (> budget {budget})")
+        raise ResourceLimitError(
+            f"{what} would need about {shown(need)} bytes (> budget {budget})"
+        )
 
 
 def is_int(value) -> bool:
@@ -89,11 +91,28 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# At most 617 digits: under the 640 below which str() never refuses an int.
+_SHOWN_BITS = 2048
+
+
+def shown(value) -> str:
+    """``value`` as an error text names it: its repr, but an integer
+    (``is_int``) in decimal, or, past ``_SHOWN_BITS`` bits, by its sign and
+    bit length, since ``str`` refuses an int of more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    if not is_int(value):
+        return repr(value)
+    value = int(value)
+    if value.bit_length() <= _SHOWN_BITS:
+        return str(value)
+    return f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+
+
 def check_limit(limit, name: str) -> int:
     """An engine's largest admitted r as a Python int, refused unless it is
     an integer (not a bool) >= 0."""
     if not is_int(limit) or limit < 0:
-        raise DimensionMismatchError(f"{name} must be an integer >= 0, got {limit!r}")
+        raise DimensionMismatchError(f"{name} must be an integer >= 0, got {shown(limit)}")
     return int(limit)
 
 
@@ -106,13 +125,13 @@ class FamilyRank:
 
     def __post_init__(self) -> None:
         if self.family not in _RANK_RANGES:
-            raise InvalidRankError(f"unknown family {self.family!r}")
+            raise InvalidRankError(f"unknown family {shown(self.family)}")
         lo, hi = _RANK_RANGES[self.family]
         if not is_int(self.rank):
             raise InvalidRankError(f"a rank must be an integer, not {type(self.rank).__name__}")
         object.__setattr__(self, "rank", int(self.rank))
         if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRankError(f"{self.family}{self.rank} is outside the admissible range")
+            raise InvalidRankError(f"{self} is outside the admissible range")
 
     @classmethod
     def parse(cls, text: str) -> "FamilyRank":
@@ -127,7 +146,7 @@ class FamilyRank:
         return cls(text[0].upper(), rank)
 
     def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
+        return f"{self.family}{shown(self.rank)}"
 
 
 Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values only

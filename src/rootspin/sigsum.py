@@ -68,7 +68,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .rootsys import (
-    as_system, check_limit, int64_array, integer_array, is_int, row_sum, sparse_rows,
+    as_system, check_limit, int64_array, integer_array, is_int, row_sum, shown, sparse_rows,
 )
 
 METHOD_BRUTE = "brute_force"
@@ -95,7 +95,7 @@ class CountResult:
     def __post_init__(self) -> None:
         # Negating every sign maps zero sums to zero sums without fixed points.
         if self.value % 2 != 0:
-            raise InternalCheckError(f"exact count {self.value} is odd")
+            raise InternalCheckError(f"exact count {shown(self.value)} is odd")
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,8 @@ class LatticeBasis:
             vector = vector.tolist()
         if not (isinstance(vector, (list, tuple)) and len(vector) == self.ambient_dim
                 and all(map(is_int, vector))):
-            raise DimensionMismatchError(
-                f"the vector must be a list, tuple or 1-D array of {self.ambient_dim} integers"
-            )
+            raise DimensionMismatchError(f"the vector must be a list, tuple or 1-D array of "
+                                         f"{shown(self.ambient_dim)} integers")
         v, multiple = [int(x) for x in vector], int(multiple)
         for col, row in zip(self.columns, self.pivot_rows):
             pivot = multiple * col[row]
@@ -250,7 +249,7 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
     must be an integer >= 0 (``rootsys.check_limit``).
     """
     if method not in METHODS:
-        raise ValueError(f"unknown counting method {method!r}")
+        raise ValueError(f"unknown counting method {shown(method)}")
     if max_r is not None:
         max_r = check_limit(max_r, "max_r")
     if method == "auto":

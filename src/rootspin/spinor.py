@@ -21,6 +21,11 @@ terms, so equality and hashing compare plain int tuples.  Every value the
 generator actions produce lies in 2^-k Z[i, sqrt(2)]: multiplying by
 i*sqrt(2), 1/sqrt(2) or i/sqrt(2) permutes the numerators and doubles some
 of them or the denominator, and no ``Fraction`` is built on that path.
+``fractions`` (with the ``decimal`` it loads) is imported only where a
+``Fraction`` crosses the API: a component, factor or coordinate that is not
+an int, a component read back, and the weights of ``cartan_act``.  Ints
+carry ``numerator`` and ``denominator`` too, so ``ZERO``, ``ONE`` and the
+oracle import nothing.
 
 ``invariant_dimension`` applies each generator to a block of ``_BLOCK``
 monomials at once instead of to one monomial at a time.  A block is one
@@ -47,7 +52,6 @@ is first made a ``RootSystem`` by ``rootsys.as_system``.  No numpy here.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -56,7 +60,7 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import as_system, check_limit, is_int, row_sum
+from .rootsys import as_system, check_limit, is_int, row_sum, shown
 
 _ZERO_PARTS = (0, 0, 0, 0, 1)
 # Monomials per tagged block of invariant_dimension (module docstring).
@@ -83,9 +87,12 @@ def _reduced(a: int, b: int, c: int, d: int, q: int) -> "Scalar":
 
 def _rational(x, what: str):
     """``x`` as a Python int or a ``Fraction``, refused unless it is an
-    integer (not a bool) or a ``Fraction``: never a float or a string."""
+    integer (not a bool) or a ``Fraction``: never a float or a string.
+    Both read back ``numerator`` and ``denominator``."""
     if is_int(x):
         return int(x)
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     raise DimensionMismatchError(f"{what} must be integers or Fractions, got {x!r}")
@@ -102,7 +109,7 @@ class Scalar:
     __slots__ = ("_parts",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [Fraction(_rational(v, "Scalar components")) for v in (a, b, c, d)]
+        parts = [_rational(v, "Scalar components") for v in (a, b, c, d)]
         q = lcm(*(p.denominator for p in parts))
         self._parts = _reduced(*(p.numerator * (q // p.denominator) for p in parts), q)._parts
 
@@ -110,7 +117,9 @@ class Scalar:
     def of(cls, value) -> "Scalar":
         return cls(value)
 
-    def _component(self, index: int) -> Fraction:
+    def _component(self, index: int) -> "Fraction":
+        from fractions import Fraction
+
         return Fraction(self._parts[index], self._parts[4])
 
     a = property(lambda self: self._component(0))
@@ -221,7 +230,7 @@ class SpinorElement:
 
     def __init__(self, rank: int, terms: dict[int, Scalar] | None = None):
         if not is_int(rank) or rank < 0:
-            raise DimensionMismatchError(f"rank must be a non-negative integer, got {rank!r}")
+            raise DimensionMismatchError(f"rank must be a non-negative integer, got {shown(rank)}")
         if terms is None:
             terms = {}
         elif not isinstance(terms, Mapping):
@@ -231,11 +240,13 @@ class SpinorElement:
         rank = int(rank)
         kept: dict[int, Scalar] = {}
         for m, s in terms.items():
-            # m >> rank == 0 builds no 2^rank; no mask is named, as repr refuses huge ints
+            # m >> rank == 0 builds no 2^rank
             if not (is_int(m) and int(m) >> rank == 0):
-                raise IndexOutOfRangeError(f"a monomial mask is outside 0..2^{rank} - 1")
+                raise IndexOutOfRangeError(f"a monomial mask is outside 0..2^{shown(rank)} - 1")
             if not isinstance(s, Scalar):
-                raise DimensionMismatchError(f"coefficient of mask {m} must be a Scalar, got {s!r}")
+                raise DimensionMismatchError(
+                    f"coefficient of mask {shown(m)} must be a Scalar, got {shown(s)}"
+                )
             if not s.is_zero:
                 kept[int(m)] = s
         self.rank = rank
@@ -299,7 +310,7 @@ def _check_index(j: int, eta: SpinorElement) -> int:
     if not is_int(j):
         raise IndexOutOfRangeError(f"generator index {j!r} is not an integer")
     if not 0 <= j < eta.rank:
-        raise IndexOutOfRangeError(f"generator index {j} outside 0..{eta.rank - 1}")
+        raise IndexOutOfRangeError(f"generator index {shown(j)} outside 0..{shown(eta.rank - 1)}")
     return int(j)
 
 
@@ -345,7 +356,7 @@ def act_e(j: int, axis: int, eta: SpinorElement) -> SpinorElement:
     """
     j = _check_index(j, eta)
     if not is_int(axis) or axis not in (1, 2):
-        raise IndexOutOfRangeError(f"axis must be 1 or 2, got {axis!r}")
+        raise IndexOutOfRangeError(f"axis must be 1 or 2, got {shown(axis)}")
     scale, wedge = (Scalar.times_inv_sqrt2, 1) if axis == 1 else (Scalar.times_i_inv_sqrt2, -1)
     out: dict[int, Scalar] = {}
     bit = 1 << j
@@ -393,6 +404,8 @@ def cartan_act(system, X, eta: SpinorElement) -> SpinorElement:
         raise DimensionMismatchError(f"expected {m} coordinates, got {len(xs)}")
     if not isinstance(eta, SpinorElement) or eta.rank != r:
         raise DimensionMismatchError(f"expected a SpinorElement of rank {r}")
+    from fractions import Fraction
+
     total = SpinorElement(eta.rank)
     for j in range(r):
         weight = Fraction(sum(x * xs[c] for c, x in system.rows[j]), 2 * system.denominator)

@@ -6,9 +6,17 @@ Claims covered:
     - the module-level relative imports form an acyclic graph
     - no module reads an underscore-named attribute of a sibling module,
       as ``module._name`` or by ``from .module import _name``
+    - in a fresh interpreter, ``import rootspin.cli`` and the CLI jobs of
+      every benchmark workload (``oracle``, ``analyze``, a brute-force
+      ``count`` and ``table``) load numpy and click but not ``fractions``
+      or ``decimal``
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rootspin
@@ -86,3 +94,36 @@ def test_module_level_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+# Runs each command through ``cli.main`` in one process and prints, last,
+# which of the watched modules are loaded after the import and after each.
+_JOBS_SCRIPT = """
+import contextlib, io, json, sys
+import rootspin.cli
+
+watched = ("fractions", "decimal", "numpy", "click")
+loaded = [[m for m in watched if m in sys.modules]]
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rootspin.cli.main(args)
+        except SystemExit as exit:
+            assert not exit.code, (args, exit.code)
+    loaded.append([m for m in watched if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_jobs_load_no_fractions():
+    jobs = [["oracle", "D", "4"], ["analyze", "E", "6", "--json"],
+            ["count", "D", "6", "--method", "brute", "--max-r", "30", "--json"],
+            ["table", "--json"]]
+    result = subprocess.run(
+        [sys.executable, "-c", _JOBS_SCRIPT, json.dumps(jobs)],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == [["numpy", "click"]] * (1 + len(jobs))

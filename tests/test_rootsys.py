@@ -9,24 +9,41 @@ Claims covered:
       rank, stored as a Python int, and a bool, float or string is refused
       by its type
     - a system over the memory budget is refused before any root is built
+    - an error text names an integer past 2048 bits by its sign and bit
+      length, so a caller's huge integer raises the documented error, never
+      the bare ValueError of an int too long for ``str``: at every site that
+      formats one (generator index, axis, rank, mask, coefficient, limit,
+      family rank, budget need, counting method, count, lattice dimension)
     - a root count that misses its closed form is an InternalCheckError
     - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from rootspin import (
+    CountResult,
+    DimensionMismatchError,
     FamilyRank,
+    IndexOutOfRangeError,
     InternalCheckError,
     InvalidRankError,
+    LatticeBasis,
     ResourceLimitError,
+    SpinorElement,
+    act_e,
+    act_x,
+    certificate,
+    count,
     format_root_list,
+    invariant_dimension,
     positive_roots,
     root_count,
 )
-from rootspin.rootsys import CATALOGUE
+from rootspin.rootsys import CATALOGUE, shown
 
 G2_ROOTS = [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]
 
@@ -125,6 +142,54 @@ def test_numpy_integer_ranks_are_ranks():
 def test_ranks_that_are_not_integers_refused_by_type(rank, kind):
     with pytest.raises(InvalidRankError, match=f"must be an integer, not {kind}"):
         FamilyRank("A", rank)
+
+
+HUGE = 10**5000  # 16610 bits, past the 4300 digits str() prints by default
+G2 = positive_roots(FamilyRank("G", 2))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: act_x(HUGE, SpinorElement.unit(2)), IndexOutOfRangeError),
+        (lambda: act_e(HUGE, 1, SpinorElement.unit(2)), IndexOutOfRangeError),
+        (lambda: act_e(0, HUGE, SpinorElement.unit(2)), IndexOutOfRangeError),
+        (lambda: act_x(HUGE * 10, SpinorElement(HUGE)), IndexOutOfRangeError),
+        (lambda: SpinorElement(-HUGE), DimensionMismatchError),
+        (lambda: SpinorElement(10**5, {1 << 16000: 1}), DimensionMismatchError),
+        (lambda: SpinorElement(3, {0: HUGE}), DimensionMismatchError),
+        (lambda: SpinorElement(HUGE, {-1: 1}), IndexOutOfRangeError),
+        (lambda: count(G2, "auto", -HUGE), DimensionMismatchError),
+        (lambda: count(G2, HUGE), ValueError),
+        (lambda: invariant_dimension(G2, -HUGE), DimensionMismatchError),
+        (lambda: FamilyRank("E", HUGE), InvalidRankError),
+        (lambda: FamilyRank("A", -HUGE), InvalidRankError),
+        (lambda: FamilyRank(HUGE, 1), InvalidRankError),
+        (lambda: certificate(FamilyRank("A", HUGE)), ResourceLimitError),
+        (lambda: CountResult(HUGE + 1, "brute_force", 0.0), InternalCheckError),
+        (lambda: LatticeBasis((), (), HUGE).contains([0]), DimensionMismatchError),
+    ],
+    ids=["act_x_index", "act_e_index", "act_e_axis", "index_past_huge_rank", "element_rank",
+         "element_mask", "element_coefficient", "mask_past_huge_rank", "count_limit",
+         "count_method", "oracle_limit", "family_rank", "negative_family_rank", "family",
+         "certificate_budget", "odd_count", "lattice_dimension"],
+)
+def test_huge_integers_named_by_bit_length(call, error):
+    with pytest.raises(error, match=r"<\d+-bit integer>"):
+        call()
+
+
+def test_shown_names_integers_in_decimal_up_to_2048_bits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit Python admits
+    try:
+        assert shown((1 << 2048) - 1) == str((1 << 2048) - 1)
+        assert shown(-(1 << 2048)) == "-<2049-bit integer>"
+        assert shown(HUGE) == "<16610-bit integer>"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert shown(np.int64(-5)) == "-5"
+    assert [shown(v) for v in ("x", True, 1.5, None)] == ["'x'", "True", "1.5", "None"]
 
 
 def test_oversized_system_refused_before_building(monkeypatch):

@@ -66,8 +66,9 @@ Claims covered:
       sign vectors for r = 1..18, on one word and on two, and its one table
       pair holds 2^(r-1) (prefix, suffix) pairs, those with root 0 positive;
       so it does with a zero root 0, with root 0 minus root 1, at r = 1,
-      and with a largest key of 2^31 - 1 (int32 keys, 2^16 a suffix table)
-      and 2^31 (int64 keys, 2^15)
+      and with a largest key of 2^31 - 1 (int32 keys, 2^15 a suffix table)
+      and 2^31 (int64 keys, 2^14); the suffix table and each compare block
+      stay within ``_BLOCK_BYTES``
     - both engines refuse a matrix whose column weights reach 2^62, before
       any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
@@ -655,9 +656,10 @@ def _brute_tables(roots, monkeypatch):
 
 class TestBruteAgainstSignMatrix:
     # r = 1..18 runs below, at and above the suffix table's root count
-    # (16 for int32 keys, 14 for two words), with prefix tables both
-    # shorter and longer than one compare block.  Brute force scans the
-    # sign vectors with root 0 positive, each (prefix, suffix) pair once.
+    # (15 for int32 keys, 13 for two words), with prefix tables shorter
+    # than one compare block and, at r = 18, as long as one (longer ones in
+    # ``test_scan_stays_within_one_block``).  Brute force scans the sign
+    # vectors with root 0 positive, each (prefix, suffix) pair once.
     @pytest.mark.parametrize("kind", ["packed", "rows"])
     @pytest.mark.parametrize("r", range(1, 19))
     def test_counts_equal_reference(self, r, kind, monkeypatch):
@@ -679,7 +681,7 @@ class TestBruteHalfCube:
     # they take one word and the largest, sum_i |delta_i|, fits in 31 bits.
     @pytest.mark.parametrize(
         "weight,suffix_keys,value",
-        [((1 << 31) - 1, 1 << 16, 0), (1 << 31, 1 << 15, 34)],
+        [((1 << 31) - 1, 1 << 15, 0), (1 << 31, 1 << 14, 34)],
         ids=["int32", "int64"],
     )
     def test_largest_key_decides_key_width(self, weight, suffix_keys, value, monkeypatch):
@@ -720,6 +722,33 @@ class TestBruteHalfCube:
         counted, prefix, suffix = _brute_tables(roots, monkeypatch)
         assert counted == _zero_sums_by_sign_matrix(roots) == value
         assert (prefix.shape[0], suffix.shape[0]) == (1, 1)
+
+    @pytest.mark.parametrize("width,key_bytes", [("int32", 4), ("int64", 8), ("two_words", 16)])
+    @pytest.mark.parametrize("r", [3, 14, 21])
+    def test_scan_stays_within_one_block(self, r, width, key_bytes, monkeypatch):
+        # The suffix table is the most keys of its width that fit the block,
+        # and each boolean compare block fits it too; the compares hold one
+        # byte per (prefix, suffix) pair, each pair once.  At r = 21 every
+        # width has more prefix keys than one compare block takes.
+        rng = np.random.default_rng(3000 + r)
+        roots = rng.integers(-2, 2, size=(r, 2), endpoint=True)
+        roots[:, 0] = rng.choice([-2, -1, 1, 2], size=r)
+        if width == "int64":
+            roots[0, 0] = 1 << 31  # one word, but a largest key past 31 bits
+        elif width == "two_words":
+            roots = _stretch_past_key_budget(roots)
+        want = count_mitm(roots).value
+        compared = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero",
+                            lambda block: compared.append(block.nbytes) or count_nonzero(block))
+        value, prefix, suffix = _brute_tables(roots, monkeypatch)
+        assert value == want
+        assert suffix.dtype.itemsize == key_bytes
+        assert suffix.shape[0] == min(1 << (r - 1), _kernels._BLOCK_BYTES // key_bytes)
+        assert suffix.nbytes <= _kernels._BLOCK_BYTES
+        assert max(compared) <= _kernels._BLOCK_BYTES
+        assert sum(compared) == prefix.shape[0] * suffix.shape[0] == 1 << (r - 1)
 
 
 class TestPastR48:

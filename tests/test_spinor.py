@@ -16,8 +16,10 @@ Claims covered:
     - each of the oracle's three self-checks (sqrt(2) parts cancel, the
       paired action is diagonal, its eigenvalue is +-i) fires when the
       action is broken, in the library and as exit 1 of `oracle`
-    - the oracle builds no Fraction; torus directions, Scalar components
-      and the factor of ``times_rational`` take only ints and Fractions
+    - the oracle builds no Fraction (the spy replaces ``fractions.Fraction``,
+      which spinor imports only where one crosses the API); torus
+      directions, Scalar components and the factor of ``times_rational``
+      take only ints and Fractions
       (numpy integers as ints), masks outside 0..2^rank - 1 are refused,
       with no 2^rank built (a rank of 2^33 traces under 1 MiB),
       and so is an axis of act_e that is not the integer 1 or 2, a
@@ -37,6 +39,7 @@ Claims covered:
       int64; and the D4 run stays under 1 MiB traced
 """
 
+import fractions
 import math
 import tracemalloc
 from fractions import Fraction
@@ -412,13 +415,16 @@ def test_oracle_shares_its_scalars(monkeypatch, catalogue):
 
 def test_oracle_builds_no_fraction(monkeypatch, catalogue):
     built = []
+    new = fractions.Fraction.__new__
 
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(spinor, "Fraction", CountingFraction)
+    # spinor imports Fraction only where one crosses the API, so the spy
+    # sits on the class itself: Fraction.__new__ reads the module's name
+    # ``Fraction``, which a subclass put there would send into a loop
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
     assert Scalar.of(3).a == 3 and built  # the spy sees the module's Fractions
     built.clear()
     assert invariant_dimension(catalogue["D4"]) == 64
