@@ -54,6 +54,10 @@ _KEY_BITS = 62
 # 2-core Xeon, D6's scan takes about 90 ms; a 256 KiB table with 512 KiB
 # compares takes 83 ms but holds 768 KiB more, and 64 KiB blocks take 105 ms.
 _BLOCK_BYTES = 128 << 10
+# Bytes a table estimate adds for what a call holds besides its tables and
+# scratch: the packed deltas and numpy's small temporaries.  tracemalloc
+# sees 3-4 KiB of them on every catalogue and hostile matrix of the tests.
+_ALLOWANCE = 64 << 10
 # Matched multiplicities the join multiplies at a time as Python ints.
 JOIN_CHUNK = 1 << 14
 # Roots in a meet-in-the-middle half: multiplicities up to 2^62 stay int64.
@@ -300,9 +304,9 @@ def _split_tables(deltas, k, scratch=0, half=False):
     ``signed_sum_keys(deltas[1:k]) + deltas[0]``, 2^(k-1) keys, indexed by
     the sign mask of roots 1..k-1."""
     r, words = deltas.shape
-    # both tables, four times over (each is built in place, so this leaves
-    # room for what a call holds besides them); and the caller's scratch bytes
-    estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words * 4 + scratch
+    # both tables once (each is built in place), the caller's scratch bytes
+    # and _ALLOWANCE
+    estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words + scratch + _ALLOWANCE
     rootsys.check_budget(estimate, rootsys.memory_budget(), "signed-sum tables")
     prefix = signed_sum_keys(deltas[int(half):k])
     if half:
@@ -312,8 +316,11 @@ def _split_tables(deltas, k, scratch=0, half=False):
 
 def zero_masks(roots: np.ndarray) -> np.ndarray:
     """Sign masks of the zero signed sums of at most 16 roots, in order."""
-    # The table of the empty half holds one key: that of the zero sum.
-    keys, zero, _ = _split_tables(key_packing(roots)[0], roots.shape[0])
+    # The table of the empty half holds one key: that of the zero sum.  The
+    # scratch is the compare's mask, a byte a key, and at most one int64
+    # index a key.
+    r = roots.shape[0]
+    keys, zero, _ = _split_tables(key_packing(roots)[0], r, 9 << r)
     return np.flatnonzero(keys == zero)
 
 

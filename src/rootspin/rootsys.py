@@ -148,6 +148,9 @@ class FamilyRank:
     def __str__(self) -> str:
         return f"{self.family}{shown(self.rank)}"
 
+    def __repr__(self) -> str:
+        return f"FamilyRank(family={self.family!r}, rank={shown(self.rank)})"
+
 
 Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values only
 

@@ -164,7 +164,13 @@ class Scalar:
         return hash(self._parts)
 
     def __repr__(self) -> str:
-        return f"Scalar({self.a}, {self.b}, {self.c}, {self.d})"
+        # Each component as str(Fraction) gives it, its ints through ``shown``.
+        q = self._parts[4]
+        texts = []
+        for n in self._parts[:4]:
+            g = gcd(n, q)
+            texts.append(shown(n // g) + ("" if g == q else f"/{shown(q // g)}"))
+        return f"Scalar({', '.join(texts)})"
 
     # Dedicated transforms for the multipliers the generator actions use;
     # each is the closed form of __mul__ against a fixed one-component value.
@@ -296,7 +302,8 @@ class SpinorElement:
         )
 
     def __repr__(self) -> str:
-        return f"SpinorElement(rank={self.rank}, terms={self.terms})"
+        terms = ", ".join(f"{shown(m)}: {s!r}" for m, s in self.terms.items())
+        return f"SpinorElement(rank={shown(self.rank)}, terms={{{terms}}})"
 
     @property
     def is_zero(self) -> bool:

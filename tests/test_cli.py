@@ -38,8 +38,15 @@ Claims covered:
     - fuzzed arguments (family strings with padding and control characters,
       negative, small and huge ranks) always end in exit 0, 1, 2 or 3, and
       nothing but SystemExit escapes a command
+    - the entry users and the benchmark take, `python -m rootspin.cli`:
+      `--version` exits 0 from a checkout; the collector is frozen when
+      the interpreter shuts down, and `main` under CliRunner freezes
+      nothing; the pyproject script names the function the `__main__`
+      guard calls; exit codes, stderr and stdout (timings stripped) of five
+      commands are pinned and equal CliRunner's
 """
 
+import ast
 import contextlib
 import json
 import os
@@ -535,3 +542,89 @@ def test_fuzzed_arguments_keep_the_exit_contract(argv):
     assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, repr(result.exception))
+
+
+SRC = str(Path(rootspin.__file__).parents[1])
+
+
+def entry(*argv, path=SRC):
+    """``python -m rootspin.cli`` in a fresh interpreter, the path users
+    and the benchmark take, with ``path`` as its PYTHONPATH."""
+    return subprocess.run(
+        [sys.executable, "-m", "rootspin.cli", *argv], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestEntry:
+    def test_version_from_a_checkout(self):
+        # exited 1, with a traceback: "'rootspin' is not installed"
+        result = entry("--version")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.split()[-1] == rootspin.__version__ == "0.1.0"
+
+    def test_entry_freezes_the_collector_before_shutdown(self, tmp_path):
+        # An atexit handler runs after the command and before the
+        # shutdown collections, which skip what is frozen.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+        )
+        result = entry("analyze", "A", "3", "--json", path=os.pathsep.join([str(tmp_path), SRC]))
+        assert (result.returncode, result.stderr) == (0, "frozen True\n")
+        assert json.loads(result.stdout)["count"] == {"zero": True}
+
+    def test_main_freezes_nothing(self):
+        # Importing the package and calling ``main`` leave the collector alone.
+        code = (
+            "import gc, rootspin.cli\n"
+            "from click.testing import CliRunner\n"
+            "result = CliRunner().invoke(rootspin.cli.main, ['analyze', 'A', '3', '--json'])\n"
+            "print(result.exit_code, gc.get_freeze_count())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                                capture_output=True, text=True, timeout=120)
+        assert (result.stdout, result.stderr) == ("0 0\n", "")
+
+    def test_script_target_is_the_main_guard_call(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        guards = [
+            node.body for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(guards) == 1 and len(guards[0]) == 1
+        call = guards[0][0].value
+        assert isinstance(call, ast.Call) and not call.args and not call.keywords
+        assert scripts == {"rootspin": f"rootspin.cli:{call.func.id}"}
+
+    def test_real_entry_keeps_every_output(self):
+        # Exit codes, stderr and stdout (timings stripped) of the real entry,
+        # pinned, and equal to those of ``main`` under CliRunner.
+        cases = [
+            (("analyze", "E", "6", "--json"), 0, ""),
+            (("analyze", "Z", "3"), 2, "error: unknown family 'Z'\n"),
+            (("count", "A", "12", "--method", "brute"), 3,
+             "resource limit: brute force needs r <= 26, got r = 78\n"),
+            (("oracle", "E", "6"), 3,
+             "resource limit: representation dimension 2^36 exceeds limit 2^14\n"),
+            (("certify", "A", "4"), 0, ""),
+        ]
+        stdout = {}
+        for argv, code, stderr in cases:
+            result, inproc = entry(*argv), run(*argv)
+            assert (result.returncode, result.stderr) == (code, stderr), argv
+            assert (inproc.exit_code, inproc.stderr) == (code, stderr), argv
+            assert _without_timings(result.stdout) == _without_timings(inproc.stdout), argv
+            stdout[argv[0] + argv[1]] = result.stdout
+        assert stdout["analyzeZ"] == stdout["countA"] == stdout["oracleE"] == ""
+        e6 = json.loads(stdout["analyzeE"])
+        assert (e6["count"], e6["method"], e6["certificate"]["block_count"]) == ({"exact": 13697920}, "meet_in_middle", 1)
+        assert stdout["certifyA"] == (
+            '{"available":true,"block_count":2,"blocks":[[{"root_index":3,"sign":-1},'
+            '{"root_index":4,"sign":1},{"root_index":5,"sign":-1}],[{"root_index":6,"sign":1},'
+            '{"root_index":0,"sign":-1},{"root_index":7,"sign":-1},{"root_index":1,"sign":1},'
+            '{"root_index":8,"sign":1},{"root_index":2,"sign":-1},{"root_index":9,"sign":-1}]],'
+            '"lower_bound":4}\n'
+        )

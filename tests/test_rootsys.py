@@ -14,12 +14,15 @@ Claims covered:
       the bare ValueError of an int too long for ``str``: at every site that
       formats one (generator index, axis, rank, mask, coefficient, limit,
       family rank, budget need, counting method, count, lattice dimension)
+    - the reprs of ``FamilyRank``, ``SpinorElement`` and ``Scalar`` name
+      such an integer the same way
     - a root count that misses its closed form is an InternalCheckError
     - the catalogue lists the 29 results-table ids once, in print order
     - the plain text interchange format is bit-exact
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from rootspin import (
     InvalidRankError,
     LatticeBasis,
     ResourceLimitError,
+    Scalar,
     SpinorElement,
     act_e,
     act_x,
@@ -177,6 +181,17 @@ G2 = positive_roots(FamilyRank("G", 2))
 def test_huge_integers_named_by_bit_length(call, error):
     with pytest.raises(error, match=r"<\d+-bit integer>"):
         call()
+
+
+def test_huge_integers_in_reprs():
+    # each raised a bare ValueError
+    assert repr(FamilyRank("A", HUGE)) == "FamilyRank(family='A', rank=<16610-bit integer>)"
+    assert repr(SpinorElement(HUGE)) == "SpinorElement(rank=<16610-bit integer>, terms={})"
+    assert repr(Scalar(HUGE, -HUGE)) == "Scalar(<16610-bit integer>, -<16610-bit integer>, 0, 0)"
+    # smaller values read as before: str of each Fraction, dict repr of the terms
+    half = Scalar(Fraction(-1, 2), 3, Fraction(4, 6))
+    assert repr(half) == "Scalar(-1/2, 3, 2/3, 0)"
+    assert repr(SpinorElement(3, {5: half})) == "SpinorElement(rank=3, terms={5: Scalar(-1/2, 3, 2/3, 0)})"
 
 
 def test_shown_names_integers_in_decimal_up_to_2048_bits():

@@ -47,7 +47,8 @@ Claims covered:
       an engine's ``memory_peak`` is the largest need it checked
     - the checked byte estimate bounds the tracemalloc peak of meet-in-the-
       middle and brute force, pruned or not, on one-word keys and on keys
-      of up to 4 words, and brute force reports it as ``memory_peak``; where
+      of up to 4 words, and brute force reports it as ``memory_peak``, at
+      most twice its peak on F4, D6 and A6; where
       the left walk's last doubling sets it, it counts the right table held
       through that walk, without which it falls below the peak; the
       witness search's peak stays within the largest estimate its walks and
@@ -522,6 +523,15 @@ class TestMemoryEstimate:
         _, peak = _traced_peak(lambda: engine(roots))
         assert len(estimates) == 2  # one table pair a call
         assert peak <= estimates[-1]
+
+    @pytest.mark.parametrize("name", ["F4", "D6", "A6"])
+    def test_brute_estimate_within_twice_traced_peak(self, name):
+        # The tables once, one compare block and a fixed allowance: charged
+        # four times over, the tables took the estimate to 2.5x the peak, and
+        # a capped run was refused at about twice its need.
+        roots = positive_roots(FamilyRank.parse(name)).roots
+        result, peak = _traced_peak(lambda: count_bruteforce(roots, limit_r=30))
+        assert peak <= result.memory_peak <= 2 * peak
 
     @pytest.mark.parametrize(
         "shape",
