@@ -15,18 +15,21 @@ Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InternalCheckError, InvalidRankError
-from .rootsys import FamilyRank, RootSystem, is_int, positive_roots, row_sum
+from .errors import DimensionMismatchError, InternalCheckError, InvalidRankError
+from .rootsys import (
+    FamilyRank, Record, RootSystem, as_system, check_family_rank, is_int, positive_roots, row_sum,
+)
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
 
 
-@dataclass(frozen=True)
-class CertificateFamily:
-    system_id: FamilyRank
-    blocks: tuple[Block, ...]
+class CertificateFamily(Record):
+    """The blocks of a zero-signed-sum certificate for the system ``system_id``."""
+
+    __match_args__ = ("system_id", "blocks")
+
+    def __init__(self, system_id: FamilyRank, blocks: tuple[Block, ...]) -> None:
+        self.__dict__.update(system_id=system_id, blocks=blocks)
 
     @property
     def lower_bound(self) -> int:
@@ -36,8 +39,9 @@ class CertificateFamily:
 
 def _bound_parts(fr: FamilyRank) -> tuple[int, int]:
     """The published lower bound as (c, k), meaning c * 2^k, so that existence
-    (c != 0) is read without building 2^k, which a huge rank cannot hold."""
-    n = fr.rank
+    (c != 0) is read without building 2^k, which a huge rank cannot hold;
+    anything but a FamilyRank raises ``InvalidRankError``."""
+    n = check_family_rank(fr).rank
     if fr.family == "A":
         return (1, n // 2) if n % 2 == 0 else (0, 0)
     if fr.family == "B":
@@ -58,6 +62,7 @@ def lower_bound(fr: FamilyRank) -> int:
 
     For E6, F4 and G2 this is the exact count; for E8 it is 369600, which is
     strictly larger than what the assembled certificate's blocks certify.
+    Anything but a FamilyRank raises ``InvalidRankError``.
     """
     c, k = _bound_parts(fr)
     return c << k
@@ -238,7 +243,8 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
 
     Takes a root system already built, or an id whose system is then built
     once; the blocks index into it and are verified against it.  An
-    unnamed system (``id`` None) has no family, so it is refused.
+    unnamed system (``id`` None) has no family, so it is refused, and so is
+    anything but a RootSystem or a FamilyRank, each with ``InvalidRankError``.
     """
     fr = system.id if isinstance(system, RootSystem) else system
     if fr is None:
@@ -255,10 +261,21 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     return cert
 
 
+def _check_certificate(cert) -> CertificateFamily:
+    if not isinstance(cert, CertificateFamily):
+        raise DimensionMismatchError(f"expected a CertificateFamily, got {type(cert).__name__}")
+    return cert
+
+
 def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, str]:
     """Check a certificate against a system; returns (ok, diagnostic), also
-    for blocks that ``assembled_witness`` refuses, whose text it reports."""
-    if cert.system_id != system.id:
+    for blocks that ``assembled_witness`` refuses, whose text it reports.
+
+    ``system`` goes through ``as_system``; anything but a RootSystem or an
+    integer matrix, or a ``cert`` that is not a CertificateFamily, raises
+    ``DimensionMismatchError``."""
+    system = as_system(system)
+    if _check_certificate(cert).system_id != system.id:
         return False, f"certificate for {cert.system_id} applied to {system}"
     try:
         witness = assembled_witness(cert)
@@ -274,7 +291,8 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
 
 
 def verify(system: RootSystem, cert: CertificateFamily) -> bool:
-    """True iff the blocks partition the index range and each sums to zero."""
+    """True iff the blocks partition the index range and each sums to zero;
+    raises ``DimensionMismatchError`` where ``verify_report`` does."""
     return verify_report(system, cert)[0]
 
 
@@ -286,16 +304,18 @@ def assembled_witness(cert: CertificateFamily) -> tuple[int, ...]:
     size: a block list that is not a sequence, a block that is not a
     sequence of (index, sign) pairs, an index or sign that is not an integer
     (a bool included), an index out of range or repeated, or a sign other
-    than +-1, raises ``InternalCheckError`` naming the block.
+    than +-1, raises ``InternalCheckError`` naming the block.  A ``cert``
+    that is not a CertificateFamily raises ``DimensionMismatchError``.
     """
+    blocks = _check_certificate(cert).blocks
     b = None  # the block being read, None while the list itself is
     try:
-        len(cert.blocks)  # a sequence, so the two passes read the same blocks
+        len(blocks)  # a sequence, so the two passes read the same blocks
         r = 0
-        for b, block in enumerate(cert.blocks):
+        for b, block in enumerate(blocks):
             r += len(block)
         signs = [0] * r  # r indices, each in range and new: every root is covered
-        for b, block in enumerate(cert.blocks):
+        for b, block in enumerate(blocks):
             for i, s in block:
                 if not ((type(i) is int or is_int(i)) and (type(s) is int or is_int(s))):
                     raise InternalCheckError(

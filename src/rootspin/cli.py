@@ -23,13 +23,12 @@ import gc
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 
 from . import __version__, certs, sigsum
 from .errors import InternalCheckError, InvalidRankError, ResourceLimitError
-from .rootsys import CATALOGUE, FamilyRank, format_root_list, positive_roots
+from .rootsys import CATALOGUE, FamilyRank, Record, format_root_list, positive_roots
 from .spinor import DEFAULT_ORACLE_LIMIT, invariant_dimension
 
 EXIT_INTERNAL = 1
@@ -41,11 +40,13 @@ def _family_rank(family: str, rank: int) -> FamilyRank:
     return FamilyRank(family.strip().upper(), rank)
 
 
-@dataclass(frozen=True)
-class _Blocks:
+class _Blocks(Record):
     """A certificate's blocks in a report, written by ``_emit``."""
 
-    blocks: tuple[certs.Block, ...]
+    __match_args__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[certs.Block, ...]) -> None:
+        self.__dict__.update(blocks=blocks)
 
 
 # json.dumps writes this string as "\u0000blocks", which no other report

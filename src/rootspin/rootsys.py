@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import itertools
 import resource
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 import numpy as np
 
@@ -116,26 +115,69 @@ def check_limit(limit, name: str) -> int:
     return int(limit)
 
 
-@dataclass(frozen=True, order=True)
-class FamilyRank:
-    """A family letter plus rank, validated on construction."""
+class Record:
+    """Base of the package's immutable value classes.
 
-    family: str
-    rank: int
+    A subclass names its fields, in order, in ``__match_args__`` and stores
+    them in its own ``__init__`` through ``__dict__``.  Two records are
+    equal, and hash alike, when they are of the same class and their fields
+    are equal; the repr names every field; assigning or deleting an
+    attribute raises ``AttributeError``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_RANGES:
-            raise InvalidRankError(f"unknown family {shown(self.family)}")
-        lo, hi = _RANK_RANGES[self.family]
-        if not is_int(self.rank):
-            raise InvalidRankError(f"a rank must be an integer, not {type(self.rank).__name__}")
-        object.__setattr__(self, "rank", int(self.rank))
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Postponed evaluation keeps ``-> None`` as the string 'None'; store
+        # None itself, so that inspect.signature shows it bare.
+        cls.__init__.__annotations__["return"] = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class FamilyRank(Record):
+    """A family letter plus rank, validated on construction; ordered by
+    family, then rank."""
+
+    __match_args__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int) -> None:
+        if not isinstance(family, str) or family not in _RANK_RANGES:
+            raise InvalidRankError(f"unknown family {shown(family)}")
+        lo, hi = _RANK_RANGES[family]
+        if not is_int(rank):
+            raise InvalidRankError(f"a rank must be an integer, not {type(rank).__name__}")
+        self.__dict__.update(family=family, rank=int(rank))
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidRankError(f"{self} is outside the admissible range")
 
     @classmethod
     def parse(cls, text: str) -> "FamilyRank":
         """Parse compact labels such as ``'E6'`` or ``'A12'``."""
+        if not isinstance(text, str):
+            raise InvalidRankError(f"a family and rank label must be a string, not "
+                                   f"{type(text).__name__}")
         text = text.strip()
         if len(text) < 2:
             raise InvalidRankError(f"cannot parse family/rank from {text!r}")
@@ -145,6 +187,11 @@ class FamilyRank:
             raise InvalidRankError(f"cannot parse rank from {text!r}") from exc
         return cls(text[0].upper(), rank)
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
+
     def __str__(self) -> str:
         return f"{self.family}{shown(self.rank)}"
 
@@ -152,18 +199,29 @@ class FamilyRank:
         return f"FamilyRank(family={self.family!r}, rank={shown(self.rank)})"
 
 
+def check_family_rank(fr) -> FamilyRank:
+    """``fr`` itself, refused with ``InvalidRankError`` unless it is a FamilyRank."""
+    if not isinstance(fr, FamilyRank):
+        raise InvalidRankError(f"expected a FamilyRank, got {type(fr).__name__}")
+    return fr
+
+
 Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values only
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """An ordered positive root system in scaled integer coordinates;
     ``id`` is None for a system made from a bare matrix."""
 
-    id: FamilyRank | None
-    rows: tuple[Row, ...] = field(repr=False)
-    ambient_dim: int
-    denominator: int
+    __match_args__ = ("id", "rows", "ambient_dim", "denominator")
+
+    def __init__(self, id: FamilyRank | None, rows: tuple[Row, ...], ambient_dim: int,
+                 denominator: int) -> None:
+        self.__dict__.update(id=id, rows=rows, ambient_dim=ambient_dim, denominator=denominator)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(id={self.id!r}, ambient_dim={self.ambient_dim!r}, "
+                f"denominator={self.denominator!r})")
 
     @property
     def r(self) -> int:
@@ -259,8 +317,9 @@ def row_sum(rows, m: int, terms) -> list[int]:
 
 
 def root_count(fr: FamilyRank) -> int:
-    """Number of positive roots, by closed form (no list is materialised)."""
-    n = fr.rank
+    """Number of positive roots, by closed form (no list is materialised);
+    anything but a FamilyRank raises ``InvalidRankError``."""
+    n = check_family_rank(fr).rank
     if fr.family == "A":
         return n * (n + 1) // 2
     if fr.family in ("B", "C"):
@@ -362,8 +421,10 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
 
     Deterministic: repeated calls return identical ordered lists.  The size
     of the sparse rows (``_rows_bytes``) is checked against the memory
-    budget (``check_budget``) before anything is built.
+    budget (``check_budget``) before anything is built.  Anything but a
+    FamilyRank raises ``InvalidRankError``.
     """
+    check_family_rank(fr)
     check_budget(_rows_bytes(fr), memory_budget(), f"the roots of {fr}")
     rows, denominator = _build_rows(fr)
     if len(rows) != root_count(fr):
@@ -373,7 +434,12 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
 
 def format_root_list(system: RootSystem) -> str:
     """Bit-exact text form: header ``family rank r ambient_dim denominator``,
-    then one root per line as space-separated scaled integers."""
+    then one root per line as space-separated scaled integers.
+
+    ``system`` goes through ``as_system``, so anything but a RootSystem or an
+    integer matrix raises ``DimensionMismatchError``; an unnamed system has
+    no header and raises ``InvalidRankError``."""
+    system = as_system(system)
     fr = system.id
     if fr is None:
         raise InvalidRankError(f"{system} has no family and rank for the header")

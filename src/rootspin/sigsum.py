@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -68,7 +67,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .rootsys import (
-    as_system, check_limit, int64_array, integer_array, is_int, row_sum, shown, sparse_rows,
+    Record, as_system, check_limit, int64_array, integer_array, is_int, row_sum, shown, sparse_rows,
 )
 
 METHOD_BRUTE = "brute_force"
@@ -83,32 +82,31 @@ ENUMERATION_LIMIT = 16
 METHODS = ("auto", "brute", "mitm")  # the engines ``count`` may be asked for
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     """Exact count of a counting run, with method and resource metadata."""
 
-    value: int
-    method: str
-    elapsed: float
-    memory_peak: int | None = None
+    __match_args__ = ("value", "method", "elapsed", "memory_peak")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: int, method: str, elapsed: float,
+                 memory_peak: int | None = None) -> None:
+        self.__dict__.update(value=value, method=method, elapsed=elapsed, memory_peak=memory_peak)
         # Negating every sign maps zero sums to zero sums without fixed points.
-        if self.value % 2 != 0:
-            raise InternalCheckError(f"exact count {shown(self.value)} is odd")
+        if value % 2 != 0:
+            raise InternalCheckError(f"exact count {shown(value)} is odd")
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """Column-style Hermite normal form basis of an integer lattice.
 
     ``columns[j]`` is a basis vector; pivot rows strictly increase, pivots
     are positive, and entries left of a pivot are reduced modulo the pivot.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    pivot_rows: tuple[int, ...]
-    ambient_dim: int
+    __match_args__ = ("columns", "pivot_rows", "ambient_dim")
+
+    def __init__(self, columns: tuple[tuple[int, ...], ...], pivot_rows: tuple[int, ...],
+                 ambient_dim: int) -> None:
+        self.__dict__.update(columns=columns, pivot_rows=pivot_rows, ambient_dim=ambient_dim)
 
     def contains(self, vector, multiple: int = 1) -> bool:
         """Exact membership of ``vector`` in ``multiple * L``, by reducing it
@@ -134,19 +132,25 @@ class LatticeBasis:
         return all(x == 0 for x in v)
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
-    passed: bool
-    reason: str | None = None
+class ObstructionResult(Record):
+    """Whether the sum of the roots lies in 2L, and if not, why."""
+
+    __match_args__ = ("passed", "reason")
+
+    def __init__(self, passed: bool, reason: str | None = None) -> None:
+        self.__dict__.update(passed=passed, reason=reason)
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
-    exists: bool
-    witness: tuple[int, ...] | None
-    obstruction: ObstructionResult
-    method: str
-    certificate: certs.CertificateFamily | None = None
+class ExistenceResult(Record):
+    """Whether a zero signed sum exists, with its witness and both proofs."""
+
+    __match_args__ = ("exists", "witness", "obstruction", "method", "certificate")
+
+    def __init__(self, exists: bool, witness: tuple[int, ...] | None,
+                 obstruction: ObstructionResult, method: str,
+                 certificate: certs.CertificateFamily | None = None) -> None:
+        self.__dict__.update(exists=exists, witness=witness, obstruction=obstruction,
+                             method=method, certificate=certificate)
 
 
 def signs_from_mask(mask: int, r: int) -> tuple[int, ...]:

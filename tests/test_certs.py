@@ -14,6 +14,8 @@ Claims covered:
       (index, sign) pair, as a diagnostic, not an exception
     - an unnamed system (a bare matrix) gets no certificate: it is refused
       with a RootspinError, and verify rejects it by name
+    - verify, verify_report and assembled_witness refuse a system or a
+      certificate of the wrong type with DimensionMismatchError
     - the assembled witnesses are genuine zero signed sums, including E8,
       and tuples of Python ints +-1, from numpy integer blocks too
     - assembling a witness refuses an index that is negative, out of range,
@@ -34,6 +36,7 @@ import pytest
 
 from rootspin import (
     CertificateFamily,
+    DimensionMismatchError,
     FamilyRank,
     InternalCheckError,
     ResourceLimitError,
@@ -184,6 +187,44 @@ def test_unnamed_system_has_no_certificate():
         certificate(unnamed)
     ok, diagnostic = verify_report(unnamed, certificate(g2))
     assert not ok and diagnostic == "certificate for G2 applied to the unnamed 6 x 2 matrix"
+
+
+def _g2_system():
+    return positive_roots(FamilyRank("G", 2))
+
+
+def _g2_cert():
+    return certificate(FamilyRank("G", 2))
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [lambda: (None, None), lambda: ("G2", _g2_cert()), lambda: (_g2_system(), "G2")],
+    ids=["none", "str_system", "str_cert"],
+)
+def test_verify_refuses_arguments_of_the_wrong_type(arguments):
+    # verify(None, None) raised a bare AttributeError
+    with pytest.raises(DimensionMismatchError):
+        verify(*arguments())
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [lambda: (None, _g2_cert()), lambda: (3, _g2_cert()), lambda: (_g2_system(), None),
+     lambda: (_g2_system(), _g2_cert().blocks)],
+    ids=["none_system", "int_system", "none_cert", "bare_blocks"],
+)
+def test_verify_report_refuses_arguments_of_the_wrong_type(arguments):
+    with pytest.raises(DimensionMismatchError):
+        verify_report(*arguments())
+
+
+@pytest.mark.parametrize("cert", [None, (((0, 1), (1, -1)),), FamilyRank("A", 2)],
+                         ids=["none", "bare_blocks", "family_rank"])
+def test_assembled_witness_refuses_what_is_not_a_certificate(cert):
+    # None raised a bare AttributeError
+    with pytest.raises(DimensionMismatchError, match="expected a CertificateFamily"):
+        assembled_witness(cert)
 
 
 def test_verify_rejects_tampered_sign():

@@ -8,8 +8,11 @@ Claims covered:
       as ``module._name`` or by ``from .module import _name``
     - in a fresh interpreter, ``import rootspin.cli`` and the CLI jobs of
       every benchmark workload (``oracle``, ``analyze``, a brute-force
-      ``count`` and ``table``) load numpy and click but not ``fractions``
-      or ``decimal``
+      ``count`` and ``table``) load numpy and click but not ``fractions``,
+      ``decimal``, ``dataclasses`` or ``copy``: the value classes are
+      written out in the source, not generated at import
+    - no module names ``dataclass``, ``namedtuple``, ``NamedTuple`` or
+      ``exec``, which build code when the module is imported
 """
 
 import ast
@@ -96,13 +99,37 @@ def test_module_level_imports_are_acyclic():
         visit(name, [])
 
 
+def _names(node) -> list[str]:
+    """The names a node reads, imports or imports from, module paths split."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        paths = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        return [part for path in paths for part in path.split(".")]
+    return []
+
+
+def test_no_module_generates_code():
+    generators = {"dataclass", "dataclasses", "namedtuple", "NamedTuple", "exec"}
+    found = [
+        f"{name}.py:{node.lineno} {word}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        for word in _names(node)
+        if word in generators
+    ]
+    assert not found
+
+
 # Runs each command through ``cli.main`` in one process and prints, last,
 # which of the watched modules are loaded after the import and after each.
 _JOBS_SCRIPT = """
 import contextlib, io, json, sys
 import rootspin.cli
 
-watched = ("fractions", "decimal", "numpy", "click")
+watched = ("fractions", "decimal", "dataclasses", "copy", "numpy", "click")
 loaded = [[m for m in watched if m in sys.modules]]
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -8,6 +8,9 @@ Claims covered:
     - inadmissible ranks are rejected, never remapped; a numpy integer is a
       rank, stored as a Python int, and a bool, float or string is refused
       by its type
+    - every function that takes a family and rank refuses anything but a
+      FamilyRank with InvalidRankError, and FamilyRank refuses a family or
+      label that is not a string the same way
     - a system over the memory budget is refused before any root is built
     - an error text names an integer past 2048 bits by its sign and bit
       length, so a caller's huge integer raises the documented error, never
@@ -18,7 +21,8 @@ Claims covered:
       such an integer the same way
     - a root count that misses its closed form is an InternalCheckError
     - the catalogue lists the 29 results-table ids once, in print order
-    - the plain text interchange format is bit-exact
+    - the plain text interchange format is bit-exact; it refuses what is
+      not a root system or an integer matrix with DimensionMismatchError
 """
 
 import sys
@@ -47,6 +51,7 @@ from rootspin import (
     positive_roots,
     root_count,
 )
+from rootspin import certs
 from rootspin.rootsys import CATALOGUE, shown
 
 G2_ROOTS = [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]
@@ -146,6 +151,18 @@ def test_numpy_integer_ranks_are_ranks():
 def test_ranks_that_are_not_integers_refused_by_type(rank, kind):
     with pytest.raises(InvalidRankError, match=f"must be an integer, not {kind}"):
         FamilyRank("A", rank)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: positive_roots("A3"), lambda: root_count("A3"), lambda: certs.lower_bound(None),
+     lambda: certificate("A3"), lambda: FamilyRank.parse(5), lambda: FamilyRank(["A"], 3)],
+    ids=["positive_roots", "root_count", "lower_bound", "certificate", "parse", "family_list"],
+)
+def test_family_rank_arguments_refused_by_type(call):
+    # each raised a bare AttributeError or TypeError
+    with pytest.raises(InvalidRankError):
+        call()
 
 
 HUGE = 10**5000  # 16610 bits, past the 4300 digits str() prints by default
@@ -253,3 +270,10 @@ def test_text_format_f4_header():
     text = format_root_list(positive_roots(FamilyRank("F", 4)))
     assert text.splitlines()[0] == "F 4 24 4 2"
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("system", [None, "G2", [[1.5, 0]]], ids=["none", "str", "float"])
+def test_text_format_refuses_what_is_not_a_system(system):
+    # None raised a bare AttributeError
+    with pytest.raises(DimensionMismatchError):
+        format_root_list(system)
