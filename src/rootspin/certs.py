@@ -6,18 +6,23 @@ and together the blocks cover every root index exactly once.  Flipping any
 subset of blocks therefore yields 2^{#blocks} distinct full sign vectors
 with zero signed sum, which lower-bounds the number of solutions.
 
-Every block formula is translated once into (index, sign) pairs against the
-canonical root order; ``verify`` re-checks the result by direct coordinate
-summation over the sparse rows, independently of the translation.  Nothing
-here uses numpy: the blocks, the checks and the assembled witness are all
-Python ints.
+Every block formula names its roots by pattern and subscripts, such as
+l_a - l_j, and ``rootsys.root_indexer`` turns each into its position in the
+canonical root order by arithmetic: no root is built or looked up, and no
+map over the rows is made.  Each builder takes the family and rank and
+builds its blocks once, as tuples of (index, sign) pairs.
+``verify_report`` re-checks the result by summing every block over the
+sparse rows, independently of how the indices were found.  Nothing here
+uses numpy: the blocks, the checks and the assembled witness are all Python
+ints.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, InternalCheckError, InvalidRankError
 from .rootsys import (
-    FamilyRank, Record, RootSystem, as_system, check_family_rank, is_int, positive_roots, row_sum,
+    FamilyRank, Record, RootSystem, as_system, check_family_rank, check_row_sum, is_int,
+    positive_roots, root_indexer, row_sum,
 )
 
 Block = tuple[tuple[int, int], ...]  # ((root_index, sign), ...)
@@ -68,120 +73,108 @@ def lower_bound(fr: FamilyRank) -> int:
     return c << k
 
 
-def _alternating_blocks(k: int, pair_idx, extra_idx) -> list[list[tuple[int, int]]]:
+def _alternating_blocks(k: int, pair, extra) -> tuple[Block, ...]:
     """Blocks over difference roots of 2k indices plus one extra root per index.
 
-    ``pair_idx(i, j)`` resolves the root behaving like l_i - l_j (1-based,
-    i < j <= 2k) and ``extra_idx(i)`` the extra root attached to index i.
+    ``pair(i, j)`` is the index of the root behaving like l_i - l_j (1-based,
+    i < j <= 2k) and ``extra(i)`` that of the extra root attached to index i.
     The identities are linear, so they survive any such reinterpretation of
     the symbols (used verbatim for even A ranks and index-shifted inside E8).
     """
-    blocks: list[list[tuple[int, int]]] = []
-    for l in range(1, k):
-        block: list[tuple[int, int]] = []
+
+    def block(l: int):
         for j in range(2 * l + 1, 2 * k + 1):
-            block.append((pair_idx(2 * l, j), (-1) ** j))
+            yield pair(2 * l, j), (-1) ** j
         for j in range(2 * l + 2, 2 * k + 1):
-            block.append((pair_idx(2 * l + 1, j), -((-1) ** j)))
-        blocks.append(block)
-    tail = [(extra_idx(1), 1)]
-    for j in range(2, 2 * k + 1):
-        s = (-1) ** j
-        tail.append((pair_idx(1, j), -s))
-        tail.append((extra_idx(j), -s))
-    blocks.append(tail)
-    return blocks
+            yield pair(2 * l + 1, j), -((-1) ** j)
+
+    def tail():
+        yield extra(1), 1
+        for j in range(2, 2 * k + 1):
+            s = (-1) ** j
+            yield pair(1, j), -s
+            yield extra(j), -s
+
+    return (*(tuple(block(l)) for l in range(1, k)), tuple(tail()))
 
 
-def _lookup(system: RootSystem):
-    """Signed-index root lookup, with 1-based indices into the coordinates.
-
-    ``at(*terms, base=0)`` starts from ``base`` in every coordinate and adds
-    l_i for each term i and subtracts l_j for each term -j: ``at(i, -j)`` is
-    l_i - l_j, ``at(i, i)`` is 2 l_i and ``at(-i, -j, base=1)`` is
-    nu - l_i - l_j.  The vector is looked up as the sparse row it stands for.
-    """
-    n = system.ambient_dim
-    idx = {row: i for i, row in enumerate(system.rows)}
-
-    def at(*terms: int, base: int = 0) -> int:
-        v = dict.fromkeys(range(n), base) if base else {}
-        for t in terms:
-            c = abs(t) - 1
-            v[c] = v.get(c, 0) + (1 if t > 0 else -1)
-        return idx[tuple(sorted((c, x) for c, x in v.items() if x))]
-
-    return at
+def _indexers(fr: FamilyRank, *patterns: str):
+    """The index function of each pattern (``rootsys.root_indexer``), which
+    takes the paper's 1-based subscripts."""
+    return [root_indexer(fr, pattern) for pattern in patterns]
 
 
-def _blocks_a(system: RootSystem) -> list[list[tuple[int, int]]]:
-    at = _lookup(system)
-    return _alternating_blocks(
-        system.id.rank // 2, lambda i, j: at(i, -j), lambda i: at(i, base=1)
-    )
+def _blocks_a(fr: FamilyRank) -> tuple[Block, ...]:
+    minus, nu_plus = _indexers(fr, "l_i - l_j", "nu + l_i")
+    return _alternating_blocks(fr.rank // 2, minus, nu_plus)
 
 
-def _blocks_c(system: RootSystem) -> list[list[tuple[int, int]]]:
-    n = system.id.rank
+def _blocks_c(fr: FamilyRank) -> tuple[Block, ...]:
+    n = fr.rank
     k, eps = divmod(n, 4)
-    at = _lookup(system)
-    blocks = []
-    for l in range(k):
-        a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
-        block = [(at(a, -b), 1), (at(a, b), 1)]
+    minus, plus, double = _indexers(fr, "l_i - l_j", "l_i + l_j", "2l_i")
+
+    def block(a: int):
+        b, c, d = a + 1, a + 2, a + 3
+        yield minus(a, b), 1
+        yield plus(a, b), 1
         for j in range(a + 2, n + 1):
-            block += [(at(a, j), 1), (at(a, -j), -1)]
-        block += [(at(b, -c), 1), (at(b, c), 1)]
+            yield plus(a, j), 1
+            yield minus(a, j), -1
+        yield minus(b, c), 1
+        yield plus(b, c), 1
         for j in range(b + 2, n + 1):
-            block += [(at(b, j), -1), (at(b, -j), 1)]
+            yield plus(b, j), -1
+            yield minus(b, j), 1
         for j in range(c + 1, n + 1):
-            block += [(at(c, j), 1), (at(c, -j), -1)]
+            yield plus(c, j), 1
+            yield minus(c, j), -1
         for j in range(d + 1, n + 1):
-            block += [(at(d, j), -1), (at(d, -j), 1)]
-        block += [(at(a, a), -1), (at(b, b), -1), (at(c, c), -1), (at(d, d), -1)]
-        blocks.append(block)
+            yield plus(d, j), -1
+            yield minus(d, j), 1
+        for i in (a, b, c, d):
+            yield double(i), -1
+
+    blocks = tuple(tuple(block(4 * l + 1)) for l in range(k))
     if eps == 3:
         p, q, s = 4 * k + 1, 4 * k + 2, 4 * k + 3
-        blocks.append(
-            [
-                (at(p, -q), 1),
-                (at(p, -s), -1),
-                (at(q, -s), 1),
-                (at(p, q), 1),
-                (at(p, s), 1),
-                (at(q, s), 1),
-                (at(p, p), -1),
-                (at(q, q), -1),
-                (at(s, s), -1),
-            ]
-        )
+        blocks += ((
+            (minus(p, q), 1), (minus(p, s), -1), (minus(q, s), 1),
+            (plus(p, q), 1), (plus(p, s), 1), (plus(q, s), 1),
+            (double(p), -1), (double(q), -1), (double(s), -1),
+        ),)
     return blocks
 
 
-def _blocks_d(system: RootSystem) -> list[list[tuple[int, int]]]:
-    n = system.id.rank
-    at = _lookup(system)
-    blocks = []
-    for l in range(n // 4):
-        a, b, c, d = 4 * l + 1, 4 * l + 2, 4 * l + 3, 4 * l + 4
-        block: list[tuple[int, int]] = []
+def _blocks_d(fr: FamilyRank) -> tuple[Block, ...]:
+    n = fr.rank
+    minus, plus = _indexers(fr, "l_i - l_j", "l_i + l_j")
+
+    def block(a: int):
         # Alternating signs use the literal global subscript j.
+        b, c, d = a + 1, a + 2, a + 3
         for j in range(a + 1, n + 1):
             s = (-1) ** j
-            block += [(at(a, -j), s), (at(a, j), -s)]
-        block += [(at(b, -c), 1), (at(b, c), 1)]
+            yield minus(a, j), s
+            yield plus(a, j), -s
+        yield minus(b, c), 1
+        yield plus(b, c), 1
         for j in range(b + 2, n + 1):
             s = (-1) ** j
-            block += [(at(b, -j), -s), (at(b, j), s)]
-        block += [(at(c, -d), -1), (at(c, d), -1)]
+            yield minus(b, j), -s
+            yield plus(b, j), s
+        yield minus(c, d), -1
+        yield plus(c, d), -1
         for j in range(c + 2, n + 1):
             s = (-1) ** j
-            block += [(at(c, -j), s), (at(c, j), -s)]
+            yield minus(c, j), s
+            yield plus(c, j), -s
         for j in range(d + 1, n + 1):
             s = (-1) ** j
-            block += [(at(d, -j), -s), (at(d, j), s)]
-        blocks.append(block)
-    return blocks
+            yield minus(d, j), -s
+            yield plus(d, j), s
+
+    return tuple(tuple(block(4 * l + 1)) for l in range(n // 4))
 
 
 # Explicit sign lists for the one-block exceptional certificates, in
@@ -202,36 +195,35 @@ _G2_SIGNS = (1, 1, 1, -1, -1, 1)
 
 def _one_block(signs: tuple[int, ...]):
     """Builder for a certificate whose single block is the whole sign list."""
-    return lambda system: [list(enumerate(signs))]
+    return lambda fr: (tuple(enumerate(signs)),)
 
 
-def _blocks_e8(system: RootSystem) -> list[list[tuple[int, int]]]:
-    at = _lookup(system)
+def _blocks_e8(fr: FamilyRank) -> tuple[Block, ...]:
+    minus, triple, nu_plus, nu_minus = _indexers(
+        fr, "l_i - l_j", "l_i + l_j + l_k", "nu + l_i", "nu - l_i - l_j"
+    )
+    pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
 
     # All triples minus all (nu - l_i - l_j): both sum to 21*nu.
-    bulk = [
-        (at(i, j, k), 1)
-        for i in range(1, 9)
-        for j in range(i + 1, 9)
-        for k in range(j + 1, 9)
-    ]
-    bulk += [(at(-i, -j, base=1), -1) for i in range(1, 9) for j in range(i + 1, 9)]
+    bulk = (
+        *((triple(i, j, k), 1) for i, j in pairs for k in range(j + 1, 9)),
+        *((nu_minus(i, j), -1) for i, j in pairs),
+    )
 
     # Alternating identity tying the l_1 - l_j fan to the nu + l_i fan.
-    fan = [(at(1, -j), (-1) ** j) for j in range(2, 9)]
-    fan += [(at(i, base=1), (-1) ** i) for i in range(1, 9)]
+    fan = (
+        *((minus(1, j), (-1) ** j) for j in range(2, 9)),
+        *((nu_plus(i), (-1) ** i) for i in range(1, 9)),
+    )
 
     # The 21 remaining differences among indices 2..8 carry the shifted
     # even-rank-6 construction, reading l_{i+1} - l_8 for the extra roots.
-    shifted = _alternating_blocks(
-        3,
-        lambda i, j: at(i + 1, -(j + 1)),
-        lambda i: at(i + 1, -8),
-    )
-    return [bulk, fan] + shifted
+    shifted = _alternating_blocks(3, lambda i, j: minus(i + 1, j + 1), lambda i: minus(i + 1, 8))
+    return (bulk, fan, *shifted)
 
 
-# Block builders of the systems ``lower_bound`` certifies: the classical by family.
+# Block builders of the systems ``lower_bound`` certifies, the classical by
+# family; each takes the id and returns its blocks.
 _BUILDERS = {"A": _blocks_a, "C": _blocks_c, "D": _blocks_d, "E6": _one_block(_E6_SIGNS),
              "E8": _blocks_e8, "F4": _one_block(_F4_SIGNS), "G2": _one_block(_G2_SIGNS)}
 
@@ -254,7 +246,7 @@ def certificate(system: FamilyRank | RootSystem) -> CertificateFamily | None:
     if not isinstance(system, RootSystem):
         system = positive_roots(fr)
     build = _BUILDERS.get(fr.family) or _BUILDERS[str(fr)]
-    cert = CertificateFamily(fr, tuple(tuple(b) for b in build(system)))
+    cert = CertificateFamily(fr, build(fr))
     ok, diagnostic = verify_report(system, cert)
     if not ok:
         raise InternalCheckError(f"certificate construction for {fr} is broken: {diagnostic}")
@@ -273,7 +265,8 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
 
     ``system`` goes through ``as_system``; anything but a RootSystem or an
     integer matrix, or a ``cert`` that is not a CertificateFamily, raises
-    ``DimensionMismatchError``."""
+    ``DimensionMismatchError``, and a block sum the memory budget cannot
+    hold (``rootsys.check_row_sum``) ``ResourceLimitError``."""
     system = as_system(system)
     if _check_certificate(cert).system_id != system.id:
         return False, f"certificate for {cert.system_id} applied to {system}"
@@ -283,6 +276,7 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
         return False, str(exc)
     if len(witness) != system.r:
         return False, f"blocks cover {len(witness)} of {system.r} root indices"
+    check_row_sum(system)
     for b, block in enumerate(cert.blocks):
         partial = row_sum(system.rows, system.ambient_dim, block)
         if any(partial):

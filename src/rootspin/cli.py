@@ -12,6 +12,11 @@ block at a time as lists of ``{"root_index": i, "sign": s}`` objects.  No
 dict per root is built: on D69 or C68 those dicts would take more memory
 than the roots and the 2L obstruction together.
 
+The ``--version`` and ``--help`` options are built here with their texts
+given.  click's own look their texts up through ``gettext``, and that
+imports ``locale`` (0.29 MiB) in every process, though no command uses it.
+Their output is the same, and so is a usage error's hint.
+
 ``run`` is the console entry of ``python -m rootspin.cli`` and of the
 installed ``rootspin`` script; ``main``, which tests call through
 ``CliRunner``, leaves the garbage collector alone.
@@ -165,8 +170,42 @@ def _print_report_text(report: dict) -> None:
     click.echo(f"time         {report['timings']['total_ms']} ms")
 
 
-class _Main(click.Group):
+def _show_help(ctx: click.Context, param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+def _show_version(ctx: click.Context, param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(f"{ctx.find_root().info_name}, version {__version__}", color=ctx.color)
+        ctx.exit()
+
+
+class _OwnHelp:
+    """Builds the ``--help`` option with its text given: click's own looks
+    its text up through ``gettext``, which imports ``locale``."""
+
+    _own_help = None
+
+    def get_help_option(self, ctx):
+        names = self.get_help_option_names(ctx)
+        if not names or not self.add_help_option:
+            return None
+        if self._own_help is None:  # one object, which click's callback order relies on
+            self._own_help = click.Option(names, is_flag=True, expose_value=False, is_eager=True,
+                                          callback=_show_help, help="Show this message and exit.")
+        return self._own_help
+
+
+class _Command(_OwnHelp, click.Command):
+    """A command of ``main``, with the ``--help`` of ``_OwnHelp``."""
+
+
+class _Main(_OwnHelp, click.Group):
     """Turns the library's refusals into exit codes 1, 2 and 3 for every command."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:
@@ -183,7 +222,8 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(version=__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_show_version, help="Show the version and exit.")
 def main() -> None:
     """Exact invariant-spinor dimensions from positive root combinatorics."""
 

@@ -19,7 +19,8 @@ class DimensionMismatchError(RootspinError):
 
 
 class IndexOutOfRangeError(RootspinError):
-    """Generator index outside 0..r-1."""
+    """Generator index outside 0..r-1, or a root pattern or subscripts that
+    a family does not have."""
 
 
 class ResourceLimitError(RootspinError):

@@ -10,8 +10,8 @@ A root is stored as a sparse row: a tuple of ``(coordinate, value)`` pairs
 over its nonzero coordinates, in increasing coordinate order, with Python
 int entries.  Every classical root has at most two nonzeros except the n
 roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
-the certificate lookups and checks, exact signed sums) does work in the
-number of nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
+the certificate checks, exact signed sums) does work in the number of
+nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
 dense (r, ambient_dim) int64 view that only the numpy engines read (brute
 force, meet-in-the-middle, enumeration and the witness search): it is built
 from the rows on first use, once its 8 * r * ambient_dim bytes are checked
@@ -28,23 +28,40 @@ whose sparse rows are built from it on first use, so an engine that
 refuses its r has built none.
 
 The order of the list is part of the public contract (sign vectors and
-certificates are indexed by position): root patterns are emitted top to
-bottom in the order listed below per family, and within a pattern
-lexicographically on the index tuple (i), (i, j) or (i, j, k).  The eight
-F4 half-roots are ordered lexicographically on their sign pattern, plus
-before minus, applied to the last three coordinates.  G2 is a fixed
-six-element list.
+certificates are indexed by position).  With l_1, ..., l_n the coordinates
+and nu = l_1 + ... + l_n, each family's roots are patterns (``PATTERNS``),
+emitted in this order (``root_patterns``), and within a pattern
+lexicographically on the subscripts (i), (i, j) or (i, j, k), i < j < k:
+
+    A   l_i - l_j, nu + l_i
+    B   l_i - l_j, l_i + l_j, l_i
+    C   l_i - l_j, l_i + l_j, 2l_i
+    D   l_i - l_j, l_i + l_j
+    E6  l_i - l_j, l_i + l_j + l_k, nu
+    E7  l_i - l_j, l_i + l_j + l_k, nu - l_i
+    E8  l_i - l_j, l_i + l_j + l_k, nu + l_i, nu - l_i - l_j
+    F4  l_i - l_j, l_i + l_j, l_i, then the eight half roots
+
+F4's roots are stored doubled; its half roots (l_1 +- l_2 +- l_3 +- l_4)/2
+are ordered lexicographically on their sign pattern, plus before minus.  G2
+is a fixed six-element list.  So a root's position is its pattern's offset
+plus the rank of its subscripts, and ``root_indexer`` computes it without
+building the roots: that is how the certificates name their roots.
 """
 
 from __future__ import annotations
 
 import itertools
 import resource
+from math import comb
 from functools import cached_property, total_ordering
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalCheckError, InvalidRankError, ResourceLimitError
+from .errors import (
+    DimensionMismatchError, IndexOutOfRangeError, InternalCheckError, InvalidRankError,
+    ResourceLimitError,
+)
 
 # Admissible rank ranges; anything else is rejected, never remapped to an
 # isomorphic family (e.g. C2 is not treated as B2).
@@ -228,7 +245,7 @@ class RootSystem(Record):
         return len(self.rows)
 
     def __str__(self) -> str:
-        return str(self.id or f"the unnamed {self.r} x {self.ambient_dim} matrix")
+        return str(self.id or f"the unnamed {shown(self.r)} x {shown(self.ambient_dim)} matrix")
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -308,12 +325,21 @@ def as_system(system) -> RootSystem:
 
 
 def row_sum(rows, m: int, terms) -> list[int]:
-    """Exact ``sum(s * rows[i])`` over the ``(i, s)`` terms, as m Python ints."""
+    """Exact ``sum(s * rows[i])`` over the ``(i, s)`` terms, as m Python ints;
+    it checks no budget, so an entry point calls ``check_row_sum`` first."""
     total = [0] * m
     for i, s in terms:
         for c, x in rows[i]:
             total[c] += s * x
     return total
+
+
+def check_row_sum(system: RootSystem) -> None:
+    """Refuse, before anything is allocated, the sums of ``system``'s rows
+    when one would outgrow the budget: 16 bytes a coordinate, the 8-byte
+    slot of the list ``row_sum`` builds and as much again for its entries,
+    which are mostly zero or small and so shared."""
+    check_budget(16 * system.ambient_dim, memory_budget(), f"a sum of the rows of {system}")
 
 
 def root_count(fr: FamilyRank) -> int:
@@ -333,8 +359,22 @@ def root_count(fr: FamilyRank) -> int:
     return 6  # G2
 
 
-def _pairs(n: int):
-    return itertools.combinations(range(n), 2)
+def weyl_order_v2(fr: FamilyRank) -> int:
+    """The exponent of 2 in the order of the Weyl group, by closed form, so
+    that no order is built at any rank; anything but a FamilyRank raises
+    ``InvalidRankError``.
+
+    |W| is (n+1)! for A_n, 2^n n! for B_n and C_n and 2^(n-1) n! for D_n,
+    and Legendre's formula gives v2(m!) = m - (the number of 1 bits of m).
+    """
+    n = check_family_rank(fr).rank
+    if fr.family == "A":
+        return n + 1 - (n + 1).bit_count()
+    if fr.family in ("B", "C"):
+        return n + n - n.bit_count()
+    if fr.family == "D":
+        return n - 1 + n - n.bit_count()
+    return {"E6": 7, "E7": 10, "E8": 14, "F4": 7, "G2": 2}[str(fr)]
 
 
 def _nonzeros(fr: FamilyRank) -> int:
@@ -362,58 +402,122 @@ def _rows_bytes(fr: FamilyRank) -> int:
     return 64 * root_count(fr) + 8 * _nonzeros(fr) + 1024 * fr.rank + (16 << 10)
 
 
+# The roots of each family other than G2, as patterns in l_1, ..., l_n and
+# nu = l_1 + ... + l_n, in the order ``positive_roots`` emits them.  A
+# pattern is nu's coefficient and its subscripts' coefficients: the roots of
+# "l_i - l_j" are l_i - l_j for every 1 <= i < j <= n.  F4's list is scaled
+# by 2 and followed by its eight half roots.
+PATTERNS: dict[str, tuple[int, tuple[int, ...]]] = {
+    "l_i - l_j": (0, (1, -1)),
+    "l_i + l_j": (0, (1, 1)),
+    "l_i": (0, (1,)),
+    "2l_i": (0, (2,)),
+    "l_i + l_j + l_k": (0, (1, 1, 1)),
+    "nu": (1, ()),
+    "nu + l_i": (1, (1,)),
+    "nu - l_i": (1, (-1,)),
+    "nu - l_i - l_j": (1, (-1, -1)),
+}
+_ORDER = {
+    "A": ("l_i - l_j", "nu + l_i"),
+    "B": ("l_i - l_j", "l_i + l_j", "l_i"),
+    "C": ("l_i - l_j", "l_i + l_j", "2l_i"),
+    "D": ("l_i - l_j", "l_i + l_j"),
+    "E6": ("l_i - l_j", "l_i + l_j + l_k", "nu"),
+    "E7": ("l_i - l_j", "l_i + l_j + l_k", "nu - l_i"),
+    "E8": ("l_i - l_j", "l_i + l_j + l_k", "nu + l_i", "nu - l_i - l_j"),
+    "F4": ("l_i - l_j", "l_i + l_j", "l_i"),
+    "G2": (),
+}
+
+
+def root_patterns(fr: FamilyRank) -> tuple[str, ...]:
+    """The names of ``fr``'s root patterns (keys of ``PATTERNS``), in the
+    order ``positive_roots`` emits them; anything but a FamilyRank raises
+    ``InvalidRankError``."""
+    return _ORDER.get(check_family_rank(fr).family) or _ORDER[str(fr)]
+
+
+def root_indexer(fr: FamilyRank, pattern: str):
+    """The function that gives the position in ``positive_roots(fr)`` of the
+    root of ``pattern`` (a key of ``PATTERNS``) with the subscripts
+    i < j < k, from 1 to n, found without building the roots.
+
+    A position is the number of roots of the patterns before ``pattern``
+    plus the rank of the subscripts among the increasing t-tuples, in
+    lexicographic order: C(n, t) - 1 - sum over p of C(n - s_p, t - p),
+    which is (i - 1)(2n - i)/2 + j - i - 1 for a pair.  Anything but a
+    FamilyRank raises ``InvalidRankError``; a pattern that ``fr`` does not
+    have, or subscripts that are not t increasing integers in 1..n, raise
+    ``IndexOutOfRangeError``.
+    """
+    patterns = root_patterns(fr)
+    if pattern not in patterns:
+        raise IndexOutOfRangeError(f"{fr} has no roots {pattern!r}")
+    n = fr.rank
+    start = sum(comb(n, len(PATTERNS[name][1])) for name in patterns[:patterns.index(pattern)])
+    t = len(PATTERNS[pattern][1])
+    last = start + comb(n, t) - 1
+
+    def refuse(subscripts):
+        raise IndexOutOfRangeError(
+            f"the roots {pattern} of {fr} take {t} increasing subscripts in 1..{shown(n)}, "
+            f"not ({', '.join(map(shown, subscripts))})"
+        )
+
+    def pair(*subscripts: int) -> int:
+        if len(subscripts) == 2:
+            i, j = subscripts
+            if type(i) is int and type(j) is int and 0 < i < j <= n:
+                return start + (i - 1) * (2 * n - i) // 2 + j - i - 1
+        refuse(subscripts)
+
+    def index(*subscripts: int) -> int:
+        if len(subscripts) != t:
+            refuse(subscripts)
+        at, s = last, 0
+        for p, next_s in enumerate(subscripts):
+            if type(next_s) is not int or not s < next_s <= n:
+                refuse(subscripts)
+            s = next_s
+            at -= comb(n - s, t - p)
+        return at
+
+    return pair if t == 2 else index
+
+
 def _build_rows(fr: FamilyRank) -> tuple[list[Row], int]:
-    """Return (sparse rows, denominator) for the family's scaled root list.
+    """Return (sparse rows, denominator) for the family's scaled root list,
+    pattern by pattern (``root_patterns``).
 
     Each distinct (coordinate, value) pair is one shared tuple."""
     n = fr.rank
     shared: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def row(*entries: tuple[int, int]) -> Row:
-        return tuple(shared.setdefault(e, e) for e in entries if e[1])
-
     def dense(values) -> Row:
-        return row(*enumerate(values))
+        return tuple(shared.setdefault(e, e) for e in enumerate(values) if e[1])
 
-    def ones(*changes: tuple[int, int]) -> Row:
-        """The all-ones vector with the given coordinates changed."""
-        v = [1] * n
-        for c, x in changes:
-            v[c] += x
-        return dense(v)
-
-    rows = [row((i, 1), (j, -1)) for i, j in _pairs(n)]
-    if fr.family == "A":
-        rows += [ones((i, 1)) for i in range(n)]
-        return rows, 1
-
-    if fr.family in ("B", "C", "D", "F"):
-        rows += [row((i, 1), (j, 1)) for i, j in _pairs(n)]
-        if fr.family == "B":
-            return rows + [row((i, 1)) for i in range(n)], 1
-        if fr.family == "C":
-            return rows + [row((i, 2)) for i in range(n)], 1
-        if fr.family == "D":
-            return rows, 1
-        # F4: scale everything by 2 so the eight half-roots become integral.
-        rows = [row(*((c, 2 * x) for c, x in v)) for v in rows]
-        rows += [row((i, 2)) for i in range(4)]
-        rows += [dense((1, *signs)) for signs in itertools.product((1, -1), repeat=3)]
-        return rows, 2
-
-    if fr.family == "E":
-        rows += [row((i, 1), (j, 1), (k, 1)) for i, j, k in itertools.combinations(range(n), 3)]
-        if n == 6:
-            rows.append(ones())
-        elif n == 7:
-            rows += [ones((i, -1)) for i in range(7)]
+    if fr.family == "G":  # exactly in the canonical printed order
+        return [dense(v) for v in ((1, 0), (0, 1), (-1, -1), (1, -1), (1, 2), (2, 1))], 1
+    scale = 2 if fr.family == "F" else 1  # so that F4's eight half roots are integral
+    rows: list[Row] = []
+    for name in root_patterns(fr):
+        nu, coefficients = PATTERNS[name]
+        subscripts = itertools.combinations(range(n), len(coefficients))
+        if nu:
+            for changed in subscripts:
+                v = [nu] * n
+                for c, x in zip(changed, coefficients):
+                    v[c] += x
+                rows.append(dense(v))
         else:
-            rows += [ones((i, 1)) for i in range(8)]
-            rows += [ones((i, -1), (j, -1)) for i, j in _pairs(8)]
-        return rows, 1
-
-    # G2, exactly in the canonical printed order.
-    return [dense(v) for v in ((1, 0), (0, 1), (-1, -1), (1, -1), (1, 2), (2, 1))], 1
+            # entries[p][c] is the pair (c, coefficient p), so a row is a lookup per subscript
+            entries = [[shared.setdefault(e, e) for e in ((c, scale * x) for c in range(n))]
+                       for x in coefficients]
+            rows += [tuple(map(list.__getitem__, entries, subs)) for subs in subscripts]
+    if scale == 2:
+        rows += [dense((1, *signs)) for signs in itertools.product((1, -1), repeat=3)]
+    return rows, scale
 
 
 def positive_roots(fr: FamilyRank) -> RootSystem:

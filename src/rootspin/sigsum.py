@@ -67,7 +67,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .rootsys import (
-    Record, as_system, check_limit, int64_array, integer_array, is_int, row_sum, shown, sparse_rows,
+    Record, as_system, check_budget, check_limit, check_row_sum, int64_array, integer_array, is_int,
+    memory_budget, row_sum, shown, sparse_rows, weyl_order_v2,
 )
 
 METHOD_BRUTE = "brute_force"
@@ -161,7 +162,8 @@ def signs_from_mask(mask: int, r: int) -> tuple[int, ...]:
 def signed_sum(system, signs) -> np.ndarray:
     """Exact signed sum of the scaled roots, as a length-m int64 vector.
 
-    The sum is taken over the sparse rows in Python ints; when an entry
+    The sum is taken over the sparse rows in Python ints, once its size is
+    checked against the budget (``rootsys.check_row_sum``); when an entry
     does not fit in int64 it raises ``ResourceLimitError`` instead of
     returning a wrapped value.
     """
@@ -171,6 +173,7 @@ def signed_sum(system, signs) -> np.ndarray:
         raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
     if eps.shape[0] != system.r:
         raise LengthMismatchError(f"expected {system.r} signs, got {eps.shape[0]}")
+    check_row_sum(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(eps.tolist()))
     if not all(-(1 << 63) <= x < 1 << 63 for x in total):
         raise ResourceLimitError("signed sum does not fit in int64")
@@ -267,8 +270,17 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
     """Exact count by the engine ``choose_engine`` picks, within its limit.
 
     On a named system the count must reach the published lower bound
-    (``certs.lower_bound``) and be zero exactly when the bound is, or
-    ``InternalCheckError`` is raised; a bare matrix has no bound.
+    (``certs.lower_bound``), be zero exactly when the bound is, and be
+    divisible by the 2-part of the Weyl group's order
+    (``rootsys.weyl_order_v2``), or ``InternalCheckError`` is raised; a bare
+    matrix has no bound.
+
+    The Weyl group W permutes the roots, so it acts on the zero sums, each a
+    choice of one root from every pair +-a.  An involution of W is a product
+    of reflections in mutually orthogonal roots b_1, ..., b_k (Carter,
+    Compositio Math. 25, 1972, Lemma 5), so it sends b_1 to -b_1 and moves
+    every zero sum: no stabiliser has even order, and every orbit, so the
+    count, is divisible by the 2-part of |W|.
     """
     system = as_system(system)
     engine, limit = choose_engine(system.r, method, max_r)
@@ -279,6 +291,12 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
         if result.value < bound or (result.value == 0) != (bound == 0):
             raise InternalCheckError(
                 f"{system.id}: exact count {result.value} contradicts lower bound {bound}"
+            )
+        divisor = 1 << weyl_order_v2(system.id)
+        if result.value % divisor:
+            raise InternalCheckError(
+                f"{system.id}: exact count {result.value} is not divisible by {divisor}, "
+                f"the 2-part of the Weyl group's order"
             )
     return result
 
@@ -346,7 +364,10 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     numpy integers becoming Python ints.  Dense rows are converted once
     into sparse ones and read by the same loop.  The vectors are inserted
     one at a time into a basis of at most m sparse vectors, one per pivot
-    row.
+    row.  The basis ends as dense columns of m ints, so their size is
+    checked against the memory budget (``rootsys.check_budget``) before any
+    vector is read: a huge ``ambient_dim`` raises ``ResourceLimitError`` at
+    once.
     A vector is reduced at its leading row by the basis vector with that
     pivot; when the pivot does not divide the entry, Euclid's steps between
     the two leave their gcd as the new pivot and the remainder goes on.  A
@@ -364,7 +385,7 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
         dense = integer_array(vectors, DimensionMismatchError)
         if dense.ndim != 2 or not dense.shape[0]:
             raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
-        m = dense.shape[1]
+        size, m = dense.shape
         vectors = sparse_rows(dense.tolist())
     else:
         if not is_int(m) or m < 0:
@@ -376,6 +397,10 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
             raise DimensionMismatchError("sparse rows must be a sequence of rows") from None
         if not size:
             raise DimensionMismatchError("need at least one vector")
+    # The basis ends as at most min(size, m) dense columns of m ints, each a
+    # tuple grown from a generator by resizing: 16 bytes a slot.
+    check_budget(16 * min(size, m) * m, memory_budget(),
+                 f"a Hermite normal form basis in dimension {shown(m)}")
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
     for row in vectors:
         v = {}
@@ -423,9 +448,11 @@ def obstruction_2L(system) -> ObstructionResult:
 
     Fail certifies non-existence; Pass never asserts existence.  The sum
     and the basis are both taken over the sparse rows, exactly, and the sum
-    is a list of Python ints, which ``contains`` checks without numpy.
+    is a list of Python ints, which ``contains`` checks without numpy.  Its
+    size is checked against the budget first (``rootsys.check_row_sum``).
     """
     system = as_system(system)
+    check_row_sum(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(repeat(1, system.r)))
     basis = hnf(system.rows, system.ambient_dim)
     if basis.contains(total, 2):

@@ -60,7 +60,7 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .rootsys import as_system, check_limit, is_int, row_sum, shown
+from .rootsys import as_system, check_limit, check_row_sum, is_int, row_sum, shown
 
 _ZERO_PARTS = (0, 0, 0, 0, 1)
 # Monomials per tagged block of invariant_dimension (module docstring).
@@ -434,13 +434,15 @@ def invariant_dimension(system, limit_r: int = DEFAULT_ORACLE_LIMIT) -> int:
     tests annihilation exactly.  The monomials go through in tagged blocks
     of ``_BLOCK`` (module docstring), one ``_rotation_term`` per generator
     and block; every check still applies to each monomial on its own, and
-    each monomial's signed root sum is tested for zero over the sparse rows.
+    each monomial's signed root sum is tested for zero over the sparse rows,
+    once the size of one such sum is checked (``rootsys.check_row_sum``).
     """
     limit_r = check_limit(limit_r, "limit_r")
     system = as_system(system)
     r = system.r
     if r > limit_r:
         raise ResourceLimitError(f"representation dimension 2^{r} exceeds limit 2^{limit_r}")
+    check_row_sum(system)
     dimension = 0
     for start in range(0, 1 << r, _BLOCK):
         keys = [(m << r) | m for m in range(start, min(start + _BLOCK, 1 << r))]

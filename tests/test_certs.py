@@ -27,6 +27,14 @@ Claims covered:
       decides existence without building the bound 2^k, so it returns None
       or is refused by the roots' budget at once, tracing under 1 MiB
     - a builder whose blocks fail verification is an internal error
+    - every (index, sign) of every certificate names the root the builder
+      meant: the blocks are the same when each root is found by the symbolic
+      lookup the builders used before ``rootsys.root_indexer``, which builds
+      the root as a sparse row and finds it among the rows; on every
+      catalogue id with a certificate and on A56/58/70/72, C59/60/67/68
+      and D56/57/68/69, the lattice workload's ranks
+    - ``certificate(positive_roots(D69))``, run a second time, traces under
+      725 KiB: it builds no map over the rows (754 KiB when it did)
 """
 
 import tracemalloc
@@ -424,3 +432,55 @@ def test_assembled_witness_refuses_blocks_that_are_not_pairs(blocks):
     with pytest.raises(InternalCheckError,
                        match=r"block 0 is not a sequence of \(index, sign\) pairs"):
         assembled_witness(CertificateFamily(FamilyRank("A", 2), blocks))
+
+
+def _symbolic_indexer(system):
+    """``root_indexer`` for ``system``'s family through the lookup the
+    builders used before it: the root is written out as a sparse row from
+    signed 1-based subscripts (``i`` adds l_i, ``-j`` subtracts l_j, and a
+    base of 1 starts from nu = l_1 + ... + l_n) and found among the rows."""
+    n = system.ambient_dim
+    position = {row: i for i, row in enumerate(system.rows)}
+
+    def at(*terms, base=0):
+        v = dict.fromkeys(range(n), base) if base else {}
+        for t in terms:
+            c = abs(t) - 1
+            v[c] = v.get(c, 0) + (1 if t > 0 else -1)
+        return position[tuple(sorted((c, x) for c, x in v.items() if x))]
+
+    symbolic = {
+        "l_i - l_j": lambda i, j: at(i, -j),
+        "l_i + l_j": lambda i, j: at(i, j),
+        "2l_i": lambda i: at(i, i),
+        "l_i + l_j + l_k": lambda i, j, k: at(i, j, k),
+        "nu + l_i": lambda i: at(i, base=1),
+        "nu - l_i - l_j": lambda i, j: at(-i, -j, base=1),
+    }
+    return lambda fr, pattern: symbolic[pattern]
+
+
+REFERENCE_IDS = [str(fr) for fr in rootsys.CATALOGUE if lower_bound(fr)] + [
+    "A56", "A58", "A70", "A72", "C59", "C60", "C67", "C68", "D56", "D57", "D68", "D69",
+]
+
+
+@pytest.mark.parametrize("label", REFERENCE_IDS)
+def test_every_block_entry_names_the_root_the_symbolic_lookup_names(label, monkeypatch):
+    fr = FamilyRank.parse(label)
+    cert = certificate(fr)
+    monkeypatch.setattr(certs, "root_indexer", _symbolic_indexer(positive_roots(fr)))
+    build = certs._BUILDERS.get(fr.family) or certs._BUILDERS[label]
+    assert build(fr) == cert.blocks
+
+
+def test_d69_certificate_builds_no_row_map():
+    fr = FamilyRank("D", 69)
+    certificate(positive_roots(fr))  # the same free lists as in the run traced
+    tracemalloc.start()
+    try:
+        certificate(positive_roots(fr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 725 << 10, peak

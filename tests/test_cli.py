@@ -38,6 +38,9 @@ Claims covered:
     - fuzzed arguments (family strings with padding and control characters,
       negative, small and huge ranks) always end in exit 0, 1, 2 or 3, and
       nothing but SystemExit escapes a command
+    - `--help` of the group and of every command, `--version` and a usage
+      error's "Try ... --help" hint keep their text, byte for byte, now that
+      the CLI builds both options with their texts given
     - the entry users and the benchmark take, `python -m rootspin.cli`:
       `--version` exits 0 from a checkout; the collector is frozen when
       the interpreter shuts down, and `main` under CliRunner freezes
@@ -542,6 +545,113 @@ def test_fuzzed_arguments_keep_the_exit_contract(argv):
     assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, repr(result.exception))
+
+
+_OPTION_HELP = "  --help  Show this message and exit.\n"
+HELP_TEXTS = {
+    (): (
+        "Usage: rootspin [OPTIONS] COMMAND [ARGS]...\n\n"
+        "  Exact invariant-spinor dimensions from positive root combinatorics.\n\n"
+        "Options:\n"
+        "  --version  Show the version and exit.\n"
+        "  --help     Show this message and exit.\n\n"
+        "Commands:\n"
+        "  analyze  Full existence/count/certificate report for one system.\n"
+        "  certify  Emit the verified block certificate, or available:false.\n"
+        "  count    Exact count of zero signed sums (no existence shortcuts).\n"
+        "  oracle   Invariant dimension through the exterior-algebra model.\n"
+        "  roots    Print the ordered root list in the plain text interchange format.\n"
+        "  table    Reports for the whole catalogue of systems.\n"
+    ),
+    ("analyze",): (
+        "Usage: rootspin analyze [OPTIONS] FAMILY RANK\n\n"
+        "  Full existence/count/certificate report for one system.\n\n"
+        "Options:\n"
+        "  --method [auto|brute|mitm]\n"
+        "  --max-r INTEGER RANGE       Largest r to count exactly (default: 48 for auto,\n"
+        "                              else the forced engine's own limit; 0 counts\n"
+        "                              nothing).  [x>=0]\n"
+        "  --json\n"
+        "  --help                      Show this message and exit.\n"
+    ),
+    ("count",): (
+        "Usage: rootspin count [OPTIONS] FAMILY RANK\n\n"
+        "  Exact count of zero signed sums (no existence shortcuts).\n\n"
+        "Options:\n"
+        "  --method [auto|brute|mitm]\n"
+        "  --max-r INTEGER RANGE       Largest r the engine may count (default: brute 26,\n"
+        "                              mitm 48).  [x>=0]\n"
+        "  --json\n"
+        "  --help                      Show this message and exit.\n"
+    ),
+    ("certify",): (
+        "Usage: rootspin certify [OPTIONS] FAMILY RANK\n\n"
+        "  Emit the verified block certificate, or available:false.\n\n"
+        "Options:\n" + _OPTION_HELP
+    ),
+    ("oracle",): (
+        "Usage: rootspin oracle [OPTIONS] FAMILY RANK\n\n"
+        "  Invariant dimension through the exterior-algebra model.\n\n"
+        "Options:\n"
+        "  --max-r INTEGER RANGE  Largest r the oracle runs on (at most 20: the work\n"
+        "                         grows as r * 2^r).  [0<=x<=20]\n"
+        "  --help                 Show this message and exit.\n"
+    ),
+    ("table",): (
+        "Usage: rootspin table [OPTIONS]\n\n"
+        "  Reports for the whole catalogue of systems.\n\n"
+        "Options:\n"
+        "  --max-r INTEGER RANGE  Largest r for which exact counting is attempted\n"
+        "                         (default 48).  [x>=0]\n"
+        "  --json\n"
+        "  --help                 Show this message and exit.\n"
+    ),
+    ("roots",): (
+        "Usage: rootspin roots [OPTIONS] FAMILY RANK\n\n"
+        "  Print the ordered root list in the plain text interchange format.\n\n"
+        "Options:\n" + _OPTION_HELP
+    ),
+}
+
+
+def _named(*argv):
+    """``main`` under CliRunner as the program ``rootspin``, 80 columns wide."""
+    return CliRunner().invoke(main, list(argv), prog_name="rootspin", terminal_width=80)
+
+
+class TestOwnOptions:
+    @pytest.mark.parametrize("command", sorted(HELP_TEXTS), ids=lambda c: " ".join(c) or "group")
+    def test_help_text(self, command):
+        result = _named(*command, "--help")
+        assert (result.exit_code, result.stdout, result.stderr) == (0, HELP_TEXTS[command], "")
+
+    def test_every_command_has_its_help_text(self):
+        assert set(HELP_TEXTS) == {()} | {(name,) for name in main.commands}
+
+    def test_version_text(self):
+        result = _named("--version")
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            0, "rootspin, version 0.1.0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv,usage,error",
+        [
+            (("analyze", "A"), "rootspin analyze [OPTIONS] FAMILY RANK",
+             "Missing argument 'RANK'."),
+            (("bogus",), "rootspin [OPTIONS] COMMAND [ARGS]...", "No such command 'bogus'."),
+            (("--bogus",), "rootspin [OPTIONS] COMMAND [ARGS]...", "No such option '--bogus'."),
+            (("table", "--max-r", "-1"), "rootspin table [OPTIONS]",
+             "Invalid value for '--max-r': -1 is not in the range x>=0."),
+        ],
+        ids=["missing_argument", "no_command", "no_option", "bad_value"],
+    )
+    def test_usage_error_hint(self, argv, usage, error):
+        result = _named(*argv)
+        command = usage.split(" [")[0]
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"Usage: {usage}\nTry '{command} --help' for help.\n\nError: {error}\n"
+        )
 
 
 SRC = str(Path(rootspin.__file__).parents[1])

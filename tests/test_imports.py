@@ -7,10 +7,13 @@ Claims covered:
     - no module reads an underscore-named attribute of a sibling module,
       as ``module._name`` or by ``from .module import _name``
     - in a fresh interpreter, ``import rootspin.cli`` and the CLI jobs of
-      every benchmark workload (``oracle``, ``analyze``, a brute-force
-      ``count`` and ``table``) load numpy and click but not ``fractions``,
-      ``decimal``, ``dataclasses`` or ``copy``: the value classes are
-      written out in the source, not generated at import
+      every benchmark workload (``oracle``, ``analyze`` on a catalogue and
+      a lattice rank, a brute-force and a meet-in-the-middle ``count`` and
+      ``table``) load numpy and click but not ``fractions``, ``decimal``,
+      ``dataclasses``, ``copy`` or ``locale``: the value classes are
+      written out in the source, not generated at import, and the CLI's
+      ``--help`` and ``--version`` options carry their texts, which click
+      would look up through ``gettext``, which imports ``locale``
     - no module names ``dataclass``, ``namedtuple``, ``NamedTuple`` or
       ``exec``, which build code when the module is imported
 """
@@ -129,7 +132,7 @@ _JOBS_SCRIPT = """
 import contextlib, io, json, sys
 import rootspin.cli
 
-watched = ("fractions", "decimal", "dataclasses", "copy", "numpy", "click")
+watched = ("fractions", "decimal", "dataclasses", "copy", "locale", "numpy", "click")
 loaded = [[m for m in watched if m in sys.modules]]
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -143,9 +146,9 @@ print(json.dumps(loaded))
 
 
 def test_cli_jobs_load_no_fractions():
-    jobs = [["oracle", "D", "4"], ["analyze", "E", "6", "--json"],
+    jobs = [["oracle", "D", "4"], ["analyze", "E", "6", "--json"], ["analyze", "D", "56", "--json"],
             ["count", "D", "6", "--method", "brute", "--max-r", "30", "--json"],
-            ["table", "--json"]]
+            ["count", "E", "6", "--method", "mitm", "--json"], ["table", "--json"]]
     result = subprocess.run(
         [sys.executable, "-c", _JOBS_SCRIPT, json.dumps(jobs)],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),

@@ -21,12 +21,20 @@ Claims covered:
       such an integer the same way
     - a root count that misses its closed form is an InternalCheckError
     - the catalogue lists the 29 results-table ids once, in print order
+    - ``root_indexer`` gives every root of every pattern its position in
+      ``positive_roots``, on the catalogue and on large A, B, C and D ranks,
+      and refuses a pattern the family lacks or subscripts that are not
+      increasing integers in 1..n with IndexOutOfRangeError
+    - ``weyl_order_v2`` is the exponent of 2 in |W|, the Weyl group's order
+      by its closed form, on A1-A10, B2-B8, C3-C8, D4-D8, E6-E8, F4 and G2
     - the plain text interchange format is bit-exact; it refuses what is
       not a root system or an integer matrix with DimensionMismatchError
 """
 
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -51,8 +59,8 @@ from rootspin import (
     positive_roots,
     root_count,
 )
-from rootspin import certs
-from rootspin.rootsys import CATALOGUE, shown
+from rootspin import certs, rootsys
+from rootspin.rootsys import CATALOGUE, PATTERNS, root_indexer, root_patterns, shown
 
 G2_ROOTS = [[1, 0], [0, 1], [-1, -1], [1, -1], [1, 2], [2, 1]]
 
@@ -277,3 +285,76 @@ def test_text_format_refuses_what_is_not_a_system(system):
     # None raised a bare AttributeError
     with pytest.raises(DimensionMismatchError):
         format_root_list(system)
+
+
+def _positions(fr: FamilyRank) -> list[int]:
+    """``root_indexer``'s position of every root of every pattern of ``fr``,
+    the patterns in order and each one's subscripts lexicographically."""
+    return [
+        root_indexer(fr, pattern)(*subscripts)
+        for pattern in root_patterns(fr)
+        for subscripts in combinations(range(1, fr.rank + 1), len(PATTERNS[pattern][1]))
+    ]
+
+
+def test_root_indexer_places_every_root(catalogue):
+    large = [positive_roots(FamilyRank(f, n)) for f, n in (("A", 41), ("B", 30), ("C", 33),
+                                                             ("D", 37))]
+    for system in [*catalogue.values(), *large]:
+        fr = system.id
+        # F4's eight half roots follow its patterns; G2 is a fixed list
+        patterned = {"F4": 16, "G2": 0}.get(str(fr), system.r)
+        assert _positions(fr) == list(range(patterned)), fr
+        scale = system.denominator
+        for pattern in root_patterns(fr):
+            nu, coefficients = PATTERNS[pattern]
+            index = root_indexer(fr, pattern)
+            for subscripts in combinations(range(1, fr.rank + 1), len(coefficients)):
+                v = [nu] * fr.rank
+                for s, x in zip(subscripts, coefficients):
+                    v[s - 1] += x
+                row = tuple((c, scale * x) for c, x in enumerate(v) if x)
+                assert system.rows[index(*subscripts)] == row, (fr, pattern, subscripts)
+
+
+@pytest.mark.parametrize(
+    "pattern,subscripts",
+    [("l_i + l_j", (1, 2)), ("l_i - l_j", (2, 1)), ("l_i - l_j", (1, 1)), ("l_i - l_j", (0, 1)),
+     ("l_i - l_j", (1, 5)), ("l_i - l_j", (1,)), ("nu + l_i", (1, 2)), ("nu + l_i", ()),
+     ("nu + l_i", (5,)), ("nu + l_i", (1.0,)), ("nu + l_i", (True,)), ("l_i - l_j", (1, 2.0)),
+     ("l_i - l_j", (1, 10**5000))],
+    ids=["absent_pattern", "decreasing", "repeated", "zero", "past_n", "too_few", "too_many",
+         "none", "single_past_n", "float", "bool", "float_pair", "huge"],
+)
+def test_root_indexer_refuses_what_names_no_root(pattern, subscripts):
+    with pytest.raises(IndexOutOfRangeError):
+        root_indexer(FamilyRank("A", 4), pattern)(*subscripts)
+
+
+def test_root_indexer_refuses_what_is_not_a_family_rank():
+    with pytest.raises(InvalidRankError):
+        root_indexer("A4", "l_i - l_j")
+
+
+def _weyl_order(fr: FamilyRank) -> int:
+    n = fr.rank
+    if fr.family == "A":
+        return factorial(n + 1)
+    if fr.family in ("B", "C"):
+        return 2**n * factorial(n)
+    if fr.family == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[str(fr)]
+
+
+WEYL_IDS = [FamilyRank(f, n) for f, ranks in (("A", range(1, 11)), ("B", range(2, 9)),
+                                              ("C", range(3, 9)), ("D", range(4, 9)),
+                                              ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
+            for n in ranks]
+
+
+@pytest.mark.parametrize("fr", WEYL_IDS, ids=str)
+def test_weyl_order_v2_is_the_two_part_of_the_order(fr):
+    order = _weyl_order(fr)
+    v = rootsys.weyl_order_v2(fr)
+    assert order % 2**v == 0 and order // 2**v % 2 == 1

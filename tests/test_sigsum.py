@@ -34,7 +34,9 @@ Claims covered:
       meet-in-the-middle above, with each engine's limit, and looks the
       engines up at call time; on a named system a count below the
       published lower bound, or nonzero where the bound is 0, is an
-      internal error, and a bare matrix is not checked
+      internal error, and so is a count that the 2-part of the Weyl group's
+      order does not divide: D4's count plus 2, 66, passes the bound and the
+      oddness check and is caught naming 64; a bare matrix is not checked
     - a limit of brute force or meet-in-the-middle, or a ``max_r`` of
       ``count``, that is not an integer >= 0 is refused; numpy integers
       are integers and ``max_r=None`` keeps each engine's own limit
@@ -89,6 +91,11 @@ Claims covered:
       sequence of sparse rows
     - past r = 16 the witness search ends with None when the walked halves
       share no key
+    - a dense size is checked before it is allocated: ``hnf(rows, 2**80)``,
+      and ``obstruction_2L``, ``signed_sum``, ``invariant_dimension``,
+      ``exists_strong_dependence`` and ``verify_report`` on a system of
+      2**80, 10**9 or 2**40 coordinates, are refused with
+      ResourceLimitError at once, tracing under 1 MiB
 """
 
 import math
@@ -861,6 +868,19 @@ class TestCountEntryPoint:
         # A bare matrix has no bound to contradict.
         assert sigsum.count(system.roots).value == 2
 
+    def test_count_checks_the_two_part_of_the_weyl_order(self, monkeypatch):
+        # 66 is even, nonzero and above D4's published bound 2: only the
+        # 2-part of |W(D4)| = 192 catches it.
+        d4 = _sys("D", 4)
+        true = sigsum.count(d4).value
+        assert true == 64 and certs.lower_bound(d4.id) == 2
+        monkeypatch.setattr(sigsum, "count_bruteforce",
+                            lambda *_: sigsum.CountResult(true + 2, sigsum.METHOD_BRUTE, 0.0))
+        message = "^D4: exact count 66 is not divisible by 64, the 2-part of the Weyl group's order$"
+        with pytest.raises(InternalCheckError, match=message):
+            sigsum.count(d4)
+        assert sigsum.count(d4.roots).value == 66
+
 
 def _words(roots):
     """The int64 words of a key of ``roots``."""
@@ -1405,3 +1425,39 @@ class TestExistence:
         assert obstruction_2L(roots).passed
         result = exists_strong_dependence(roots)
         assert not result.exists and result.method == sigsum.METHOD_MITM
+
+
+def _wide(m, fr=None):
+    """A one-root system of ``m`` coordinates, named ``fr`` when given."""
+    return rootsys.RootSystem(fr, (((0, 1),),), m, 1)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: hnf([((0, 1),)], 2**80), "a Hermite normal form basis in dimension"),
+        (lambda: hnf([((0, 1),)], 10**9), "a Hermite normal form basis in dimension"),
+        (lambda: obstruction_2L(_wide(2**80)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: obstruction_2L(_wide(10**9)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: signed_sum(_wide(2**80), [1]), "a sum of the rows of the unnamed 1 x"),
+        (lambda: signed_sum(_wide(10**9), [-1]), "a sum of the rows of the unnamed 1 x"),
+        (lambda: exists_strong_dependence(_wide(2**40)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: invariant_dimension(_wide(2**80)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: certs.verify_report(_wide(10**9, FamilyRank("A", 1)),
+                                     certs.CertificateFamily(FamilyRank("A", 1), (((0, 1),),))),
+         "a sum of the rows of A1"),
+    ],
+    ids=["hnf_2_80", "hnf_10_9", "obstruction_2_80", "obstruction_10_9", "signed_sum_2_80",
+         "signed_sum_10_9", "existence_2_40", "oracle_2_80", "verify_report_10_9"],
+)
+def test_dense_sizes_checked_before_allocation(call, match):
+    # hnf ran past 30 s under a 2 GB cap; the sums raised a bare
+    # OverflowError at 2**80 and a bare MemoryError at 10**9 and 2**40
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
