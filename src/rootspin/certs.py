@@ -98,21 +98,15 @@ def _alternating_blocks(k: int, pair, extra) -> tuple[Block, ...]:
     return (*(tuple(block(l)) for l in range(1, k)), tuple(tail()))
 
 
-def _indexers(fr: FamilyRank, *patterns: str):
-    """The index function of each pattern (``rootsys.root_indexer``), which
-    takes the paper's 1-based subscripts."""
-    return [root_indexer(fr, pattern) for pattern in patterns]
-
-
 def _blocks_a(fr: FamilyRank) -> tuple[Block, ...]:
-    minus, nu_plus = _indexers(fr, "l_i - l_j", "nu + l_i")
+    minus, nu_plus = (root_indexer(fr, p) for p in ("l_i - l_j", "nu + l_i"))
     return _alternating_blocks(fr.rank // 2, minus, nu_plus)
 
 
 def _blocks_c(fr: FamilyRank) -> tuple[Block, ...]:
     n = fr.rank
     k, eps = divmod(n, 4)
-    minus, plus, double = _indexers(fr, "l_i - l_j", "l_i + l_j", "2l_i")
+    minus, plus, double = (root_indexer(fr, p) for p in ("l_i - l_j", "l_i + l_j", "2l_i"))
 
     def block(a: int):
         b, c, d = a + 1, a + 2, a + 3
@@ -148,7 +142,7 @@ def _blocks_c(fr: FamilyRank) -> tuple[Block, ...]:
 
 def _blocks_d(fr: FamilyRank) -> tuple[Block, ...]:
     n = fr.rank
-    minus, plus = _indexers(fr, "l_i - l_j", "l_i + l_j")
+    minus, plus = (root_indexer(fr, p) for p in ("l_i - l_j", "l_i + l_j"))
 
     def block(a: int):
         # Alternating signs use the literal global subscript j.
@@ -199,8 +193,8 @@ def _one_block(signs: tuple[int, ...]):
 
 
 def _blocks_e8(fr: FamilyRank) -> tuple[Block, ...]:
-    minus, triple, nu_plus, nu_minus = _indexers(
-        fr, "l_i - l_j", "l_i + l_j + l_k", "nu + l_i", "nu - l_i - l_j"
+    minus, triple, nu_plus, nu_minus = (
+        root_indexer(fr, p) for p in ("l_i - l_j", "l_i + l_j + l_k", "nu + l_i", "nu - l_i - l_j")
     )
     pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
 

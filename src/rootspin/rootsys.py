@@ -396,8 +396,9 @@ def _rows_bytes(fr: FamilyRank) -> int:
     it is built in and one in the tuple it ends in (17 bytes with the list's
     over-allocation), so 64 a row bounds the fixed part.  The pairs are
     shared: at most four distinct values per coordinate, each pair with its
-    table entry and coordinate int under 256 bytes.  16 KiB covers the
-    builder's own small objects.
+    table entry, its coordinate int and the list slots that hold it by
+    coordinate under 256 bytes.  16 KiB covers the builder's own small
+    objects.
     """
     return 64 * root_count(fr) + 8 * _nonzeros(fr) + 1024 * fr.rank + (16 << 10)
 
@@ -446,7 +447,7 @@ def root_indexer(fr: FamilyRank, pattern: str):
     A position is the number of roots of the patterns before ``pattern``
     plus the rank of the subscripts among the increasing t-tuples, in
     lexicographic order: C(n, t) - 1 - sum over p of C(n - s_p, t - p),
-    which is (i - 1)(2n - i)/2 + j - i - 1 for a pair.  Anything but a
+    for the t subscripts s_0 < s_1 < ... (p from 0).  Anything but a
     FamilyRank raises ``InvalidRankError``; a pattern that ``fr`` does not
     have, or subscripts that are not t increasing integers in 1..n, raise
     ``IndexOutOfRangeError``.
@@ -454,23 +455,15 @@ def root_indexer(fr: FamilyRank, pattern: str):
     patterns = root_patterns(fr)
     if pattern not in patterns:
         raise IndexOutOfRangeError(f"{fr} has no roots {pattern!r}")
-    n = fr.rank
-    start = sum(comb(n, len(PATTERNS[name][1])) for name in patterns[:patterns.index(pattern)])
-    t = len(PATTERNS[pattern][1])
-    last = start + comb(n, t) - 1
+    n, t = fr.rank, len(PATTERNS[pattern][1])
+    # the position of the pattern's last root
+    last = sum(comb(n, len(PATTERNS[name][1])) for name in patterns[:patterns.index(pattern) + 1]) - 1
 
     def refuse(subscripts):
         raise IndexOutOfRangeError(
             f"the roots {pattern} of {fr} take {t} increasing subscripts in 1..{shown(n)}, "
             f"not ({', '.join(map(shown, subscripts))})"
         )
-
-    def pair(*subscripts: int) -> int:
-        if len(subscripts) == 2:
-            i, j = subscripts
-            if type(i) is int and type(j) is int and 0 < i < j <= n:
-                return start + (i - 1) * (2 * n - i) // 2 + j - i - 1
-        refuse(subscripts)
 
     def index(*subscripts: int) -> int:
         if len(subscripts) != t:
@@ -483,7 +476,7 @@ def root_indexer(fr: FamilyRank, pattern: str):
             at -= comb(n - s, t - p)
         return at
 
-    return pair if t == 2 else index
+    return index
 
 
 def _build_rows(fr: FamilyRank) -> tuple[list[Row], int]:

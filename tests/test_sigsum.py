@@ -94,7 +94,7 @@ Claims covered:
     - a dense size is checked before it is allocated: ``hnf(rows, 2**80)``,
       and ``obstruction_2L``, ``signed_sum``, ``invariant_dimension``,
       ``exists_strong_dependence`` and ``verify_report`` on a system of
-      2**80, 10**9 or 2**40 coordinates, are refused with
+      2**80, 10**9, 2**40 or 10**5000 coordinates, are refused with
       ResourceLimitError at once, tracing under 1 MiB
 """
 
@@ -1442,13 +1442,15 @@ def _wide(m, fr=None):
         (lambda: signed_sum(_wide(2**80), [1]), "a sum of the rows of the unnamed 1 x"),
         (lambda: signed_sum(_wide(10**9), [-1]), "a sum of the rows of the unnamed 1 x"),
         (lambda: exists_strong_dependence(_wide(2**40)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: obstruction_2L(_wide(10**5000)), "the unnamed 1 x <16610-bit integer> matrix"),
         (lambda: invariant_dimension(_wide(2**80)), "a sum of the rows of the unnamed 1 x"),
         (lambda: certs.verify_report(_wide(10**9, FamilyRank("A", 1)),
                                      certs.CertificateFamily(FamilyRank("A", 1), (((0, 1),),))),
          "a sum of the rows of A1"),
     ],
     ids=["hnf_2_80", "hnf_10_9", "obstruction_2_80", "obstruction_10_9", "signed_sum_2_80",
-         "signed_sum_10_9", "existence_2_40", "oracle_2_80", "verify_report_10_9"],
+         "signed_sum_10_9", "existence_2_40", "obstruction_10_5000", "oracle_2_80",
+         "verify_report_10_9"],
 )
 def test_dense_sizes_checked_before_allocation(call, match):
     # hnf ran past 30 s under a 2 GB cap; the sums raised a bare
