@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import itertools
 import resource
-from math import comb
 from functools import cached_property, total_ordering
+from math import comb
 
 import numpy as np
 

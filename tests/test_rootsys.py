@@ -287,25 +287,12 @@ def test_text_format_refuses_what_is_not_a_system(system):
         format_root_list(system)
 
 
-def _positions(fr: FamilyRank) -> list[int]:
-    """``root_indexer``'s position of every root of every pattern of ``fr``,
-    the patterns in order and each one's subscripts lexicographically."""
-    return [
-        root_indexer(fr, pattern)(*subscripts)
-        for pattern in root_patterns(fr)
-        for subscripts in combinations(range(1, fr.rank + 1), len(PATTERNS[pattern][1]))
-    ]
-
-
 def test_root_indexer_places_every_root(catalogue):
     large = [positive_roots(FamilyRank(f, n)) for f, n in (("A", 41), ("B", 30), ("C", 33),
                                                              ("D", 37))]
     for system in [*catalogue.values(), *large]:
         fr = system.id
-        # F4's eight half roots follow its patterns; G2 is a fixed list
-        patterned = {"F4": 16, "G2": 0}.get(str(fr), system.r)
-        assert _positions(fr) == list(range(patterned)), fr
-        scale = system.denominator
+        positions = []
         for pattern in root_patterns(fr):
             nu, coefficients = PATTERNS[pattern]
             index = root_indexer(fr, pattern)
@@ -313,8 +300,11 @@ def test_root_indexer_places_every_root(catalogue):
                 v = [nu] * fr.rank
                 for s, x in zip(subscripts, coefficients):
                     v[s - 1] += x
-                row = tuple((c, scale * x) for c, x in enumerate(v) if x)
-                assert system.rows[index(*subscripts)] == row, (fr, pattern, subscripts)
+                positions.append(index(*subscripts))
+                row = tuple((c, system.denominator * x) for c, x in enumerate(v) if x)
+                assert system.rows[positions[-1]] == row, (fr, pattern, subscripts)
+        # F4's eight half roots follow its patterns; G2 is a fixed list
+        assert positions == list(range({"F4": 16, "G2": 0}.get(str(fr), system.r))), fr
 
 
 @pytest.mark.parametrize(
