@@ -19,6 +19,8 @@ ints.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import DimensionMismatchError, InternalCheckError, InvalidRankError
 from .rootsys import (
     FamilyRank, Record, RootSystem, as_system, check_family_rank, check_row_sum, is_int,
@@ -40,6 +42,12 @@ class CertificateFamily(Record):
     def lower_bound(self) -> int:
         """Number of zero signed sums certified by the blocks alone."""
         return 2 ** len(self.blocks)
+
+    @cached_property
+    def witness(self) -> tuple[int, ...]:
+        """The blocks assembled into one sign vector on first read, and
+        kept: ``verify_report`` and ``assembled_witness`` return this tuple."""
+        return _assemble(self.blocks)
 
 
 def _bound_parts(fr: FamilyRank) -> tuple[int, int]:
@@ -265,7 +273,7 @@ def verify_report(system: RootSystem, cert: CertificateFamily) -> tuple[bool, st
     if _check_certificate(cert).system_id != system.id:
         return False, f"certificate for {cert.system_id} applied to {system}"
     try:
-        witness = assembled_witness(cert)
+        witness = cert.witness
     except InternalCheckError as exc:
         return False, str(exc)
     if len(witness) != system.r:
@@ -294,8 +302,14 @@ def assembled_witness(cert: CertificateFamily) -> tuple[int, ...]:
     (a bool included), an index out of range or repeated, or a sign other
     than +-1, raises ``InternalCheckError`` naming the block.  A ``cert``
     that is not a CertificateFamily raises ``DimensionMismatchError``.
+    The vector is assembled once per certificate and kept on it
+    (``CertificateFamily.witness``).
     """
-    blocks = _check_certificate(cert).blocks
+    return _check_certificate(cert).witness
+
+
+def _assemble(blocks) -> tuple[int, ...]:
+    """The witness of ``blocks``, refused as ``assembled_witness`` says."""
     b = None  # the block being read, None while the list itself is
     try:
         len(blocks)  # a sequence, so the two passes read the same blocks

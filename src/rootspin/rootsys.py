@@ -8,7 +8,9 @@ is pure integer and zero signed sums are invariant under that scaling.
 
 A root is stored as a sparse row: a tuple of ``(coordinate, value)`` pairs
 over its nonzero coordinates, in increasing coordinate order, with Python
-int entries.  Every classical root has at most two nonzeros except the n
+int entries.  ``check_row`` is the rule every row meets, and
+``RootSystem`` applies it to each row it is given, so every system is
+valid.  Every classical root has at most two nonzeros except the n
 roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
 the certificate checks, exact signed sums) does work in the number of
 nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
@@ -226,15 +228,61 @@ def check_family_rank(fr) -> FamilyRank:
 Row = tuple[tuple[int, int], ...]  # (coordinate, value) pairs, nonzero values only
 
 
+def check_row(row, m: int) -> dict[int, int]:
+    """The sparse row ``row`` as a ``{coordinate: value}`` dict of Python
+    ints, in the row's order: an iterable of ``(coordinate, value)`` pairs
+    of integers (``is_int``; numpy integers become Python ints) over
+    distinct coordinates in ``[0, m)``, with nonzero values.  Anything else
+    raises ``DimensionMismatchError``.  This is the one copy of the row
+    rule: ``RootSystem`` applies it to every row it is given, and
+    ``sigsum.hnf`` to each row as it inserts it."""
+    v = {}
+    try:
+        for c, x in row:
+            if type(c) is not int or type(x) is not int:
+                if not (is_int(c) and is_int(x)):
+                    raise DimensionMismatchError("sparse row entries must be integers")
+                c, x = int(c), int(x)
+            if not 0 <= c < m or not x or c in v:
+                raise DimensionMismatchError(
+                    f"sparse rows need distinct coordinates in [0, {shown(m)}) and nonzero values"
+                )
+            v[c] = x
+    except (TypeError, ValueError):
+        raise DimensionMismatchError("a sparse row entry is not a pair") from None
+    return v
+
+
 class RootSystem(Record):
     """An ordered positive root system in scaled integer coordinates;
-    ``id`` is None for a system made from a bare matrix."""
+    ``id`` is None for a system made from a bare matrix.
+
+    Every system is valid: ``id`` must be a FamilyRank or None
+    (``InvalidRankError``), ``ambient_dim`` and ``denominator`` integers
+    >= 1, and ``rows`` a non-empty iterable of rows that ``check_row``
+    admits (else ``DimensionMismatchError``).  The rows are stored as a
+    tuple of ``(coordinate, value)`` tuples of Python ints, each row in
+    increasing coordinate order."""
 
     __match_args__ = ("id", "rows", "ambient_dim", "denominator")
 
     def __init__(self, id: FamilyRank | None, rows: tuple[Row, ...], ambient_dim: int,
                  denominator: int) -> None:
-        self.__dict__.update(id=id, rows=rows, ambient_dim=ambient_dim, denominator=denominator)
+        if id is not None:
+            check_family_rank(id)
+        for name, value in (("ambient dimension", ambient_dim), ("denominator", denominator)):
+            if not is_int(value) or value < 1:
+                raise DimensionMismatchError(
+                    f"the {name} must be an integer >= 1, got {shown(value)}"
+                )
+        m = int(ambient_dim)
+        try:
+            rows = tuple(tuple(sorted(check_row(row, m).items())) for row in rows)
+        except TypeError:
+            raise DimensionMismatchError("the rows must be an iterable of sparse rows") from None
+        if not rows:
+            raise DimensionMismatchError("a root system needs at least one row")
+        self.__dict__.update(id=id, rows=rows, ambient_dim=m, denominator=int(denominator))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(id={self.id!r}, ambient_dim={self.ambient_dim!r}, "
@@ -250,13 +298,17 @@ class RootSystem(Record):
     @cached_property
     def roots(self) -> np.ndarray:
         """The dense (r, ambient_dim) int64 matrix of the rows, read-only,
-        built on first use once its size is checked against the budget."""
+        built on first use once its size is checked against the budget; an
+        entry that int64 does not hold raises ``DimensionMismatchError``."""
         need = 8 * self.r * self.ambient_dim
         check_budget(need, memory_budget(), f"the dense roots of {self}")
         roots = np.zeros((self.r, self.ambient_dim), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for c, x in row:
-                roots[i, c] = x
+        try:
+            for i, row in enumerate(self.rows):
+                for c, x in row:
+                    roots[i, c] = x
+        except OverflowError:
+            raise DimensionMismatchError(f"the dense roots of {self} must fit in int64") from None
         roots.setflags(write=False)
         return roots
 
@@ -526,7 +578,11 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
     rows, denominator = _build_rows(fr)
     if len(rows) != root_count(fr):
         raise InternalCheckError(f"root count mismatch for {fr}")
-    return RootSystem(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
+    # Valid as built, so stored as ``_MatrixSystem`` stores its matrix,
+    # without ``RootSystem.__init__``'s checks: the rows keep their shared pairs.
+    system = RootSystem.__new__(RootSystem)
+    system.__dict__.update(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
+    return system
 
 
 def format_root_list(system: RootSystem) -> str:

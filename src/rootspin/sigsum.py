@@ -25,8 +25,9 @@ ways.  Three routes are implemented and cross-checked:
   zero signed sum forces sum(a_i) into 2L.  Both the sum and the lattice
   are taken over the sparse rows (``rootsys``), in Python ints, so the
   dense matrix is never built for it.  ``hnf`` checks each root as it
-  reads it, with no pre-pass or copy of the rows, and inserts the roots one
-  at a time into a Hermite-normal-form basis of at most m vectors, kept
+  reads it (``rootsys.check_row``), with no pre-pass or copy of the rows,
+  and inserts the roots one at a time into a Hermite-normal-form basis of
+  at most m vectors, kept
   reduced after every change, so a root already in the lattice reduces to
   zero in a few steps and is skipped; membership in 2L is decided exactly
   by reducing sum(a_i), a list of Python ints, against the doubled basis
@@ -67,8 +68,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .rootsys import (
-    Record, as_system, check_budget, check_limit, check_row_sum, int64_array, integer_array, is_int,
-    memory_budget, row_sum, shown, sparse_rows, weyl_order_v2,
+    Record, as_system, check_budget, check_limit, check_row, check_row_sum, int64_array,
+    integer_array, is_int, memory_budget, row_sum, shown, sparse_rows, weyl_order_v2,
 )
 
 METHOD_BRUTE = "brute_force"
@@ -357,10 +358,9 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
     iterable of ``(coordinate, value)`` pairs over distinct coordinates
     (``RootSystem.rows``), instead: an ``ambient_dim`` that is negative or
     not an integer, a ``vectors`` with no length (a scalar, a generator),
-    an entry that is not a pair of integers, a coordinate outside
-    ``[0, ambient_dim)``, a zero value or a repeated coordinate raises
+    or a row that ``rootsys.check_row`` refuses raises
     ``DimensionMismatchError``.  There is no pre-pass: each row is checked
-    pair by pair as it is read into the sparse vector that is inserted,
+    by ``check_row`` as it is read into the sparse vector that is inserted,
     numpy integers becoming Python ints.  Dense rows are converted once
     into sparse ones and read by the same loop.  The vectors are inserted
     one at a time into a basis of at most m sparse vectors, one per pivot
@@ -403,20 +403,7 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
                  f"a Hermite normal form basis in dimension {shown(m)}")
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
     for row in vectors:
-        v = {}
-        try:
-            for c, x in row:
-                if type(c) is not int or type(x) is not int:
-                    if not (is_int(c) and is_int(x)):
-                        raise DimensionMismatchError("sparse row entries must be integers")
-                    c, x = int(c), int(x)
-                if not 0 <= c < m or not x or c in v:
-                    raise DimensionMismatchError(
-                        f"sparse rows need distinct coordinates in [0, {m}) and nonzero values"
-                    )
-                v[c] = x
-        except (TypeError, ValueError):
-            raise DimensionMismatchError("a sparse row entry is not a pair") from None
+        v = check_row(row, m)
         while v:
             i = min(v)
             b = basis.get(i)

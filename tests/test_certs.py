@@ -35,6 +35,9 @@ Claims covered:
       and D56/57/68/69, the lattice workload's ranks
     - ``certificate(positive_roots(D69))``, run a second time, traces under
       725 KiB: it builds no map over the rows (754 KiB when it did)
+    - a certificate's witness is assembled once and kept on it: the
+      existence path on D69 assembles it once, for ``verify_report`` and
+      the final exact sum alike
 """
 
 import tracemalloc
@@ -52,6 +55,7 @@ from rootspin import (
     assembled_witness,
     certificate,
     count_bruteforce,
+    exists_strong_dependence,
     lower_bound,
     positive_roots,
     signed_sum,
@@ -484,3 +488,13 @@ def test_d69_certificate_builds_no_row_map():
     finally:
         tracemalloc.stop()
     assert peak < 725 << 10, peak
+
+
+def test_d69_existence_assembles_the_witness_once(monkeypatch):
+    # verify_report assembled it inside certificate and dropped it, then
+    # exists_strong_dependence assembled it again: about 0.8 ms each
+    assemble, calls = certs._assemble, []
+    monkeypatch.setattr(certs, "_assemble", lambda blocks: calls.append(1) or assemble(blocks))
+    result = exists_strong_dependence(positive_roots(FamilyRank("D", 69)))
+    assert len(calls) == 1
+    assert result.witness is result.certificate.witness is assembled_witness(result.certificate)

@@ -16,6 +16,8 @@ Claims covered:
       would look up through ``gettext``, which imports ``locale``
     - no module names ``dataclass``, ``namedtuple``, ``NamedTuple`` or
       ``exec``, which build code when the module is imported
+    - each error text of the sparse-row rule occurs once in the package, in
+      ``rootsys``, whose ``check_row`` is the rule's one copy
 """
 
 import ast
@@ -124,6 +126,23 @@ def test_no_module_generates_code():
         if word in generators
     ]
     assert not found
+
+
+ROW_RULE_TEXTS = ("sparse row entries must be integers", "sparse rows need distinct coordinates",
+                  "a sparse row entry is not a pair")
+
+
+def test_one_module_holds_the_row_rule():
+    # hnf kept its own copy of the checks that RootSystem now makes
+    holders = {
+        text: [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and text in node.value]
+        for text in ROW_RULE_TEXTS
+    }
+    assert all(len(found) == 1 and found[0].startswith("rootsys.py:")
+               for found in holders.values()), holders
 
 
 # Runs each command through ``cli.main`` in one process and prints, last,

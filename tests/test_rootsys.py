@@ -29,9 +29,20 @@ Claims covered:
       by its closed form, on A1-A10, B2-B8, C3-C8, D4-D8, E6-E8, F4 and G2
     - the plain text interchange format is bit-exact; it refuses what is
       not a root system or an integer matrix with DimensionMismatchError
+    - ``RootSystem`` refuses, tracing under 1 MiB, an ambient dimension or
+      denominator that is not an integer >= 1, a row that breaks the row
+      rule (``rootsys.check_row``: a zero value, a repeated coordinate or
+      one outside [0, m), a bool or float entry, an entry that is not a
+      pair), rows that are not iterable or empty, and an id that is not a
+      FamilyRank or None; it stores numpy integers as Python ints, so an
+      exact signed sum past int64 is refused, not wrapped, and each row in
+      increasing coordinate order
+    - the rows ``positive_roots`` builds, stored without those checks, pass
+      the row rule on every catalogue id and lattice workload rank
 """
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -48,6 +59,7 @@ from rootspin import (
     InvalidRankError,
     LatticeBasis,
     ResourceLimitError,
+    RootSystem,
     Scalar,
     SpinorElement,
     act_e,
@@ -58,6 +70,7 @@ from rootspin import (
     invariant_dimension,
     positive_roots,
     root_count,
+    signed_sum,
 )
 from rootspin import certs, rootsys
 from rootspin.rootsys import CATALOGUE, PATTERNS, root_indexer, root_patterns, shown
@@ -348,3 +361,67 @@ def test_weyl_order_v2_is_the_two_part_of_the_order(fr):
     order = _weyl_order(fr)
     v = rootsys.weyl_order_v2(fr)
     assert order % 2**v == 0 and order // 2**v % 2 == 1
+
+
+ONE_ROW = (((0, 1),),)
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        ((None, ONE_ROW, -1, 1), DimensionMismatchError),
+        ((None, ONE_ROW, 0, 1), DimensionMismatchError),
+        ((None, ONE_ROW, 1.5, 1), DimensionMismatchError),
+        ((None, (((3, 1),),), 2, 1), DimensionMismatchError),
+        ((None, (((0, 0),),), 1, 1), DimensionMismatchError),
+        ((None, (((0, 1), (0, 2)),), 1, 1), DimensionMismatchError),
+        ((None, (((0, True),),), 1, 1), DimensionMismatchError),
+        ((None, (((0, 1.0),),), 1, 1), DimensionMismatchError),
+        ((None, (((0, 1, 2),),), 1, 1), DimensionMismatchError),
+        ((None, (5,), 1, 1), DimensionMismatchError),
+        ((None, None, 1, 1), DimensionMismatchError),
+        ((None, (), 1, 1), DimensionMismatchError),
+        (("G2", ONE_ROW, 1, 1), InvalidRankError),
+        ((None, ONE_ROW, 1, 0), DimensionMismatchError),
+        ((None, ONE_ROW, 1, 1.5), DimensionMismatchError),
+    ],
+    ids=["m_negative", "m_zero", "m_float", "coordinate_past_m", "zero_value",
+         "repeated_coordinate", "bool_entry", "float_entry", "triple", "scalar_row", "rows_none",
+         "no_rows", "str_id", "denominator_zero", "denominator_float"],
+)
+def test_root_system_refuses_what_is_not_a_system(args, error):
+    # m = -1, 0 or 1.5 and a coordinate past m made obstruction_2L raise a
+    # bare IndexError or TypeError, a str id made format_root_list raise a
+    # bare AttributeError and a zero denominator cartan_act ZeroDivisionError
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            RootSystem(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_root_system_stores_python_ints():
+    big = np.int64(2**62)
+    system = RootSystem(None, [[(np.int32(0), big)], ((0, big),)], np.int64(1), np.int8(1))
+    assert system.rows == (((0, 2**62),), ((0, 2**62),))
+    assert RootSystem(None, [[(2, -1), (0, 3)]], 3, 1).rows == (((0, 3), (2, -1)),)
+    assert type(system.rows) is tuple and all(type(row) is tuple for row in system.rows)
+    assert all(type(x) is int for row in system.rows for pair in row for x in pair)
+    assert type(system.ambient_dim) is int and type(system.denominator) is int
+    # the int64 rows wrapped to [-2**63] with a RuntimeWarning
+    with pytest.raises(ResourceLimitError, match="signed sum does not fit in int64"):
+        signed_sum(system, [1, 1])
+
+
+def test_built_rows_pass_the_row_rule(catalogue, lattice_ranks):
+    # ``positive_roots`` stores its rows without the constructor's checks
+    systems = [*catalogue.values(), *(positive_roots(FamilyRank(f, n)) for f, n in lattice_ranks)]
+    for system in systems:
+        m = system.ambient_dim
+        for row in system.rows:
+            assert type(row) is tuple and all(type(pair) is tuple for pair in row)
+            assert tuple(rootsys.check_row(row, m).items()) == row
+        assert RootSystem(system.id, system.rows, m, system.denominator) == system

@@ -17,7 +17,8 @@ Claims covered:
       on D69 the tracemalloc peak of ``obstruction_2L`` stays at most
       0.25 MiB
     - the dense view equals the rows it is built from, and is checked
-      against the memory budget before it is allocated
+      against the memory budget before it is allocated; a hand-built row
+      with an entry past int64 is refused with DimensionMismatchError
     - the existence path never builds the dense view: on D69 the tracemalloc
       peak of ``exists_strong_dependence`` stays below 8 * r * m bytes, the
       size of the dense matrix alone
@@ -232,6 +233,14 @@ class TestDenseView:
         assert "roots" not in vars(system)
         monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 4400)
         assert system.roots.shape == (55, 10)
+
+    def test_entries_past_int64_refused(self):
+        # a hand-built row of 2**63 raised a bare OverflowError in each engine
+        system = RootSystem(None, (((0, 2**63),),) * 2, 1, 1)
+        for engine in (sigsum.count, count_mitm, enumerate_zero_signs, exists_strong_dependence):
+            with pytest.raises(DimensionMismatchError, match="2 x 1 matrix must fit in int64"):
+                engine(system)
+        assert "roots" not in vars(system)
 
     def test_refusal_names_an_unnamed_matrix(self, monkeypatch):
         system = RootSystem(None, positive_roots(FamilyRank("A", 10)).rows, 10, 1)

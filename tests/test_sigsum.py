@@ -771,8 +771,8 @@ class TestBruteHalfCube:
 class TestPastR48:
     # Values found by two routes independent of this engine: a one-way
     # pruned partial-sum DP and Freudenthal's recursion for the multiplicity
-    # of the zero weight in V_rho (ROADMAP items 2 and 3); D9's by this
-    # engine at the middle split and by the torus sum (ROADMAP item 1).
+    # of the zero weight in V_rho; D9's by this engine at the middle split
+    # and by a sum of the character of V_rho over a finite torus.
     @pytest.mark.parametrize(
         "name,value",
         [
