@@ -10,8 +10,11 @@ A root is stored as a sparse row: a tuple of ``(coordinate, value)`` pairs
 over its nonzero coordinates, in increasing coordinate order, with Python
 int entries.  ``check_row`` is the rule every row meets, and
 ``RootSystem`` applies it to each row it is given, so every system is
-valid.  Every classical root has at most two nonzeros except the n
-roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
+valid.  Its ambient dimension m is checked once, where a system is made:
+the budget must hold one dense sum of its rows, the m Python ints that
+``row_sum`` returns, so every system is summable and no reader of m
+checks it again.  Every classical root has at most two nonzeros except
+the n roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
 the certificate checks, exact signed sums) does work in the number of
 nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
 dense (r, ambient_dim) int64 view that only the numpy engines read (brute
@@ -253,6 +256,14 @@ def check_row(row, m: int) -> dict[int, int]:
     return v
 
 
+def _check_summable(m: int) -> None:
+    """Refuse, before any row is read, an ambient dimension ``m`` whose one
+    dense row sum would outgrow the budget: 16 bytes a coordinate, the
+    8-byte slot of the list ``row_sum`` builds and as much again for its
+    entries, which are mostly zero or small and so shared."""
+    check_budget(16 * m, memory_budget(), f"a row sum in dimension {shown(m)}")
+
+
 class RootSystem(Record):
     """An ordered positive root system in scaled integer coordinates;
     ``id`` is None for a system made from a bare matrix.
@@ -260,8 +271,10 @@ class RootSystem(Record):
     Every system is valid: ``id`` must be a FamilyRank or None
     (``InvalidRankError``), ``ambient_dim`` and ``denominator`` integers
     >= 1, and ``rows`` a non-empty iterable of rows that ``check_row``
-    admits (else ``DimensionMismatchError``).  The rows are stored as a
-    tuple of ``(coordinate, value)`` tuples of Python ints, each row in
+    admits (else ``DimensionMismatchError``).  An ``ambient_dim`` whose
+    one dense row sum the memory budget cannot hold raises
+    ``ResourceLimitError`` before any row is read.  The rows are stored as
+    a tuple of ``(coordinate, value)`` tuples of Python ints, each row in
     increasing coordinate order."""
 
     __match_args__ = ("id", "rows", "ambient_dim", "denominator")
@@ -276,6 +289,7 @@ class RootSystem(Record):
                     f"the {name} must be an integer >= 1, got {shown(value)}"
                 )
         m = int(ambient_dim)
+        _check_summable(m)
         try:
             rows = tuple(tuple(sorted(check_row(row, m).items())) for row in rows)
         except TypeError:
@@ -364,34 +378,27 @@ class _MatrixSystem(RootSystem):
 def as_system(system) -> RootSystem:
     """A RootSystem as it is; any other value must be a non-empty integer
     matrix of row vectors, validated once by ``int64_array``, and becomes an
-    unnamed RootSystem (denominator 1).  Its dense view is that validated
-    array, with no second copy or budget check; a caller's int64 array is
-    used as it is and left writeable.  Its sparse rows are built when first
-    read, not here."""
+    unnamed RootSystem (denominator 1), once its m passes the check every
+    system's does.  Its dense view is that validated array, with no second
+    copy or budget check; a caller's int64 array is used as it is and left
+    writeable.  Its sparse rows are built when first read, not here."""
     if isinstance(system, RootSystem):
         return system
     roots = int64_array(system, DimensionMismatchError)
     if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
         raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
+    _check_summable(roots.shape[1])
     return _MatrixSystem(roots)
 
 
 def row_sum(rows, m: int, terms) -> list[int]:
-    """Exact ``sum(s * rows[i])`` over the ``(i, s)`` terms, as m Python ints;
-    it checks no budget, so an entry point calls ``check_row_sum`` first."""
+    """Exact ``sum(s * rows[i])`` over the ``(i, s)`` terms, as m Python ints.
+    It checks no budget: the m of every system was checked when it was made."""
     total = [0] * m
     for i, s in terms:
         for c, x in rows[i]:
             total[c] += s * x
     return total
-
-
-def check_row_sum(system: RootSystem) -> None:
-    """Refuse, before anything is allocated, the sums of ``system``'s rows
-    when one would outgrow the budget: 16 bytes a coordinate, the 8-byte
-    slot of the list ``row_sum`` builds and as much again for its entries,
-    which are mostly zero or small and so shared."""
-    check_budget(16 * system.ambient_dim, memory_budget(), f"a sum of the rows of {system}")
 
 
 def root_count(fr: FamilyRank) -> int:
@@ -579,7 +586,8 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
     if len(rows) != root_count(fr):
         raise InternalCheckError(f"root count mismatch for {fr}")
     # Valid as built, so stored as ``_MatrixSystem`` stores its matrix,
-    # without ``RootSystem.__init__``'s checks: the rows keep their shared pairs.
+    # without ``RootSystem.__init__``'s checks: the rows keep their shared
+    # pairs, and ``_rows_bytes`` >= 16 * rank already budgets a row sum.
     system = RootSystem.__new__(RootSystem)
     system.__dict__.update(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
     return system
@@ -591,12 +599,15 @@ def format_root_list(system: RootSystem) -> str:
 
     ``system`` goes through ``as_system``, so anything but a RootSystem or an
     integer matrix raises ``DimensionMismatchError``; an unnamed system has
-    no header and raises ``InvalidRankError``."""
+    no header and raises ``InvalidRankError``.  The text, about 2 * m
+    characters a line for r lines, built once as lines and once joined, is
+    checked against the budget before any line is built."""
     system = as_system(system)
     fr = system.id
     if fr is None:
         raise InvalidRankError(f"{system} has no family and rank for the header")
     m = system.ambient_dim
+    check_budget(4 * m * system.r, memory_budget(), f"the root list of {system}")
     lines = [f"{fr.family} {fr.rank} {system.r} {m} {system.denominator}"]
     for row in system.rows:
         text = ["0"] * m

@@ -68,7 +68,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .rootsys import (
-    Record, as_system, check_budget, check_limit, check_row, check_row_sum, int64_array,
+    Record, as_system, check_budget, check_limit, check_row, int64_array,
     integer_array, is_int, memory_budget, row_sum, shown, sparse_rows, weyl_order_v2,
 )
 
@@ -163,8 +163,7 @@ def signs_from_mask(mask: int, r: int) -> tuple[int, ...]:
 def signed_sum(system, signs) -> np.ndarray:
     """Exact signed sum of the scaled roots, as a length-m int64 vector.
 
-    The sum is taken over the sparse rows in Python ints, once its size is
-    checked against the budget (``rootsys.check_row_sum``); when an entry
+    The sum is taken over the sparse rows in Python ints; when an entry
     does not fit in int64 it raises ``ResourceLimitError`` instead of
     returning a wrapped value.
     """
@@ -174,7 +173,6 @@ def signed_sum(system, signs) -> np.ndarray:
         raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
     if eps.shape[0] != system.r:
         raise LengthMismatchError(f"expected {system.r} signs, got {eps.shape[0]}")
-    check_row_sum(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(eps.tolist()))
     if not all(-(1 << 63) <= x < 1 << 63 for x in total):
         raise ResourceLimitError("signed sum does not fit in int64")
@@ -435,11 +433,9 @@ def obstruction_2L(system) -> ObstructionResult:
 
     Fail certifies non-existence; Pass never asserts existence.  The sum
     and the basis are both taken over the sparse rows, exactly, and the sum
-    is a list of Python ints, which ``contains`` checks without numpy.  Its
-    size is checked against the budget first (``rootsys.check_row_sum``).
+    is a list of Python ints, which ``contains`` checks without numpy.
     """
     system = as_system(system)
-    check_row_sum(system)
     total = row_sum(system.rows, system.ambient_dim, enumerate(repeat(1, system.r)))
     basis = hnf(system.rows, system.ambient_dim)
     if basis.contains(total, 2):

@@ -18,6 +18,9 @@ Claims covered:
       ``exec``, which build code when the module is imported
     - each error text of the sparse-row rule occurs once in the package, in
       ``rootsys``, whose ``check_row`` is the rule's one copy
+    - the ambient dimension is budgeted in ``rootsys`` alone: its error
+      text occurs once, there, no other module passes an ``ambient_dim`` to
+      ``check_budget``, and no module names ``check_row_sum``
 """
 
 import ast
@@ -132,17 +135,37 @@ ROW_RULE_TEXTS = ("sparse row entries must be integers", "sparse rows need disti
                   "a sparse row entry is not a pair")
 
 
+def _holders(text: str) -> list[str]:
+    """Where a string constant of the package holds ``text``."""
+    return [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and text in node.value]
+
+
 def test_one_module_holds_the_row_rule():
     # hnf kept its own copy of the checks that RootSystem now makes
-    holders = {
-        text: [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
-               for node in ast.walk(tree)
-               if isinstance(node, ast.Constant) and isinstance(node.value, str)
-               and text in node.value]
-        for text in ROW_RULE_TEXTS
-    }
+    holders = {text: _holders(text) for text in ROW_RULE_TEXTS}
     assert all(len(found) == 1 and found[0].startswith("rootsys.py:")
                for found in holders.values()), holders
+
+
+def test_one_module_budgets_the_ambient_dimension():
+    # obstruction_2L, signed_sum, verify_report and invariant_dimension each
+    # called check_row_sum first; format_root_list and cartan_act did not
+    holders = _holders("a row sum in dimension")
+    named = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if "check_row_sum" in [*_names(node), getattr(node, "name", None)]]
+    by_ambient = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items() if name != "rootsys"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "check_budget" in _names(node.func)
+        and any(isinstance(n, ast.Attribute) and n.attr == "ambient_dim" for n in ast.walk(node))
+    ]
+    assert len(holders) == 1 and holders[0].startswith("rootsys.py:"), holders
+    assert not named and not by_ambient, (named, by_ambient)
 
 
 # Runs each command through ``cli.main`` in one process and prints, last,

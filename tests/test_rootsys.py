@@ -28,7 +28,9 @@ Claims covered:
     - ``weyl_order_v2`` is the exponent of 2 in |W|, the Weyl group's order
       by its closed form, on A1-A10, B2-B8, C3-C8, D4-D8, E6-E8, F4 and G2
     - the plain text interchange format is bit-exact; it refuses what is
-      not a root system or an integer matrix with DimensionMismatchError
+      not a root system or an integer matrix with DimensionMismatchError,
+      and a text the memory budget cannot hold with ResourceLimitError
+      before any line is built, tracing under 1 MiB
     - ``RootSystem`` refuses, tracing under 1 MiB, an ambient dimension or
       denominator that is not an integer >= 1, a row that breaks the row
       rule (``rootsys.check_row``: a zero value, a repeated coordinate or
@@ -298,6 +300,21 @@ def test_text_format_refuses_what_is_not_a_system(system):
     # None raised a bare AttributeError
     with pytest.raises(DimensionMismatchError):
         format_root_list(system)
+
+
+def test_text_format_checks_its_size_first():
+    # a row sum fits in the budget, 64 lines of 2 * m characters do not;
+    # each line was built as a list of m strings, unchecked
+    m = rootsys.memory_budget() // 32
+    tracemalloc.start()
+    try:
+        system = RootSystem(FamilyRank("A", 1), tuple(((i, 1),) for i in range(64)), m, 1)
+        with pytest.raises(ResourceLimitError, match="the root list of A1"):
+            format_root_list(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_root_indexer_places_every_root(catalogue):

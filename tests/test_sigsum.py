@@ -91,15 +91,18 @@ Claims covered:
       sequence of sparse rows
     - past r = 16 the witness search ends with None when the walked halves
       share no key
-    - a dense size is checked before it is allocated: ``hnf(rows, 2**80)``,
-      and ``obstruction_2L``, ``signed_sum``, ``invariant_dimension``,
-      ``exists_strong_dependence`` and ``verify_report`` on a system of
-      2**80, 10**9, 2**40 or 10**5000 coordinates, are refused with
-      ResourceLimitError at once, tracing under 1 MiB
+    - a dense size is checked before it is allocated: ``hnf(rows, 2**80)``
+      is refused, and so is a hand-built system of 2**80, 10**9, 2**40,
+      10**5000 or 2**62 coordinates where it is made, for its one row sum,
+      before ``obstruction_2L``, ``signed_sum``, ``invariant_dimension``,
+      ``exists_strong_dependence``, ``verify_report`` or
+      ``format_root_list`` reads it: ResourceLimitError at once, tracing
+      under 1 MiB
 """
 
 import math
 import os
+import re
 from fractions import Fraction
 import resource
 import subprocess
@@ -1432,29 +1435,36 @@ def _wide(m, fr=None):
     return rootsys.RootSystem(fr, (((0, 1),),), m, 1)
 
 
+def _made(m):
+    """The text that refuses a system of ``m`` coordinates where it is made."""
+    return re.escape(f"a row sum in dimension {rootsys.shown(m)} ")
+
+
 @pytest.mark.parametrize(
     "call,match",
     [
         (lambda: hnf([((0, 1),)], 2**80), "a Hermite normal form basis in dimension"),
         (lambda: hnf([((0, 1),)], 10**9), "a Hermite normal form basis in dimension"),
-        (lambda: obstruction_2L(_wide(2**80)), "a sum of the rows of the unnamed 1 x"),
-        (lambda: obstruction_2L(_wide(10**9)), "a sum of the rows of the unnamed 1 x"),
-        (lambda: signed_sum(_wide(2**80), [1]), "a sum of the rows of the unnamed 1 x"),
-        (lambda: signed_sum(_wide(10**9), [-1]), "a sum of the rows of the unnamed 1 x"),
-        (lambda: exists_strong_dependence(_wide(2**40)), "a sum of the rows of the unnamed 1 x"),
-        (lambda: obstruction_2L(_wide(10**5000)), "the unnamed 1 x <16610-bit integer> matrix"),
-        (lambda: invariant_dimension(_wide(2**80)), "a sum of the rows of the unnamed 1 x"),
+        (lambda: obstruction_2L(_wide(2**80)), _made(2**80)),
+        (lambda: obstruction_2L(_wide(10**9)), _made(10**9)),
+        (lambda: signed_sum(_wide(2**80), [1]), _made(2**80)),
+        (lambda: signed_sum(_wide(10**9), [-1]), _made(10**9)),
+        (lambda: exists_strong_dependence(_wide(2**40)), _made(2**40)),
+        (lambda: obstruction_2L(_wide(10**5000)), _made(10**5000)),
+        (lambda: invariant_dimension(_wide(2**80)), _made(2**80)),
         (lambda: certs.verify_report(_wide(10**9, FamilyRank("A", 1)),
                                      certs.CertificateFamily(FamilyRank("A", 1), (((0, 1),),))),
-         "a sum of the rows of A1"),
+         _made(10**9)),
+        (lambda: rootsys.format_root_list(_wide(2**62, FamilyRank("A", 1))), _made(2**62)),
     ],
     ids=["hnf_2_80", "hnf_10_9", "obstruction_2_80", "obstruction_10_9", "signed_sum_2_80",
          "signed_sum_10_9", "existence_2_40", "obstruction_10_5000", "oracle_2_80",
-         "verify_report_10_9"],
+         "verify_report_10_9", "format_root_list_2_62"],
 )
 def test_dense_sizes_checked_before_allocation(call, match):
     # hnf ran past 30 s under a 2 GB cap; the sums raised a bare
-    # OverflowError at 2**80 and a bare MemoryError at 10**9 and 2**40
+    # OverflowError at 2**80 and a bare MemoryError at 10**9 and 2**40,
+    # and format_root_list a bare MemoryError at 2**62
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=match):

@@ -19,8 +19,9 @@ Claims covered:
     - the oracle builds no Fraction (the spy replaces ``fractions.Fraction``,
       which spinor imports only where one crosses the API); torus
       directions, Scalar components and the factor of ``times_rational``
-      take only ints and Fractions
-      (numpy integers as ints), masks outside 0..2^rank - 1 are refused,
+      take only ints and Fractions (numpy integers as ints), and a torus
+      direction is read to one coordinate past m, so a long or endless one
+      is refused under 1 MiB; masks outside 0..2^rank - 1 are refused,
       with no 2^rank built (a rank of 2^33 traces under 1 MiB),
       and so is an axis of act_e that is not the integer 1 or 2, a
       coefficient that is not a Scalar, terms that are not a mapping, and
@@ -43,7 +44,7 @@ import fractions
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -448,6 +449,22 @@ class TestInputChecks:
         g2 = positive_roots(FamilyRank("G", 2))
         with pytest.raises(DimensionMismatchError):
             cartan_act(g2, None, SpinorElement.unit(6))
+
+    @pytest.mark.parametrize("direction", [lambda: range(2 * 10**6), count],
+                             ids=["long", "endless"])
+    def test_cartan_direction_read_to_one_past_m(self, direction):
+        # the whole direction was built before its length was checked:
+        # 92.6 MiB for the long one, and the endless one never returned
+        a2 = positive_roots(FamilyRank("A", 2))
+        eta = SpinorElement.unit(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatchError, match="expected 2 coordinates, got more"):
+                cartan_act(a2, direction(), eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_cartan_direction_accepts_ints_and_fractions(self):
         g2 = positive_roots(FamilyRank("G", 2))
