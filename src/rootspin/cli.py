@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 internal invariant violation, 2 invalid input,
 3 resource limit, running out of memory included.
 
 Every command writes its JSON through ``_emit``.  A report keeps its
-certificate's blocks as the ``(index, sign)`` tuples of
-``certs.CertificateFamily`` (``_Blocks``), and ``_emit`` writes them one
-block at a time as lists of ``{"root_index": i, "sign": s}`` objects.  No
+certificate, a ``certs.CertificateFamily``, under ``"blocks"``, and
+``_emit`` writes the certificate's ``(index, sign)`` blocks one block at a
+time as lists of ``{"root_index": i, "sign": s}`` objects.  No
 dict per root is built: on D69 or C68 those dicts would take more memory
 than the roots and the 2L obstruction together.
 
@@ -33,7 +33,7 @@ import click
 
 from . import __version__, certs, sigsum
 from .errors import InternalCheckError, InvalidRankError, ResourceLimitError
-from .rootsys import CATALOGUE, FamilyRank, Record, format_root_list, positive_roots
+from .rootsys import CATALOGUE, FamilyRank, format_root_list, positive_roots
 from .spinor import DEFAULT_ORACLE_LIMIT, invariant_dimension
 
 EXIT_INTERNAL = 1
@@ -45,15 +45,6 @@ def _family_rank(family: str, rank: int) -> FamilyRank:
     return FamilyRank(family.strip().upper(), rank)
 
 
-class _Blocks(Record):
-    """A certificate's blocks in a report, written by ``_emit``."""
-
-    __match_args__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[certs.Block, ...]) -> None:
-        self.__dict__.update(blocks=blocks)
-
-
 # json.dumps writes this string as "\u0000blocks", which no other report
 # value contains.
 _PLACEHOLDER = "\0blocks"
@@ -62,23 +53,23 @@ _PLACEHOLDER = "\0blocks"
 def _emit(obj) -> None:
     """Write ``obj`` as one line of compact JSON with sorted keys.
 
-    ``json.dumps`` leaves a placeholder where each ``_Blocks`` goes, and the
-    blocks are written there from their tuples, in the text ``json.dumps``
-    gives the list of ``{"root_index": i, "sign": s}`` dicts.
+    ``json.dumps`` leaves a placeholder where each ``certs.CertificateFamily``
+    goes, and its blocks are written there from their tuples, in the text
+    ``json.dumps`` gives the list of ``{"root_index": i, "sign": s}`` dicts.
     """
-    found: list[_Blocks] = []
+    found: list[certs.CertificateFamily] = []
 
     def default(o):
-        if not isinstance(o, _Blocks):
+        if not isinstance(o, certs.CertificateFamily):
             raise TypeError(f"{type(o).__name__} is not JSON serialisable")
         found.append(o)
         return _PLACEHOLDER
 
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
     pieces = text.split(json.dumps(_PLACEHOLDER))
-    for piece, cert_blocks in zip(pieces, found):
+    for piece, cert in zip(pieces, found):
         click.echo(piece + "[", nl=False)
-        for b, block in enumerate(cert_blocks.blocks):
+        for b, block in enumerate(cert.blocks):
             items = ",".join(f'{{"root_index":{i},"sign":{s}}}' for i, s in block)
             click.echo(f"{',' if b else ''}[{items}]", nl=False)
         click.echo("]", nl=False)
@@ -92,7 +83,7 @@ def _certificate_json(cert: certs.CertificateFamily | None):
         "available": True,
         "block_count": len(cert.blocks),
         "lower_bound": cert.lower_bound,
-        "blocks": _Blocks(cert.blocks),
+        "blocks": cert,
     }
 
 

@@ -18,9 +18,10 @@ the n roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
 the certificate checks, exact signed sums) does work in the number of
 nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
 dense (r, ambient_dim) int64 view that only the numpy engines read (brute
-force, meet-in-the-middle, enumeration and the witness search): it is built
-from the rows on first use, once its 8 * r * ambient_dim bytes are checked
-against the memory budget, and cached read-only.
+force, meet-in-the-middle, enumeration and the witness search).  A system
+stores the view it was made from, and its r; the other view is built from
+it on first use, once its size is checked against the memory budget, and
+cached: the dense view read-only, in 8 * r * ambient_dim bytes.
 
 Every byte estimate of the package, the kernels' included, is checked by
 ``check_budget`` against ``memory_budget()`` before it is allocated.
@@ -28,9 +29,9 @@ Every byte estimate of the package, the kernels' included, is checked by
 Every library entry point takes a ``RootSystem`` or a bare integer matrix
 of row vectors, and turns it into a ``RootSystem`` with ``as_system``
 before anything else: a bare matrix becomes an unnamed system (``id`` is
-None, denominator 1) whose dense view is the validated matrix itself and
-whose sparse rows are built from it on first use, so an engine that
-refuses its r has built none.
+None, denominator 1) that stores the validated matrix as its dense view,
+so an engine that refuses its r has built no sparse rows.  It equals, and
+hashes like, the system made from the same rows.
 
 The order of the list is part of the public contract (sign vectors and
 certificates are indexed by position).  With l_1, ..., l_n the coordinates
@@ -275,7 +276,9 @@ class RootSystem(Record):
     one dense row sum the memory budget cannot hold raises
     ``ResourceLimitError`` before any row is read.  The rows are stored as
     a tuple of ``(coordinate, value)`` tuples of Python ints, each row in
-    increasing coordinate order."""
+    increasing coordinate order, and ``r`` as their number.  ``as_system``
+    stores a matrix as ``roots`` instead; each view is built from the other
+    when first read."""
 
     __match_args__ = ("id", "rows", "ambient_dim", "denominator")
 
@@ -296,15 +299,12 @@ class RootSystem(Record):
             raise DimensionMismatchError("the rows must be an iterable of sparse rows") from None
         if not rows:
             raise DimensionMismatchError("a root system needs at least one row")
-        self.__dict__.update(id=id, rows=rows, ambient_dim=m, denominator=int(denominator))
+        self.__dict__.update(id=id, rows=rows, r=len(rows), ambient_dim=m,
+                             denominator=int(denominator))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(id={self.id!r}, ambient_dim={self.ambient_dim!r}, "
                 f"denominator={self.denominator!r})")
-
-    @property
-    def r(self) -> int:
-        return len(self.rows)
 
     def __str__(self) -> str:
         return str(self.id or f"the unnamed {shown(self.r)} x {shown(self.ambient_dim)} matrix")
@@ -325,6 +325,17 @@ class RootSystem(Record):
             raise DimensionMismatchError(f"the dense roots of {self} must fit in int64") from None
         roots.setflags(write=False)
         return roots
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The sparse rows of the dense view, built on first use once their
+        size is checked against the budget: a row's list from ``tolist`` and
+        its tuple take 96 bytes and 8 a coordinate, and a nonzero its pair,
+        value and coordinate, under 128 bytes."""
+        r, m = self.roots.shape
+        need = r * (96 + 8 * m) + 128 * int(np.count_nonzero(self.roots))
+        check_budget(need, memory_budget(), f"the sparse rows of {self}")
+        return tuple(sparse_rows(self.roots.tolist()))
 
 
 # The results table: every system the CLI ``table`` reports, in print order.
@@ -359,36 +370,23 @@ def sparse_rows(matrix) -> list[Row]:
     return [tuple((c, int(x)) for c, x in enumerate(row) if x) for row in matrix]
 
 
-class _MatrixSystem(RootSystem):
-    """An unnamed RootSystem whose dense view is a validated int64 matrix:
-    its r is the matrix's, and its sparse rows are built on first use."""
-
-    def __init__(self, roots: np.ndarray) -> None:
-        self.__dict__.update(id=None, ambient_dim=roots.shape[1], denominator=1, roots=roots)
-
-    @property
-    def r(self) -> int:
-        return self.roots.shape[0]
-
-    @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        return tuple(sparse_rows(self.roots.tolist()))
-
-
 def as_system(system) -> RootSystem:
     """A RootSystem as it is; any other value must be a non-empty integer
     matrix of row vectors, validated once by ``int64_array``, and becomes an
     unnamed RootSystem (denominator 1), once its m passes the check every
     system's does.  Its dense view is that validated array, with no second
     copy or budget check; a caller's int64 array is used as it is and left
-    writeable.  Its sparse rows are built when first read, not here."""
+    writeable.  Its sparse rows are built, and budgeted, when first read."""
     if isinstance(system, RootSystem):
         return system
     roots = int64_array(system, DimensionMismatchError)
     if roots.ndim != 2 or roots.shape[0] == 0 or roots.shape[1] == 0:
         raise DimensionMismatchError("expected a non-empty (r, m) integer matrix")
     _check_summable(roots.shape[1])
-    return _MatrixSystem(roots)
+    system = RootSystem.__new__(RootSystem)
+    system.__dict__.update(id=None, roots=roots, r=roots.shape[0], ambient_dim=roots.shape[1],
+                           denominator=1)
+    return system
 
 
 def row_sum(rows, m: int, terms) -> list[int]:
@@ -585,11 +583,12 @@ def positive_roots(fr: FamilyRank) -> RootSystem:
     rows, denominator = _build_rows(fr)
     if len(rows) != root_count(fr):
         raise InternalCheckError(f"root count mismatch for {fr}")
-    # Valid as built, so stored as ``_MatrixSystem`` stores its matrix,
-    # without ``RootSystem.__init__``'s checks: the rows keep their shared
-    # pairs, and ``_rows_bytes`` >= 16 * rank already budgets a row sum.
+    # Valid as built, so stored as ``as_system`` stores its matrix, without
+    # ``RootSystem.__init__``'s checks: the rows keep their shared pairs,
+    # and ``_rows_bytes`` >= 16 * rank already budgets a row sum.
     system = RootSystem.__new__(RootSystem)
-    system.__dict__.update(id=fr, rows=tuple(rows), ambient_dim=fr.rank, denominator=denominator)
+    system.__dict__.update(id=fr, rows=tuple(rows), r=len(rows), ambient_dim=fr.rank,
+                           denominator=denominator)
     return system
 
 

@@ -169,7 +169,9 @@ def signed_sum(system, signs) -> np.ndarray:
     """
     system = as_system(system)
     eps = int64_array(signs, LengthMismatchError)
-    if eps.ndim != 1 or not np.all(np.abs(eps) == 1):
+    # nonzero and within [-1, 1], checked with no array allocated
+    if (eps.ndim != 1 or np.count_nonzero(eps) < eps.size
+            or eps.size and not -1 <= eps.min() <= eps.max() <= 1):
         raise LengthMismatchError("signs must be a flat vector over {+1, -1}")
     if eps.shape[0] != system.r:
         raise LengthMismatchError(f"expected {system.r} signs, got {eps.shape[0]}")

@@ -21,9 +21,13 @@ Claims covered:
     - the ambient dimension is budgeted in ``rootsys`` alone: its error
       text occurs once, there, no other module passes an ``ambient_dim`` to
       ``check_budget``, and no module names ``check_row_sum``
+    - each value is one public class: every subclass of ``rootsys.Record``
+      that a module of the package defines is named in ``rootspin.__all__``,
+      and no class of the package subclasses ``RootSystem``
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -31,6 +35,7 @@ import sys
 from pathlib import Path
 
 import rootspin
+from rootspin import rootsys
 
 PACKAGE = Path(rootspin.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
@@ -166,6 +171,28 @@ def test_one_module_budgets_the_ambient_dimension():
     ]
     assert len(holders) == 1 and holders[0].startswith("rootsys.py:"), holders
     assert not named and not by_ambient, (named, by_ambient)
+
+
+def _subclasses(cls) -> list[type]:
+    """Every class below ``cls`` that a module of the package defines."""
+    for name in MODULES.keys() - {"__init__"}:
+        importlib.import_module(f"rootspin.{name}")
+    below, found = [cls], []
+    while below:
+        for sub in below.pop().__subclasses__():
+            below.append(sub)
+            if sub.__module__.startswith("rootspin."):
+                found.append(sub)
+    return found
+
+
+def test_one_public_class_per_value():
+    # rootsys._MatrixSystem restated RootSystem for bare matrices, and
+    # cli._Blocks restated a certificate's blocks
+    records = [f"{c.__module__}.{c.__qualname__}" for c in _subclasses(rootsys.Record)
+               if c.__name__ not in rootspin.__all__]
+    systems = [f"{c.__module__}.{c.__qualname__}" for c in _subclasses(rootsys.RootSystem)]
+    assert not records and not systems, (records, systems)
 
 
 # Runs each command through ``cli.main`` in one process and prints, last,

@@ -24,10 +24,12 @@ Claims covered:
       size of the dense matrix alone
     - ``positive_roots``' byte estimate bounds its tracemalloc peak for A, B,
       C and D at two ranks each
-    - a bare matrix becomes an unnamed RootSystem whose dense view is the
-      caller's array, left writeable; every entry point gives the same
-      results on a catalogue system's roots passed bare as on the system,
-      the bare input proving existence by the witness search
+    - a bare matrix becomes an unnamed RootSystem, of that class itself,
+      whose dense view is the caller's array, left writeable; it equals,
+      and hashes like, the system made from its sparse rows, and its r is
+      read, and refuses assignment, with no rows built; every entry point
+      gives the same results on a catalogue system's roots passed bare as
+      on the system, the bare input proving existence by the witness search
     - every engine compares r with its limit before the dense view is
       built: on A100 (r = 5050) each refuses and leaves no dense view
     - a bare matrix's sparse rows are built on first read: brute force,
@@ -35,6 +37,13 @@ Claims covered:
       building them
     - readers of the id handle an unnamed system: the dense view's refusal
       names its shape and ``format_root_list`` refuses it
+    - a bare matrix's sparse rows are checked against the memory budget
+      before they are built: under a 1 MiB budget, ``obstruction_2L``,
+      ``exists_strong_dependence`` and ``signed_sum`` refuse a 200000 x 10
+      matrix, each allocating under 1 MiB and building no rows; on dense,
+      all-one, sparse and wide, past-2^31 and all-zero matrices their byte
+      estimate is at least the tracemalloc peak of building them and at
+      most twice it
 """
 
 import tracemalloc
@@ -303,13 +312,35 @@ class TestRowsEstimate:
         assert estimate < 16 * system.r * fr.rank
 
 
+def _matrix(shape: str) -> np.ndarray:
+    """A seeded integer matrix of the named shape."""
+    rng = np.random.default_rng(len(shape))
+    if shape == "dense":
+        return rng.integers(-3, 3, size=(2000, 40), endpoint=True)
+    if shape == "ones":
+        return np.ones((3000, 10), np.int64)
+    if shape == "sparse":  # coordinates past 256 are ints of their own
+        keep = rng.random((300, 1000)) < 0.01
+        return np.where(keep, rng.integers(1, 1000, size=(300, 1000)), 0)
+    if shape == "past_2_31":  # values that are ints of their own
+        keep = rng.random((200, 600)) < 0.5
+        return np.where(keep, rng.integers(1 << 31, 1 << 40, size=(200, 600)), 0)
+    return np.zeros((3000, 10), np.int64)
+
+
 class TestUnnamedSystems:
     def test_bare_matrix_becomes_an_unnamed_system(self):
         g2 = positive_roots(FamilyRank("G", 2))
         assert rootsys.as_system(g2) is g2
         matrix = g2.roots.copy()
         unnamed = rootsys.as_system(matrix)
-        assert "rows" not in vars(unnamed)
+        assert type(unnamed) is RootSystem
+        assert unnamed.r == 6 and "rows" not in vars(unnamed)
+        with pytest.raises(AttributeError):
+            unnamed.r = 7
+        # a second class for matrices made this False for the same rows
+        hand_built = RootSystem(None, rootsys.sparse_rows(matrix.tolist()), 2, 1)
+        assert unnamed == hand_built and hash(unnamed) == hash(hand_built)
         assert (unnamed.id, unnamed.rows, unnamed.denominator) == (None, g2.rows, 1)
         assert unnamed.roots is matrix and matrix.flags.writeable
         assert str(unnamed) == "the unnamed 6 x 2 matrix"
@@ -338,6 +369,44 @@ class TestUnnamedSystems:
         monkeypatch.setattr(rootsys, "sparse_rows", no_rows)
         with pytest.raises(ResourceLimitError, match=match):
             engine(matrix)
+
+    @pytest.mark.parametrize("engine", ["obstruction", "existence", "signed_sum"])
+    def test_rows_checked_against_the_budget_before_they_are_built(self, engine, monkeypatch):
+        # the rows were built with no check: a 158.7 MiB peak under a 1 MiB budget
+        system = rootsys.as_system(np.ones((200_000, 10), np.int64))
+        signs = np.ones(system.r, np.int64)
+        call = {"obstruction": obstruction_2L, "existence": exists_strong_dependence,
+                "signed_sum": lambda s: signed_sum(s, signs)}[engine]
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="sparse rows of the unnamed 200000 x 10"):
+                call(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "rows" not in vars(system)
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("shape", ["dense", "ones", "sparse", "past_2_31", "zero"])
+    def test_rows_estimate_bounds_traced_peak(self, shape, monkeypatch):
+        matrix = _matrix(shape)
+        rootsys.as_system(matrix[:2]).rows  # not counting one-time caches
+        system = rootsys.as_system(matrix)
+        tracemalloc.start()
+        try:
+            rows = system.rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == tuple(rootsys.sparse_rows(matrix.tolist()))
+        # refused under its peak, so the estimate is at least the peak
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ResourceLimitError, match="the sparse rows of the unnamed"):
+            rootsys.as_system(matrix).rows
+        # built under twice its peak, so the estimate is at most that
+        monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 2 * peak)
+        assert rootsys.as_system(matrix).rows == rows
 
     @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "A4", "D4", "D5"])
     def test_engines_agree_on_bare_roots(self, name, catalogue):

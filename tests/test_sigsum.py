@@ -306,21 +306,21 @@ class TestCounting:
         assert count_mitm(_sys("G", 2), np.int64(6)).value == 4
 
     @pytest.mark.parametrize(
-        "engine",
+        "engine,make",
         [
-            lambda _: exists_strong_dependence([[1, 1], [2, 3], [3, 4]]),
-            lambda _: exists_strong_dependence(_hostile(24, 1, 10**9)),
-            count_bruteforce,
-            enumerate_zero_signs,
-            count_mitm,
+            (exists_strong_dependence, lambda: rootsys.as_system([[1, 1], [2, 3], [3, 4]])),
+            (exists_strong_dependence, lambda: rootsys.as_system(_hostile(24, 1, 10**9))),
+            (count_bruteforce, lambda: _sys("G", 2)),
+            (enumerate_zero_signs, lambda: _sys("G", 2)),
+            (count_mitm, lambda: _sys("G", 2)),
         ],
         ids=["witness_search", "witness_search_r24", "brute_force", "enumeration", "mitm"],
     )
-    def test_default_memory_budget_checked_before_tables(self, engine, monkeypatch):
-        # G2 is built first, its dense view too: its roots alone exceed the
-        # budget below.
-        g2 = _sys("G", 2)
-        assert g2.roots.shape == (6, 2)
+    def test_default_memory_budget_checked_before_tables(self, engine, make, monkeypatch):
+        # The system is built first, both its views too: they alone exceed
+        # the budget below, and a bare matrix's rows are budgeted.
+        system = make()
+        assert len(system.rows) == system.roots.shape[0]
         # 64 bytes: below the smallest of the five estimates, the three-root
         # witness search's 288 (its enumeration: tables of 8 keys and 1 key,
         # 8 bytes each, times 4).  At r = 24 the search walks its halves.
@@ -331,7 +331,7 @@ class TestCounting:
 
         monkeypatch.setattr(_kernels, "signed_sum_keys", refuse)
         with pytest.raises(ResourceLimitError, match="signed-sum tables"):
-            engine(g2)
+            engine(system)
 
 
 class TestMemoryBudget:
