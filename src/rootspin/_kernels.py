@@ -1,10 +1,11 @@
 """Enumeration kernels behind the exact counters.
 
 The engines work on key tables of signed sums, one key per sum, so that
-equal keys mean equal sums.  ``_split_tables`` enumerates runs of roots over
-all 2^h sign masks (brute force; enumeration, through ``zero_masks``);
-``pruned_tables`` sorts the roots by their last nonzero coordinate, walks
-each meet-in-the-middle half one root at a time, keeping the distinct sums
+equal keys mean equal sums.  ``_scan_tables`` holds root 0 positive and
+enumerates the others over all sign masks, as a prefix and a suffix table
+(brute force; enumeration, through ``zero_masks``); ``pruned_tables``
+sorts the roots by their last nonzero coordinate, walks each
+meet-in-the-middle half one root at a time, keeping the distinct sums
 that can still reach zero with their multiplicities, and chooses the split
 from its table sizes (counting, witness search).
 
@@ -27,14 +28,13 @@ reach -s.  The zero sum is its own pair and sorts first.  A sum of one
 table meets its negation in another exactly when its key occurs in both.
 The sorted-key lookup of the join and the witness search (in ``sigsum``),
 the walk and the blocked prefix x suffix scan (here) are each written once,
-for every W.  The scan is exhaustive over the sign vectors with root 0
-positive, and doubles: negation pairs off the others.  It compares every
-such prefix key with every suffix key exactly once, in blocks that stay in
+for every W.  The scan is the one exhaustive enumeration: it compares every
+prefix key with every suffix key exactly once, in blocks that stay in
 cache: a suffix table of at most ``_BLOCK_BYTES`` (128 KiB) of keys, and a
 few prefix keys at a time broadcast against it, at most ``_BLOCK_BYTES`` of
-booleans a step.  ``signed_sum_keys`` builds each table in place.  Its
-tables are int32 when a key takes one word and the largest, ``sum_i
-|delta_i|``, fits in 31 bits, so the block holds twice as many keys.
+booleans a step.  Its tables are int32 when a key takes one word and the
+largest, ``sum_i |delta_i|``, fits in 31 bits, so the block holds twice as
+many keys.
 
 Each call reads ``rootsys.memory_budget()`` once and checks every table
 estimate against it with ``rootsys.check_budget`` before allocating.
@@ -165,10 +165,13 @@ def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple:
     i, so that k = i + 1, once one more doubling could give it more states
     than the 2^i pairs of the i + 1 roots left (``2n > 2^i``).  It also
     stops at ``HALF_MAX`` roots, so multiplicities stay int64, and leaves
-    the left half at least ceil(r/4) roots, so that a recursion on the
-    halves shrinks.  For r <= 2 * HALF_MAX (``sigsum._check_mitm_limits``)
-    the left half then has at most HALF_MAX roots too, since 2n never
-    reaches 2^62.  On an unprunable matrix that is the middle split; the
+    the left half at least ceil(r/4) roots, for speed: without that floor
+    the right walk runs on (to k = 7 on C8, 10 on D8) with the same counts
+    and estimates, but C8 counted in 14.1 ms where it takes 13.3 (median of
+    10 interleaved processes, best of 15 each, 2-core Xeon; slower in all
+    10) and D8 in 11.9 ms, not 11.2.  For r <= 2 * HALF_MAX
+    (``sigsum._check_mitm_limits``) the left half then has at most HALF_MAX
+    roots too, since 2n never reaches 2^62.  On an unprunable matrix that is the middle split; the
     right half, at the end of the sorted roots, prunes deepest and takes
     more of them.
 
@@ -296,58 +299,52 @@ def pruned_tables(roots: np.ndarray, k: int | None = None) -> tuple:
     return order, split, (_flat(left[0]), left[1]), (_flat(right[0]), right[1]), estimate
 
 
-def _split_tables(deltas, k, scratch=0, half=False):
-    """Key tables of the signed sums of ``deltas[:k]`` and ``deltas[k:]``,
-    of the dtype of ``deltas`` and each indexed by sign mask, and the byte
-    estimate checked against the memory budget before either is built.  With
-    ``half`` (k >= 1) root 0 is held positive: the first table is
-    ``signed_sum_keys(deltas[1:k]) + deltas[0]``, 2^(k-1) keys, indexed by
-    the sign mask of roots 1..k-1."""
-    r, words = deltas.shape
-    # both tables once (each is built in place), the caller's scratch bytes
-    # and _ALLOWANCE
-    estimate = ((1 << (k - half)) + (1 << (r - k))) * deltas.itemsize * words + scratch + _ALLOWANCE
-    rootsys.check_budget(estimate, rootsys.memory_budget(), "signed-sum tables")
-    prefix = signed_sum_keys(deltas[int(half):k])
-    if half:
-        prefix += deltas[0]
-    return _flat(prefix), _flat(signed_sum_keys(deltas[k:])), estimate
-
-
-def zero_masks(roots: np.ndarray) -> np.ndarray:
-    """Sign masks of the zero signed sums of at most 16 roots, in order."""
-    # The table of the empty half holds one key: that of the zero sum.  The
-    # scratch is the compare's mask, a byte a key, and at most one int64
-    # index a key.
-    r = roots.shape[0]
-    keys, zero, _ = _split_tables(key_packing(roots)[0], r, 9 << r)
-    return np.flatnonzero(keys == zero)
-
-
-def count_zero_full(roots: np.ndarray) -> tuple[int, int]:
-    """Exact number of sign vectors with zero signed sum, by exhaustive
-    enumeration, and the byte estimate checked against the memory budget.
-
-    Negating every sign pairs the sign vectors off without fixed points and
-    keeps a zero sum zero, so the count is twice the number of zero sums
-    with root 0 positive: only those 2^(r-1) sign vectors are scanned.  The
-    last q roots form a suffix table of at most ``_BLOCK_BYTES`` of keys,
-    the first r - q >= 1 a prefix table with root 0 positive.  The
-    tables are built and compared in int32 when W = 1 and the largest key,
-    ``sum_i |delta_i|``, fits in 31 bits, so the suffix block holds twice
-    as many keys.  Each step broadcasts a run of prefix keys against the
-    whole suffix table, a boolean block of at most ``_BLOCK_BYTES``, and
-    counts its equal pairs.  Every (prefix, suffix) pair is compared
-    exactly once, so the work is Theta(2^(r-1)); only the memory traffic is
-    blocked.
-    """
+def _scan_tables(roots: np.ndarray) -> tuple:
+    """The scan's tables, as 1-D key views: a suffix table of the last q
+    roots, at most ``_BLOCK_BYTES`` of keys, and a prefix table of the first
+    k = r - q >= 1 with root 0 positive, ``signed_sum_keys(deltas[1:k]) +
+    deltas[0]``, each indexed by the sign mask of its free roots.  Also how
+    many prefix keys a compare block broadcasts, and the byte estimate checked
+    against the budget before either table is built: both tables once (each
+    is built in place), one compare block and ``_ALLOWANCE``."""
     r = roots.shape[0]
     deltas, _ = key_packing(roots)
     if deltas.shape[1] == 1 and sum(abs(d) for d in deltas[:, 0].tolist()) < 1 << 31:
         deltas = deltas.astype(np.int32)  # no signed sum leaves int32
     q = min(r - 1, (_BLOCK_BYTES // deltas[0].nbytes).bit_length() - 1)
-    prefix, suffix, estimate = _split_tables(deltas, r - q, _BLOCK_BYTES, True)
-    step = max(1, _BLOCK_BYTES >> q)
+    estimate = ((1 << (r - q - 1)) + (1 << q)) * deltas[0].nbytes + _BLOCK_BYTES + _ALLOWANCE
+    rootsys.check_budget(estimate, rootsys.memory_budget(), "signed-sum tables")
+    prefix = signed_sum_keys(deltas[1:r - q])
+    prefix += deltas[0]
+    suffix = signed_sum_keys(deltas[r - q:])
+    return _flat(prefix), _flat(suffix), max(1, _BLOCK_BYTES >> q), estimate
+
+
+def zero_masks(roots: np.ndarray) -> np.ndarray:
+    """Sign masks of the zero signed sums of ``roots``, in increasing order,
+    by the scan and its estimate, which leaves out the masks found.  Prefix
+    key i equal to suffix key s is a zero sum with the suffix signs negated,
+    mask ``i << 1 | (s << k) ^ flip``; negating every sign gives the masks
+    with root 0 negative."""
+    r = roots.shape[0]
+    prefix, suffix, step, _ = _scan_tables(roots)
+    k = r + 1 - suffix.shape[0].bit_length()
+    flip, found = (suffix.shape[0] - 1) << k, []
+    for i in range(0, prefix.shape[0], step):
+        p, s = np.nonzero(prefix[i:i + step, None] == suffix)
+        found.append((p + i) << 1 | ((s << k) ^ flip))
+    masks = np.concatenate(found)
+    return np.sort(np.concatenate((masks, masks ^ ((1 << r) - 1))))
+
+
+def count_zero_full(roots: np.ndarray) -> tuple[int, int]:
+    """Exact number of sign vectors with zero signed sum, by the scan, and
+    its byte estimate.  Negating every sign pairs the sign vectors off and
+    keeps a zero sum zero, so the count is twice the zero sums with root 0
+    positive, the equal (prefix, suffix) pairs: the suffix table is closed
+    under negation.  The work is Theta(2^(r-1)); only the memory traffic
+    is blocked."""
+    prefix, suffix, step, estimate = _scan_tables(roots)
     value = sum(
         int(np.count_nonzero(prefix[i:i + step, None] == suffix))
         for i in range(0, prefix.shape[0], step)

@@ -30,8 +30,10 @@ Every library entry point takes a ``RootSystem`` or a bare integer matrix
 of row vectors, and turns it into a ``RootSystem`` with ``as_system``
 before anything else: a bare matrix becomes an unnamed system (``id`` is
 None, denominator 1) that stores the validated matrix as its dense view,
-so an engine that refuses its r has built no sparse rows.  It equals, and
-hashes like, the system made from the same rows.
+so an engine that refuses its r has built no sparse rows.  Its rows are
+built from a read-only copy of the matrix, which then replaces it as the
+dense view, so the two views always agree.  It equals, and hashes like,
+the system made from the same rows.
 
 The order of the list is part of the public contract (sign vectors and
 certificates are indexed by position).  With l_1, ..., l_n the coordinates
@@ -329,13 +331,19 @@ class RootSystem(Record):
     @cached_property
     def rows(self) -> tuple[Row, ...]:
         """The sparse rows of the dense view, built on first use once their
-        size is checked against the budget: a row's list from ``tolist`` and
-        its tuple take 96 bytes and 8 a coordinate, and a nonzero its pair,
-        value and coordinate, under 128 bytes."""
+        size is checked against the budget.  The dense view is first
+        replaced by a read-only copy, 8 bytes a coordinate, that the rows
+        are built from, so a caller who later writes to the matrix the
+        system was made from changes neither view.  A row's list from
+        ``tolist`` and its tuple take 96 bytes and 8 a coordinate, and a
+        nonzero its pair, value and coordinate, under 128 bytes."""
         r, m = self.roots.shape
-        need = r * (96 + 8 * m) + 128 * int(np.count_nonzero(self.roots))
+        need = r * (96 + 16 * m) + 128 * int(np.count_nonzero(self.roots))
         check_budget(need, memory_budget(), f"the sparse rows of {self}")
-        return tuple(sparse_rows(self.roots.tolist()))
+        roots = self.roots.copy()
+        roots.setflags(write=False)
+        self.__dict__["roots"] = roots
+        return tuple(sparse_rows(roots.tolist()))
 
 
 # The results table: every system the CLI ``table`` reports, in print order.
@@ -375,8 +383,8 @@ def as_system(system) -> RootSystem:
     matrix of row vectors, validated once by ``int64_array``, and becomes an
     unnamed RootSystem (denominator 1), once its m passes the check every
     system's does.  Its dense view is that validated array, with no second
-    copy or budget check; a caller's int64 array is used as it is and left
-    writeable.  Its sparse rows are built, and budgeted, when first read."""
+    copy or budget check, until its sparse rows are first read: they are
+    budgeted and built from a read-only copy that becomes the dense view."""
     if isinstance(system, RootSystem):
         return system
     roots = int64_array(system, DimensionMismatchError)

@@ -459,8 +459,9 @@ def _search_witness(roots: np.ndarray) -> tuple[int, ...] | None:
     root, each gives its half's signs, recombined in Python ints.  |v| is at
     most either half's weight, so neither is heavier than the whole.  The
     zero key sorts first, so v is often 0.  At r <= 16 the search takes the
-    first zero mask of the full table and builds one sign vector.  The
-    caller checks the final sum, which any wrong recombination leaves nonzero."""
+    least zero mask of the exhaustive scan (``_kernels.zero_masks``) and
+    builds one sign vector.  The caller checks the final sum, which any
+    wrong recombination leaves nonzero."""
     if roots.shape[0] <= ENUMERATION_LIMIT:
         masks = _kernels.zero_masks(roots)[:1]
         return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None

@@ -25,7 +25,9 @@ Claims covered:
     - ``positive_roots``' byte estimate bounds its tracemalloc peak for A, B,
       C and D at two ranks each
     - a bare matrix becomes an unnamed RootSystem, of that class itself,
-      whose dense view is the caller's array, left writeable; it equals,
+      whose dense view, once its rows are built, is a read-only copy of
+      the caller's array, left writeable, so a later write to the array
+      changes neither view; it equals,
       and hashes like, the system made from its sparse rows, and its r is
       read, and refuses assignment, with no rows built; every entry point
       gives the same results on a catalogue system's roots passed bare as
@@ -342,10 +344,20 @@ class TestUnnamedSystems:
         hand_built = RootSystem(None, rootsys.sparse_rows(matrix.tolist()), 2, 1)
         assert unnamed == hand_built and hash(unnamed) == hash(hand_built)
         assert (unnamed.id, unnamed.rows, unnamed.denominator) == (None, g2.rows, 1)
-        assert unnamed.roots is matrix and matrix.flags.writeable
+        assert not np.shares_memory(unnamed.roots, matrix) and matrix.flags.writeable
+        assert not unnamed.roots.flags.writeable
         assert str(unnamed) == "the unnamed 6 x 2 matrix"
         with pytest.raises(InvalidRankError, match="the unnamed 6 x 2 matrix has no family"):
             format_root_list(unnamed)
+
+    def test_views_agree_after_the_caller_writes_the_matrix(self):
+        matrix = np.array([[1, 0], [0, 1], [1, 1]])
+        system = rootsys.as_system(matrix)
+        assert obstruction_2L(system).passed and count_mitm(system).value == 2
+        matrix[2] = [2, 2]
+        # both views keep the matrix the rows were built from
+        assert obstruction_2L(system).passed and count_mitm(system).value == 2
+        assert not obstruction_2L(matrix).passed and count_mitm(matrix).value == 0
 
     @pytest.mark.parametrize(
         "engine,match",

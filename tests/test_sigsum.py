@@ -54,8 +54,8 @@ Claims covered:
       the left walk's last doubling sets it, it counts the right table held
       through that walk, without which it falls below the peak; the
       witness search's peak stays within the largest estimate its walks and
-      enumerations checked, and it takes full tables only to enumerate a
-      whole subproblem of at most 16 roots, where it builds one sign vector
+      scans checked, and it runs the exhaustive scan only on a whole
+      subproblem of at most 16 roots, where it builds one sign vector
     - the walk's tables hold one sign-canonical state per pair {s, -s}:
       nonnegative one-word keys (A9: half the distinct sums each half
       keeps, zero counted once), multi-word keys whose first nonzero word
@@ -72,6 +72,10 @@ Claims covered:
       and with a largest key of 2^31 - 1 (int32 keys, 2^15 a suffix table)
       and 2^31 (int64 keys, 2^14); the suffix table and each compare block
       stay within ``_BLOCK_BYTES``
+    - enumeration reads the same scan: its masks equal the zero rows of
+      ``signs @ roots`` for r = 1..18 on int32, int64 and two-word keys,
+      with a zero row, and on the all-zero 16 x 2 matrix (all 65536); its
+      estimate at r = 16 is 327,684 bytes (int32) and 327,744 (two words)
     - both engines refuse a matrix whose column weights reach 2^62, before
       any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
@@ -522,14 +526,14 @@ class TestMemoryEstimate:
         if shape[1] == 1:  # one column: its weight is the largest key
             assert (int(np.abs(roots).sum()) < 1 << 31) == (shape[2] == 10**6)
         estimates = []
-        split = _kernels._split_tables
+        scan = _kernels._scan_tables
 
         def spy(*args):
-            tables = split(*args)
-            estimates.append(tables[2])
+            tables = scan(*args)
+            estimates.append(tables[3])
             return tables
 
-        monkeypatch.setattr(_kernels, "_split_tables", spy)
+        monkeypatch.setattr(_kernels, "_scan_tables", spy)
         _, peak = _traced_peak(lambda: engine(roots))
         assert len(estimates) == 2  # one table pair a call
         assert peak <= estimates[-1]
@@ -549,29 +553,29 @@ class TestMemoryEstimate:
         ids=["packed_24", "rows_24", "packed_32", "rows_30"],
     )
     def test_witness_search_estimate_bounds_traced_peak(self, shape, monkeypatch):
-        # The search walks its halves with ``pruned_tables`` and takes full
-        # tables only to enumerate a whole subproblem of at most 16 roots.
+        # The search walks its halves with ``pruned_tables`` and runs the
+        # exhaustive scan only on a whole subproblem of at most 16 roots.
         roots = _hostile(*shape)
         assert _words(roots) == (2 if shape[1] == 3 else 1)
-        estimates, splits = [], []
-        pruned, split = _kernels.pruned_tables, _kernels._split_tables
+        estimates, scanned = [], []
+        pruned, scan = _kernels.pruned_tables, _kernels._scan_tables
 
         def pruned_spy(*args):
             tables = pruned(*args)
             estimates.append(tables[4])
             return tables
 
-        def split_spy(*args):
-            splits.append((args[1], args[0].shape[0]))
-            tables = split(*args)
-            estimates.append(tables[2])
+        def scan_spy(subproblem):
+            scanned.append(subproblem.shape[0])
+            tables = scan(subproblem)
+            estimates.append(tables[3])
             return tables
 
         monkeypatch.setattr(_kernels, "pruned_tables", pruned_spy)
-        monkeypatch.setattr(_kernels, "_split_tables", split_spy)
+        monkeypatch.setattr(_kernels, "_scan_tables", scan_spy)
         witness, peak = _traced_peak(lambda: sigsum._search_witness(roots))
         assert not (witness @ roots).any()
-        assert splits and all(k == r <= sigsum.ENUMERATION_LIMIT for k, r in splits)
+        assert scanned and all(r <= sigsum.ENUMERATION_LIMIT for r in scanned)
         assert peak <= max(estimates)
 
     @pytest.mark.parametrize(
@@ -634,15 +638,15 @@ class TestCanonicalTables:
 
 
 class TestWitnessBaseCase:
-    # At r <= 16 the search takes the first zero mask of the full table and
-    # builds one sign vector, not every zero sign vector.
+    # At r <= 16 the search takes the least zero mask of the exhaustive
+    # scan and builds one sign vector, not every zero sign vector.
     @pytest.mark.parametrize("r", [16, 48])
     def test_one_sign_vector_per_base_case(self, r, monkeypatch):
         roots = np.ones((r, 1), np.int64)
         bases, built = [], []
-        split, from_mask = _kernels._split_tables, sigsum.signs_from_mask
-        monkeypatch.setattr(_kernels, "_split_tables",
-                            lambda *args: bases.append(args[1]) or split(*args))
+        scan, from_mask = _kernels._scan_tables, sigsum.signs_from_mask
+        monkeypatch.setattr(_kernels, "_scan_tables",
+                            lambda sub: bases.append(sub.shape[0]) or scan(sub))
         monkeypatch.setattr(sigsum, "signs_from_mask",
                             lambda *args: built.append(args[0]) or from_mask(*args))
         witness = sigsum._search_witness(roots)
@@ -650,25 +654,30 @@ class TestWitnessBaseCase:
         assert len(built) == len(bases) >= 1
 
 
-def _zero_sums_by_sign_matrix(roots):
-    """Reference count with no key table: every sign vector as a row of a
-    +-1 matrix, and the zero rows of ``signs @ roots``."""
+def _zero_masks_by_sign_matrix(roots):
+    """Reference enumeration with no key table: every sign vector as a row
+    of a +-1 matrix, and the masks of the zero rows of ``signs @ roots``,
+    in increasing order."""
     r = roots.shape[0]
     bits = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1
-    sums = (1 - 2 * bits) @ roots
-    return int(np.count_nonzero(~sums.any(axis=1)))
+    return np.flatnonzero(~((1 - 2 * bits) @ roots).any(axis=1))
+
+
+def _zero_sums_by_sign_matrix(roots):
+    """Reference count: the number of those zero rows."""
+    return _zero_masks_by_sign_matrix(roots).size
 
 
 def _brute_tables(roots, monkeypatch):
     """Brute-force count of ``roots`` and the one table pair it scanned."""
     tables = []
-    split = _kernels._split_tables
+    scan = _kernels._scan_tables
 
     def spy(*args):
-        tables.append(split(*args))
+        tables.append(scan(*args))
         return tables[-1]
 
-    monkeypatch.setattr(_kernels, "_split_tables", spy)
+    monkeypatch.setattr(_kernels, "_scan_tables", spy)
     value = count_bruteforce(roots).value
     assert len(tables) == 1
     return value, tables[0][0], tables[0][1]
@@ -769,6 +778,59 @@ class TestBruteHalfCube:
         assert suffix.nbytes <= _kernels._BLOCK_BYTES
         assert max(compared) <= _kernels._BLOCK_BYTES
         assert sum(compared) == prefix.shape[0] * suffix.shape[0] == 1 << (r - 1)
+
+
+class TestZeroMasks:
+    # Enumeration reads brute force's scan: a prefix key i equal to suffix
+    # key s is the zero mask i << 1 | (s << k) ^ flip, root 0 positive and
+    # the suffix signs negated, and each mask's complement is one too.  The
+    # prefix holds k = 1 root while 2^(r-1) keys fit one suffix table, so
+    # r = 1..18 has k = 1 and k > 1 on each key width.
+    @pytest.mark.parametrize("width,key_bytes", [("int32", 4), ("int64", 8), ("two_words", 16)])
+    @pytest.mark.parametrize("r", range(1, 19))
+    def test_masks_equal_reference(self, r, width, key_bytes):
+        rng = np.random.default_rng(4000 + r)
+        roots = rng.integers(-2, 2, size=(r, 2), endpoint=True)
+        roots[:, 0] = rng.choice([-2, -1, 1, 2], size=r)
+        if r > 1:  # the last root cancels the others, so zero sums exist
+            roots[-1] = -roots[:-1].sum(axis=0)
+        if width == "int64":
+            roots[0, 0] = 1 << 31  # one word, but a largest key past 31 bits
+        elif width == "two_words":
+            roots = _stretch_past_key_budget(roots)
+        prefix, suffix, _, _ = _kernels._scan_tables(roots)
+        assert suffix.dtype.itemsize == key_bytes
+        assert prefix.shape[0] * suffix.shape[0] == 1 << (r - 1)
+        masks = _kernels.zero_masks(roots)
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, _zero_masks_by_sign_matrix(roots))
+
+    @pytest.mark.parametrize("r", [1, 3, 17])
+    def test_zero_row(self, r):
+        roots = np.random.default_rng(5000 + r).integers(-2, 2, size=(r, 2), endpoint=True)
+        roots[r // 2] = 0  # every zero sum comes with both of its signs
+        roots[-1] = -roots[:-1].sum(axis=0)  # so zero sums exist
+        masks = _kernels.zero_masks(roots)
+        assert masks.size and np.array_equal(masks, _zero_masks_by_sign_matrix(roots))
+
+    def test_all_zero_matrix(self):
+        masks = _kernels.zero_masks(np.zeros((16, 2), np.int64))
+        assert np.array_equal(masks, np.arange(1 << 16))
+
+    @pytest.mark.parametrize(
+        "roots,estimate",
+        [
+            (np.ones((16, 1), np.int64), 327_684),
+            (np.random.default_rng(16).integers(-10**6, 10**6, size=(16, 3)), 327_744),
+        ],
+        ids=["int32", "two_words"],
+    )
+    def test_estimate_at_r16(self, roots, estimate):
+        # The tables once, one compare block and the allowance: 2^15 int32
+        # suffix keys and one prefix key, or 2^13 and 4 keys of two words.
+        # The full 2^16 table with its compare scratch took 1,179,656 bytes
+        # and 1,703,952.
+        assert _kernels._scan_tables(roots)[3] == estimate
 
 
 class TestPastR48:
@@ -1105,10 +1167,9 @@ def _decodes_every_key(roots):
     """``key_vector`` gives back ``signs @ roots`` for every key of the full
     table of ``roots``, indexed by sign mask."""
     r = roots.shape[0]
-    deltas, _ = _kernels.key_packing(roots)
-    keys, _, _ = _kernels._split_tables(deltas, r)
+    keys = _kernels.signed_sum_keys(_kernels.key_packing(roots)[0])
     signs = np.array([sigsum.signs_from_mask(mask, r) for mask in range(1 << r)])
-    decoded = [_kernels.key_vector(roots, keys[i:i + 1]) for i in range(1 << r)]
+    decoded = [_kernels.key_vector(roots, keys[i]) for i in range(1 << r)]
     return np.array_equal(decoded, signs @ roots)
 
 
