@@ -3,11 +3,11 @@
 The engines work on key tables of signed sums, one key per sum, so that
 equal keys mean equal sums.  ``_scan_tables`` holds root 0 positive and
 enumerates the others over all sign masks, as a prefix and a suffix table
-(brute force; enumeration, through ``zero_masks``); ``pruned_tables``
-sorts the roots by their last nonzero coordinate, walks each
-meet-in-the-middle half one root at a time, keeping the distinct sums
-that can still reach zero with their multiplicities, and chooses the split
-from its table sizes (counting, witness search).
+(brute force; enumeration and the witness search's base case, through
+``_zero_blocks``); ``pruned_tables`` sorts the roots by their last nonzero
+coordinate, walks each meet-in-the-middle half one root at a time, keeping
+the distinct sums that can still reach zero with their multiplicities, and
+chooses the split from its table sizes (counting, witness search).
 
 A key is W int64 words, laid out by ``key_packing`` alone (``key_vector``
 decodes).  Coordinate c gets radix ``2*B_c + 1`` where ``B_c = sum_i
@@ -34,10 +34,12 @@ cache: a suffix table of at most ``_BLOCK_BYTES`` (128 KiB) of keys, and a
 few prefix keys at a time broadcast against it, at most ``_BLOCK_BYTES`` of
 booleans a step.  Its tables are int32 when a key takes one word and the
 largest, ``sum_i |delta_i|``, fits in 31 bits, so the block holds twice as
-many keys.
+many keys.  A reader of the zero sums' masks takes one block's
+``np.nonzero`` indices at a time, 16 bytes a compare, and builds the masks
+in their place.
 
-Each call reads ``rootsys.memory_budget()`` once and checks every table
-estimate against it with ``rootsys.check_budget`` before allocating.
+Every table estimate is checked against ``rootsys.memory_budget()`` with
+``rootsys.check_budget`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -320,21 +322,53 @@ def _scan_tables(roots: np.ndarray) -> tuple:
     return _flat(prefix), _flat(suffix), max(1, _BLOCK_BYTES >> q), estimate
 
 
-def zero_masks(roots: np.ndarray) -> np.ndarray:
-    """Sign masks of the zero signed sums of ``roots``, in increasing order,
-    by the scan and its estimate, which leaves out the masks found.  Prefix
-    key i equal to suffix key s is a zero sum with the suffix signs negated,
-    mask ``i << 1 | (s << k) ^ flip``; negating every sign gives the masks
-    with root 0 negative."""
+def _zero_blocks(roots: np.ndarray):
+    """The sign masks of the zero signed sums of ``roots`` with root 0
+    positive, one int64 array a compare block of the scan: with q suffix
+    roots and k = r - q, prefix key i equal to suffix key s is a zero sum
+    with the suffix signs negated, mask ``i << 1 | (2^q - 1 - s) << k``.
+    Before the first block, the scan's estimate plus one block's
+    ``np.nonzero`` indices, 16 bytes a compare, is checked against the
+    budget; a block's masks are built in place of its prefix indices."""
     r = roots.shape[0]
-    prefix, suffix, step, _ = _scan_tables(roots)
-    k = r + 1 - suffix.shape[0].bit_length()
-    flip, found = (suffix.shape[0] - 1) << k, []
+    prefix, suffix, step, estimate = _scan_tables(roots)
+    q = suffix.shape[0].bit_length() - 1
+    rootsys.check_budget(estimate + 16 * (min(step, prefix.shape[0]) << q),
+                         rootsys.memory_budget(), "signed-sum tables")
     for i in range(0, prefix.shape[0], step):
-        p, s = np.nonzero(prefix[i:i + step, None] == suffix)
-        found.append((p + i) << 1 | ((s << k) ^ flip))
-    masks = np.concatenate(found)
-    return np.sort(np.concatenate((masks, masks ^ ((1 << r) - 1))))
+        masks, s = np.nonzero(prefix[i:i + step, None] == suffix)
+        masks += i
+        masks <<= 1
+        s ^= suffix.shape[0] - 1
+        s <<= r - q
+        masks |= s
+        s = None
+        yield masks
+
+
+def zero_masks(roots: np.ndarray) -> np.ndarray:
+    """Sign masks of the zero signed sums of ``roots``, in increasing order:
+    the scan's (``_zero_blocks``) and, every sign negated, their
+    complements.  Past the blocks' check it holds 12 bytes a zero mask at
+    most: the blocks, 4, beside the 8 of the masks it returns, which are
+    sorted in place."""
+    blocks = list(_zero_blocks(roots))
+    half = sum(block.shape[0] for block in blocks)
+    masks = np.empty(2 * half, np.int64)
+    np.concatenate(blocks, out=masks[:half])
+    blocks = None
+    np.bitwise_xor(masks[:half], (1 << roots.shape[0]) - 1, out=masks[half:])
+    masks.sort()
+    return masks
+
+
+def least_zero_mask(roots: np.ndarray) -> int | None:
+    """The least sign mask of a zero signed sum of ``roots``, or None, from
+    the scan's blocks (``_zero_blocks``) with no list of masks: the least
+    of a block's masks, or the complement of its largest."""
+    full = (1 << roots.shape[0]) - 1
+    return min((min(int(masks.min()), full ^ int(masks.max()))
+                for masks in _zero_blocks(roots) if masks.size), default=None)
 
 
 def count_zero_full(roots: np.ndarray) -> tuple[int, int]:

@@ -8,15 +8,16 @@ is pure integer and zero signed sums are invariant under that scaling.
 
 A root is stored as a sparse row: a tuple of ``(coordinate, value)`` pairs
 over its nonzero coordinates, in increasing coordinate order, with Python
-int entries.  ``check_row`` is the rule every row meets, and
-``RootSystem`` applies it to each row it is given, so every system is
-valid.  Its ambient dimension m is checked once, where a system is made:
-the budget must hold one dense sum of its rows, the m Python ints that
-``row_sum`` returns, so every system is summable and no reader of m
-checks it again.  Every classical root has at most two nonzeros except
-the n roots ``nu + l_i`` of type A, so the existence path (the 2L obstruction,
-the certificate checks, exact signed sums) does work in the number of
-nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
+int entries.  ``check_row`` is the rule every row meets, and ``RootSystem``
+applies it to each row it is given, so every system is valid.  Only
+``positive_roots`` makes a named system (``id`` a FamilyRank), so an id
+names the system's own rows.  The ambient dimension m is checked once, where
+a system is made: the budget must hold one dense sum of its rows, the m
+Python ints that ``row_sum`` returns, so every system is summable and no
+reader of m checks it again.  Every classical root has at most two nonzeros
+except the n roots ``nu + l_i`` of type A, so the existence path (the 2L
+obstruction, the certificate checks, exact signed sums) does work in the
+number of nonzeros, and so does the oracle.  ``RootSystem.roots`` is the
 dense (r, ambient_dim) int64 view that only the numpy engines read (brute
 force, meet-in-the-middle, enumeration and the witness search).  A system
 stores the view it was made from, and its r; the other view is built from
@@ -144,10 +145,11 @@ class Record:
     """Base of the package's immutable value classes.
 
     A subclass names its fields, in order, in ``__match_args__`` and stores
-    them in its own ``__init__`` through ``__dict__``.  Two records are
-    equal, and hash alike, when they are of the same class and their fields
-    are equal; the repr names every field; assigning or deleting an
-    attribute raises ``AttributeError``.
+    them through ``__dict__``, in its own ``__init__`` but for the one field
+    it does not take, ``RootSystem.id``.  Two records are equal, and hash
+    alike, when they are of the same class and their fields are equal; the
+    repr names every field; assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -269,25 +271,22 @@ def _check_summable(m: int) -> None:
 
 class RootSystem(Record):
     """An ordered positive root system in scaled integer coordinates;
-    ``id`` is None for a system made from a bare matrix.
+    ``id`` is the FamilyRank of a system made by ``positive_roots``, and
+    None for every other: the constructor takes no id.
 
-    Every system is valid: ``id`` must be a FamilyRank or None
-    (``InvalidRankError``), ``ambient_dim`` and ``denominator`` integers
-    >= 1, and ``rows`` a non-empty iterable of rows that ``check_row``
-    admits (else ``DimensionMismatchError``).  An ``ambient_dim`` whose
-    one dense row sum the memory budget cannot hold raises
-    ``ResourceLimitError`` before any row is read.  The rows are stored as
-    a tuple of ``(coordinate, value)`` tuples of Python ints, each row in
-    increasing coordinate order, and ``r`` as their number.  ``as_system``
-    stores a matrix as ``roots`` instead; each view is built from the other
-    when first read."""
+    Every system is valid: ``ambient_dim`` and ``denominator`` must be
+    integers >= 1, and ``rows`` a non-empty iterable of rows that
+    ``check_row`` admits (else ``DimensionMismatchError``).  An
+    ``ambient_dim`` whose one dense row sum the memory budget cannot hold
+    raises ``ResourceLimitError`` before any row is read.  The rows are
+    stored as a tuple of ``(coordinate, value)`` tuples of Python ints,
+    each row in increasing coordinate order, and ``r`` as their number.
+    ``as_system`` stores a matrix as ``roots`` instead; each view is built
+    from the other when first read."""
 
     __match_args__ = ("id", "rows", "ambient_dim", "denominator")
 
-    def __init__(self, id: FamilyRank | None, rows: tuple[Row, ...], ambient_dim: int,
-                 denominator: int) -> None:
-        if id is not None:
-            check_family_rank(id)
+    def __init__(self, rows: tuple[Row, ...], ambient_dim: int, denominator: int) -> None:
         for name, value in (("ambient dimension", ambient_dim), ("denominator", denominator)):
             if not is_int(value) or value < 1:
                 raise DimensionMismatchError(
@@ -301,7 +300,7 @@ class RootSystem(Record):
             raise DimensionMismatchError("the rows must be an iterable of sparse rows") from None
         if not rows:
             raise DimensionMismatchError("a root system needs at least one row")
-        self.__dict__.update(id=id, rows=rows, r=len(rows), ambient_dim=m,
+        self.__dict__.update(id=None, rows=rows, r=len(rows), ambient_dim=m,
                              denominator=int(denominator))
 
     def __repr__(self) -> str:

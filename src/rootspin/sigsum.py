@@ -60,7 +60,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import _kernels, certs
+from . import _kernels, certs, rootsys
 from .errors import (
     DimensionMismatchError,
     InternalCheckError,
@@ -69,7 +69,7 @@ from .errors import (
 )
 from .rootsys import (
     Record, as_system, check_budget, check_limit, check_row, int64_array,
-    integer_array, is_int, memory_budget, row_sum, shown, sparse_rows, weyl_order_v2,
+    integer_array, is_int, row_sum, shown, sparse_rows, weyl_order_v2,
 )
 
 METHOD_BRUTE = "brute_force"
@@ -256,7 +256,7 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
     (26 for brute force, 48 for meet-in-the-middle); any other ``max_r``
     must be an integer >= 0 (``rootsys.check_limit``).
     """
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise ValueError(f"unknown counting method {shown(method)}")
     if max_r is not None:
         max_r = check_limit(max_r, "max_r")
@@ -303,11 +303,20 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
 
 
 def enumerate_zero_signs(system) -> list[tuple[int, ...]]:
-    """All zero-sum sign tuples of Python ints, in mask order, for r <= ENUMERATION_LIMIT."""
+    """All zero-sum sign tuples of Python ints, in mask order, for r <=
+    ENUMERATION_LIMIT.  Brute force's scan counts them first, and before
+    any is built the budget is checked for the scan's estimate plus 64 + 8r
+    bytes a zero sum: its mask (8), its tuple (40 + 8r) and its list slot
+    (under 16).  That also covers what ``_kernels.zero_masks`` holds past
+    the scan: one block's indices, 16 bytes a zero sum of the block, which
+    has half of them at most, and 12 bytes a mask."""
     system = as_system(system)
     r = system.r
     if r > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"witness enumeration needs r <= {ENUMERATION_LIMIT}, got r = {r}")
+    zeros, estimate = _kernels.count_zero_full(system.roots)
+    check_budget(estimate + zeros * (64 + 8 * r), rootsys.memory_budget(),
+                 f"the {zeros} zero sign vectors of {system}")
     return [signs_from_mask(int(mask), r) for mask in _kernels.zero_masks(system.roots)]
 
 
@@ -399,7 +408,7 @@ def hnf(vectors, ambient_dim: int | None = None) -> LatticeBasis:
             raise DimensionMismatchError("need at least one vector")
     # The basis ends as at most min(size, m) dense columns of m ints, each a
     # tuple grown from a generator by resizing: 16 bytes a slot.
-    check_budget(16 * min(size, m) * m, memory_budget(),
+    check_budget(16 * min(size, m) * m, rootsys.memory_budget(),
                  f"a Hermite normal form basis in dimension {shown(m)}")
     basis: dict[int, dict[int, int]] = {}  # pivot row -> {row: entry}
     for row in vectors:
@@ -459,12 +468,12 @@ def _search_witness(roots: np.ndarray) -> tuple[int, ...] | None:
     root, each gives its half's signs, recombined in Python ints.  |v| is at
     most either half's weight, so neither is heavier than the whole.  The
     zero key sorts first, so v is often 0.  At r <= 16 the search takes the
-    least zero mask of the exhaustive scan (``_kernels.zero_masks``) and
-    builds one sign vector.  The caller checks the final sum, which any
+    least zero mask of the exhaustive scan (``_kernels.least_zero_mask``)
+    and builds one sign vector.  The caller checks the final sum, which any
     wrong recombination leaves nonzero."""
     if roots.shape[0] <= ENUMERATION_LIMIT:
-        masks = _kernels.zero_masks(roots)[:1]
-        return signs_from_mask(int(masks[0]), roots.shape[0]) if masks.size else None
+        mask = _kernels.least_zero_mask(roots)
+        return None if mask is None else signs_from_mask(mask, roots.shape[0])
     order, k, left, right, _ = _kernels.pruned_tables(roots, (roots.shape[0] + 1) // 2)
     il, _ = _common_keys(left[0], right[0])
     if not il.size:

@@ -24,6 +24,9 @@ Claims covered:
     - each value is one public class: every subclass of ``rootsys.Record``
       that a module of the package defines is named in ``rootspin.__all__``,
       and no class of the package subclasses ``RootSystem``
+    - ``positive_roots`` is the one maker of named systems: only it and
+      ``as_system`` call ``RootSystem.__new__``, and no other code writes
+      an ``id`` but None into an object's ``__dict__``
 """
 
 import ast
@@ -193,6 +196,44 @@ def test_one_public_class_per_value():
                if c.__name__ not in rootspin.__all__]
     systems = [f"{c.__module__}.{c.__qualname__}" for c in _subclasses(rootsys.RootSystem)]
     assert not records and not systems, (records, systems)
+
+
+def _scoped_nodes():
+    """``(where, node)`` for every node of the package, ``where`` the module
+    and the top-level function or class that holds the node."""
+    for name, tree in MODULES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                yield f"{name}.{getattr(top, 'name', '')}", node
+
+
+def _id_writes(node) -> list:
+    """What a node may write as an object's ``id`` through ``__dict__``:
+    the ``id`` keyword of an ``update``, any mapping it is passed, or the
+    value of ``__dict__["id"] = ...``."""
+    def is_dict(expr):
+        return isinstance(expr, ast.Attribute) and expr.attr == "__dict__"
+
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "update" and is_dict(node.func.value):
+            return [kw.value for kw in node.keywords if kw.arg in ("id", None)] + node.args
+    if isinstance(node, ast.Assign):
+        return [node.value for t in node.targets
+                if isinstance(t, ast.Subscript) and is_dict(t.value)
+                and isinstance(t.slice, ast.Constant) and t.slice.value == "id"]
+    return []
+
+
+def test_only_positive_roots_names_a_system():
+    # RootSystem(id, rows, ambient_dim, denominator) took any FamilyRank
+    # with any rows, so D4's id with A2's rows made count blame the program
+    makers = {where for where, node in _scoped_nodes()
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__" and "RootSystem" in _names(node.func.value)}
+    namers = {where for where, node in _scoped_nodes() for value in _id_writes(node)
+              if not (isinstance(value, ast.Constant) and value.value is None)}
+    assert makers <= {"rootsys.positive_roots", "rootsys.as_system"}, makers
+    assert namers == {"rootsys.positive_roots"}, namers
 
 
 # Runs each command through ``cli.main`` in one process and prints, last,

@@ -40,9 +40,8 @@ CASES = {
         "FamilyRank(family='A', rank=3)",
     ),
     "RootSystem": (
-        RootSystem, (None, (((0, 1),),), 1, 1), (None, (((0, 2),),), 1, 1),
-        "(id: 'FamilyRank | None', rows: 'tuple[Row, ...]', ambient_dim: 'int', "
-        "denominator: 'int') -> None",
+        RootSystem, ((((0, 1),),), 1, 1), ((((0, 2),),), 1, 1),
+        "(rows: 'tuple[Row, ...]', ambient_dim: 'int', denominator: 'int') -> None",
         "RootSystem(id=None, ambient_dim=1, denominator=1)",
     ),
     "CertificateFamily": (

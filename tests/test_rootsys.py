@@ -35,10 +35,12 @@ Claims covered:
       denominator that is not an integer >= 1, a row that breaks the row
       rule (``rootsys.check_row``: a zero value, a repeated coordinate or
       one outside [0, m), a bool or float entry, an entry that is not a
-      pair), rows that are not iterable or empty, and an id that is not a
-      FamilyRank or None; it stores numpy integers as Python ints, so an
-      exact signed sum past int64 is refused, not wrapped, and each row in
-      increasing coordinate order
+      pair), and rows that are not iterable or empty; it stores numpy
+      integers as Python ints, so an exact signed sum past int64 is
+      refused, not wrapped, and each row in increasing coordinate order
+    - ``RootSystem`` takes no id: a call that passes one, such as D4's id
+      with A2's rows, raises TypeError, and the system made from A2's rows
+      is unnamed and counts as a bare matrix does
     - the rows ``positive_roots`` builds, stored without those checks, pass
       the row rule on every catalogue id and lattice workload rank
 """
@@ -302,14 +304,16 @@ def test_text_format_refuses_what_is_not_a_system(system):
         format_root_list(system)
 
 
-def test_text_format_checks_its_size_first():
-    # a row sum fits in the budget, 64 lines of 2 * m characters do not;
-    # each line was built as a list of m strings, unchecked
-    m = rootsys.memory_budget() // 32
+def test_text_format_checks_its_size_first(monkeypatch):
+    # under a 1 MiB budget A81's rows fit (about 416,200 bytes), its 3321
+    # lines of 2 * 81 characters do not; each line was built as a list of
+    # m strings, unchecked
+    monkeypatch.setattr(rootsys, "memory_budget", lambda: 1 << 20)
     tracemalloc.start()
     try:
-        system = RootSystem(FamilyRank("A", 1), tuple(((i, 1),) for i in range(64)), m, 1)
-        with pytest.raises(ResourceLimitError, match="the root list of A1"):
+        system = positive_roots(FamilyRank("A", 81))
+        with pytest.raises(ResourceLimitError,
+                           match="the root list of A81 would need about 1076004 bytes"):
             format_root_list(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -386,30 +390,29 @@ ONE_ROW = (((0, 1),),)
 @pytest.mark.parametrize(
     "args,error",
     [
-        ((None, ONE_ROW, -1, 1), DimensionMismatchError),
-        ((None, ONE_ROW, 0, 1), DimensionMismatchError),
-        ((None, ONE_ROW, 1.5, 1), DimensionMismatchError),
-        ((None, (((3, 1),),), 2, 1), DimensionMismatchError),
-        ((None, (((0, 0),),), 1, 1), DimensionMismatchError),
-        ((None, (((0, 1), (0, 2)),), 1, 1), DimensionMismatchError),
-        ((None, (((0, True),),), 1, 1), DimensionMismatchError),
-        ((None, (((0, 1.0),),), 1, 1), DimensionMismatchError),
-        ((None, (((0, 1, 2),),), 1, 1), DimensionMismatchError),
-        ((None, (5,), 1, 1), DimensionMismatchError),
-        ((None, None, 1, 1), DimensionMismatchError),
-        ((None, (), 1, 1), DimensionMismatchError),
-        (("G2", ONE_ROW, 1, 1), InvalidRankError),
-        ((None, ONE_ROW, 1, 0), DimensionMismatchError),
-        ((None, ONE_ROW, 1, 1.5), DimensionMismatchError),
+        ((ONE_ROW, -1, 1), DimensionMismatchError),
+        ((ONE_ROW, 0, 1), DimensionMismatchError),
+        ((ONE_ROW, 1.5, 1), DimensionMismatchError),
+        (((((3, 1),),), 2, 1), DimensionMismatchError),
+        (((((0, 0),),), 1, 1), DimensionMismatchError),
+        (((((0, 1), (0, 2)),), 1, 1), DimensionMismatchError),
+        (((((0, True),),), 1, 1), DimensionMismatchError),
+        (((((0, 1.0),),), 1, 1), DimensionMismatchError),
+        (((((0, 1, 2),),), 1, 1), DimensionMismatchError),
+        (((5,), 1, 1), DimensionMismatchError),
+        ((None, 1, 1), DimensionMismatchError),
+        (((), 1, 1), DimensionMismatchError),
+        ((ONE_ROW, 1, 0), DimensionMismatchError),
+        ((ONE_ROW, 1, 1.5), DimensionMismatchError),
     ],
     ids=["m_negative", "m_zero", "m_float", "coordinate_past_m", "zero_value",
          "repeated_coordinate", "bool_entry", "float_entry", "triple", "scalar_row", "rows_none",
-         "no_rows", "str_id", "denominator_zero", "denominator_float"],
+         "no_rows", "denominator_zero", "denominator_float"],
 )
 def test_root_system_refuses_what_is_not_a_system(args, error):
     # m = -1, 0 or 1.5 and a coordinate past m made obstruction_2L raise a
-    # bare IndexError or TypeError, a str id made format_root_list raise a
-    # bare AttributeError and a zero denominator cartan_act ZeroDivisionError
+    # bare IndexError or TypeError, and a zero denominator cartan_act
+    # ZeroDivisionError
     tracemalloc.start()
     try:
         with pytest.raises(error):
@@ -422,9 +425,9 @@ def test_root_system_refuses_what_is_not_a_system(args, error):
 
 def test_root_system_stores_python_ints():
     big = np.int64(2**62)
-    system = RootSystem(None, [[(np.int32(0), big)], ((0, big),)], np.int64(1), np.int8(1))
+    system = RootSystem([[(np.int32(0), big)], ((0, big),)], np.int64(1), np.int8(1))
     assert system.rows == (((0, 2**62),), ((0, 2**62),))
-    assert RootSystem(None, [[(2, -1), (0, 3)]], 3, 1).rows == (((0, 3), (2, -1)),)
+    assert RootSystem([[(2, -1), (0, 3)]], 3, 1).rows == (((0, 3), (2, -1)),)
     assert type(system.rows) is tuple and all(type(row) is tuple for row in system.rows)
     assert all(type(x) is int for row in system.rows for pair in row for x in pair)
     assert type(system.ambient_dim) is int and type(system.denominator) is int
@@ -441,4 +444,26 @@ def test_built_rows_pass_the_row_rule(catalogue, lattice_ranks):
         for row in system.rows:
             assert type(row) is tuple and all(type(pair) is tuple for pair in row)
             assert tuple(rootsys.check_row(row, m).items()) == row
-        assert RootSystem(system.id, system.rows, m, system.denominator) == system
+
+
+# Each id names a family whose rows differ from those it is given: the
+# engines that read the id raised InternalCheckError, blaming the program,
+# while the obstruction and the oracle answered for the rows.
+MISLABELS = [("D4", "A2"), ("G2", "A2"), ("A2", "B2"), ("C3", "B3")]
+
+
+@pytest.mark.parametrize("label,rows", MISLABELS, ids=[f"{a}_with_{b}" for a, b in MISLABELS])
+def test_root_system_takes_no_id(label, rows):
+    system = positive_roots(FamilyRank.parse(rows))
+    with pytest.raises(TypeError):
+        RootSystem(FamilyRank.parse(label), system.rows, system.ambient_dim, system.denominator)
+    with pytest.raises(TypeError):
+        RootSystem(system.rows, system.ambient_dim, system.denominator,
+                   id=FamilyRank.parse(label))
+
+
+def test_hand_built_system_is_unnamed():
+    a2 = positive_roots(FamilyRank("A", 2))
+    system = RootSystem(a2.rows, 2, 1)
+    assert system.id is None and system != a2
+    assert count(system).value == count(a2.roots).value == 2

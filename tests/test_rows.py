@@ -80,7 +80,7 @@ from rootspin.rootsys import CATALOGUE
 def _as_system(matrix: np.ndarray) -> RootSystem:
     """A RootSystem holding the sparse rows of an arbitrary integer matrix."""
     rows = tuple(rootsys.sparse_rows(matrix.tolist()))
-    return RootSystem(None, rows, matrix.shape[1], 1)
+    return RootSystem(rows, matrix.shape[1], 1)
 
 
 def _hostile(seed: int, huge: bool) -> np.ndarray:
@@ -247,14 +247,14 @@ class TestDenseView:
 
     def test_entries_past_int64_refused(self):
         # a hand-built row of 2**63 raised a bare OverflowError in each engine
-        system = RootSystem(None, (((0, 2**63),),) * 2, 1, 1)
+        system = RootSystem((((0, 2**63),),) * 2, 1, 1)
         for engine in (sigsum.count, count_mitm, enumerate_zero_signs, exists_strong_dependence):
             with pytest.raises(DimensionMismatchError, match="2 x 1 matrix must fit in int64"):
                 engine(system)
         assert "roots" not in vars(system)
 
     def test_refusal_names_an_unnamed_matrix(self, monkeypatch):
-        system = RootSystem(None, positive_roots(FamilyRank("A", 10)).rows, 10, 1)
+        system = RootSystem(positive_roots(FamilyRank("A", 10)).rows, 10, 1)
         monkeypatch.setattr(rootsys, "DEFAULT_MEMORY_BUDGET", 4399)
         with pytest.raises(ResourceLimitError, match="of the unnamed 55 x 10 matrix would need"):
             system.roots
@@ -341,7 +341,7 @@ class TestUnnamedSystems:
         with pytest.raises(AttributeError):
             unnamed.r = 7
         # a second class for matrices made this False for the same rows
-        hand_built = RootSystem(None, rootsys.sparse_rows(matrix.tolist()), 2, 1)
+        hand_built = RootSystem(rootsys.sparse_rows(matrix.tolist()), 2, 1)
         assert unnamed == hand_built and hash(unnamed) == hash(hand_built)
         assert (unnamed.id, unnamed.rows, unnamed.denominator) == (None, g2.rows, 1)
         assert not np.shares_memory(unnamed.roots, matrix) and matrix.flags.writeable

@@ -32,7 +32,9 @@ Claims covered:
       one internal error whichever side passes
     - ``count`` runs brute force up to r = 20 (and r <= max_r) and
       meet-in-the-middle above, with each engine's limit, and looks the
-      engines up at call time; on a named system a count below the
+      engines up at call time; a method that is not one of the names of
+      ``sigsum.METHODS`` as a string, an array of them included, is refused
+      with ValueError; on a named system a count below the
       published lower bound, or nonzero where the bound is 0, is an
       internal error, and so is a count that the 2-part of the Weyl group's
       order does not divide: D4's count plus 2, 66, passes the bound and the
@@ -75,7 +77,15 @@ Claims covered:
     - enumeration reads the same scan: its masks equal the zero rows of
       ``signs @ roots`` for r = 1..18 on int32, int64 and two-word keys,
       with a zero row, and on the all-zero 16 x 2 matrix (all 65536); its
-      estimate at r = 16 is 327,684 bytes (int32) and 327,744 (two words)
+      scan's estimate at r = 16 is 327,684 bytes (int32) and 327,744 (two
+      words); the witness base case's least zero mask is the first of them
+    - enumeration counts its zero sums first and checks the scan, the
+      masks and the sign tuples against the budget before it builds any:
+      its checked estimate bounds its traced peak on the all-zero 16 x 2
+      and all-ones 16 x 1 matrices, and under a 1 MiB budget the first is
+      refused tracing under 1 MiB; the witness base case keeps no list of
+      masks, and its estimate, the scan and one block's ``np.nonzero``
+      indices, bounds its peak on both, under 1 MiB
     - both engines refuse a matrix whose column weights reach 2^62, before
       any table or doubling, however the halves would split it
     - meet-in-the-middle past r = 48 equals the values of two independent
@@ -804,6 +814,7 @@ class TestZeroMasks:
         masks = _kernels.zero_masks(roots)
         assert masks.dtype == np.int64
         assert np.array_equal(masks, _zero_masks_by_sign_matrix(roots))
+        assert _kernels.least_zero_mask(roots) == (int(masks[0]) if masks.size else None)
 
     @pytest.mark.parametrize("r", [1, 3, 17])
     def test_zero_row(self, r):
@@ -812,10 +823,12 @@ class TestZeroMasks:
         roots[-1] = -roots[:-1].sum(axis=0)  # so zero sums exist
         masks = _kernels.zero_masks(roots)
         assert masks.size and np.array_equal(masks, _zero_masks_by_sign_matrix(roots))
+        assert _kernels.least_zero_mask(roots) == masks[0]
 
     def test_all_zero_matrix(self):
         masks = _kernels.zero_masks(np.zeros((16, 2), np.int64))
         assert np.array_equal(masks, np.arange(1 << 16))
+        assert _kernels.least_zero_mask(np.zeros((16, 2), np.int64)) == 0
 
     @pytest.mark.parametrize(
         "roots,estimate",
@@ -831,6 +844,62 @@ class TestZeroMasks:
         # The full 2^16 table with its compare scratch took 1,179,656 bytes
         # and 1,703,952.
         assert _kernels._scan_tables(roots)[3] == estimate
+
+
+def _largest_need(fn, monkeypatch):
+    """Result and tracemalloc peak of ``fn()``, and the largest need it
+    checked against the budget, in ``_kernels`` or ``sigsum``."""
+    needs = []
+    check = rootsys.check_budget
+
+    def spy(need, budget, what):
+        needs.append(need)
+        check(need, budget, what)
+
+    monkeypatch.setattr(rootsys, "check_budget", spy)
+    monkeypatch.setattr(sigsum, "check_budget", spy)
+    result, peak = _traced_peak(fn)
+    return result, peak, max(needs)
+
+
+# Every compare of the all-zero matrix's scan is a zero sum, and about a
+# fifth of the all-ones matrix's are.
+OUTPUT_HEAVY = {"zeros_16x2": np.zeros((16, 2), np.int64), "ones_16x1": np.ones((16, 1), np.int64)}
+
+
+class TestEnumerationOutput:
+    # Enumeration counts first and checks the masks and sign tuples it will
+    # build; the witness base case keeps no mask list.  Both used to check
+    # only the scan's 327,684 bytes: the all-zero matrix traced 12,100,512
+    # and 2,232,116 bytes, the all-ones one 2,374,152 and 546,804.
+    @pytest.mark.parametrize("name", OUTPUT_HEAVY)
+    def test_enumeration_estimate_bounds_traced_peak(self, name, monkeypatch):
+        roots = OUTPUT_HEAVY[name]
+        signs, peak, need = _largest_need(lambda: enumerate_zero_signs(roots), monkeypatch)
+        assert len(signs) == count_bruteforce(roots).value
+        assert peak <= need
+
+    @pytest.mark.parametrize("name", OUTPUT_HEAVY)
+    def test_base_case_estimate_bounds_traced_peak(self, name, monkeypatch):
+        roots = OUTPUT_HEAVY[name]
+        witness, peak, need = _largest_need(lambda: sigsum._search_witness(roots), monkeypatch)
+        assert witness == enumerate_zero_signs(roots)[0]
+        assert peak <= need < 1 << 20
+
+    def test_enumeration_refused_before_its_output(self, monkeypatch):
+        roots = OUTPUT_HEAVY["zeros_16x2"]
+        monkeypatch.setattr(rootsys, "memory_budget", lambda: 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="the 65536 zero sign vectors of the "
+                                                         "unnamed 16 x 2 matrix would need"):
+                enumerate_zero_signs(roots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        # the base case keeps one mask, so it runs within the same budget
+        assert sigsum._search_witness(roots) == (1,) * 16
 
 
 class TestPastR48:
@@ -886,8 +955,13 @@ class TestCountEntryPoint:
         assert sigsum.choose_engine(6, "brute", max_r=3) == ("brute", 3)
 
     def test_unknown_method_refused(self):
-        with pytest.raises(ValueError):
-            sigsum.choose_engine(6, "dp")
+        # an array of "auto" counted by brute force, and one of two names
+        # raised numpy's ambiguous truth value error
+        for method in ("dp", np.array(["auto"]), np.array(["auto", "brute"])):
+            with pytest.raises(ValueError, match="unknown counting method"):
+                sigsum.choose_engine(6, method)
+            with pytest.raises(ValueError, match="unknown counting method"):
+                sigsum.count(_sys("G", 2), method)
 
     @pytest.mark.parametrize("bad", [6.5, True, "x", -1, np.float64(6.0)],
                              ids=["float", "bool", "str", "negative", "np_float"])
@@ -1491,9 +1565,9 @@ class TestExistence:
         assert not result.exists and result.method == sigsum.METHOD_MITM
 
 
-def _wide(m, fr=None):
-    """A one-root system of ``m`` coordinates, named ``fr`` when given."""
-    return rootsys.RootSystem(fr, (((0, 1),),), m, 1)
+def _wide(m):
+    """A one-root system of ``m`` coordinates."""
+    return rootsys.RootSystem((((0, 1),),), m, 1)
 
 
 def _made(m):
@@ -1513,10 +1587,10 @@ def _made(m):
         (lambda: exists_strong_dependence(_wide(2**40)), _made(2**40)),
         (lambda: obstruction_2L(_wide(10**5000)), _made(10**5000)),
         (lambda: invariant_dimension(_wide(2**80)), _made(2**80)),
-        (lambda: certs.verify_report(_wide(10**9, FamilyRank("A", 1)),
+        (lambda: certs.verify_report(_wide(10**9),
                                      certs.CertificateFamily(FamilyRank("A", 1), (((0, 1),),))),
          _made(10**9)),
-        (lambda: rootsys.format_root_list(_wide(2**62, FamilyRank("A", 1))), _made(2**62)),
+        (lambda: rootsys.format_root_list(_wide(2**62)), _made(2**62)),
     ],
     ids=["hnf_2_80", "hnf_10_9", "obstruction_2_80", "obstruction_10_9", "signed_sum_2_80",
          "signed_sum_10_9", "existence_2_40", "obstruction_10_5000", "oracle_2_80",
