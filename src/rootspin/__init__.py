@@ -16,6 +16,7 @@ from .sigsum import (
     ExistenceResult,
     LatticeBasis,
     ObstructionResult,
+    analyze,
     count,
     count_bruteforce,
     count_mitm,
@@ -49,6 +50,7 @@ __all__ = [
     "act_e",
     "act_x",
     "act_y",
+    "analyze",
     "assembled_witness",
     "cartan_act",
     "certificate",

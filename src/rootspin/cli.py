@@ -1,5 +1,6 @@
 """Command-line interface: roots, analyze, count, certify, oracle, table.
 
+``build_report`` lays out the answer of ``sigsum.analyze``, the one analysis pipeline.
 All JSON goes to stdout with sorted keys so that repeated runs are
 byte-identical apart from the ``timings`` block; diagnostics go to stderr.
 Exit codes: 0 success, 1 internal invariant violation, 2 invalid input,
@@ -87,20 +88,13 @@ def _certificate_json(cert: certs.CertificateFamily | None):
     }
 
 
-def build_report(fr: FamilyRank, method: str = "auto",
-                 max_r: int | None = None) -> tuple[dict, int]:
-    """Assemble the analysis report; returns (report, exit_code).
-
-    Existence and its two proofs come from ``sigsum.exists_strong_dependence``;
-    the exact count, checked against the published bound, comes from
-    ``sigsum.count``; this adds the JSON layout.
-    """
+def build_report(fr: FamilyRank, method: str = "auto", max_r: int | None = None) -> tuple[dict, int]:
+    """Lay ``sigsum.analyze``'s answer out as the report; returns (report, exit_code)."""
     t_start = time.perf_counter()
     system = positive_roots(fr)
-    t_existence = time.perf_counter()
-    existence = sigsum.exists_strong_dependence(system)
-    timings: dict[str, float] = {"existence_ms": (time.perf_counter() - t_existence) * 1000.0}
-
+    t_analyze = time.perf_counter()
+    existence, result, refusal = sigsum.analyze(system, method, max_r)
+    timings = {"existence_ms": (time.perf_counter() - t_analyze) * 1000.0}
     report = {
         "family": fr.family,
         "rank": fr.rank,
@@ -110,34 +104,22 @@ def build_report(fr: FamilyRank, method: str = "auto",
         "exists": existence.exists,
         "obstruction": "pass" if existence.obstruction.passed else "fail",
         "certificate": _certificate_json(existence.certificate),
+        # A report that counts nothing is labelled by the route that proved existence.
+        "method": existence.method,
     }
-    exit_code = 0
-
-    # A report that counts nothing is labelled by the route that proved existence.
-    report["method"] = existence.method
-    if not existence.exists:
-        report["count"] = {"zero": True}
+    if result is not None:
+        report.update(count={"exact": result.value}, method=result.method)
+        timings["count_ms"] = result.elapsed * 1000.0
+        timings["existence_ms"] -= timings["count_ms"]
+    elif existence.exists:  # partial report: existence plus the published bound
+        report["count"] = {"lower_bound": certs.lower_bound(fr)}
     else:
-        # A forced engine past its limit refuses (exit 3); auto just skips.
-        _, limit = sigsum.choose_engine(system.r, method, max_r)
-        result = None
-        if method != "auto" or system.r <= limit:
-            try:
-                result = sigsum.count(system, method, max_r)
-            except ResourceLimitError as exc:
-                click.echo(f"resource limit: {exc}", err=True)
-                exit_code = EXIT_RESOURCE
-        if result is not None:
-            report["count"] = {"exact": result.value}
-            report["method"] = result.method
-            timings["count_ms"] = result.elapsed * 1000.0
-        else:
-            # Partial report: existence plus the published bound only.
-            report["count"] = {"lower_bound": certs.lower_bound(fr)}
-
+        report["count"] = {"zero": True}
+    if refusal is not None:
+        click.echo(f"resource limit: {refusal}", err=True)
     timings["total_ms"] = (time.perf_counter() - t_start) * 1000.0
     report["timings"] = {k: round(v, 3) for k, v in sorted(timings.items())}
-    return report, exit_code
+    return report, EXIT_RESOURCE if refusal is not None else 0
 
 
 def _count_text(count: dict, exact: str, bound: str) -> str:

@@ -44,10 +44,10 @@ check of its witness all run on the sparse rows in Python ints.  One exact
 sum checks the witness of both routes, a tuple of Python ints +-1 like each
 enumerated vector.  numpy is still imported with this module, for the engines.
 
-``count(system, method, max_r)`` is the one counting entry point.
-``choose_engine`` holds the ``auto`` rule (brute force when r <= 20 and
-r <= max_r, meet-in-the-middle otherwise) and each engine's default limit
-(26 and 48); a caller that needs the limit asks it.
+``analyze(system, method, max_r)``, the library's and the CLI's one
+pipeline, proves existence, then counts with ``count`` where a zero sum
+exists.  ``choose_engine`` holds ``count``'s ``auto`` rule (brute force when
+r <= 20 and r <= max_r, else meet-in-the-middle) and its limits, 26 and 48.
 
 All counts are exact Python integers; no floating point enters any path.
 """
@@ -268,7 +268,8 @@ def choose_engine(r: int, method: str = "auto", max_r: int | None = None) -> tup
 
 
 def count(system, method: str = "auto", max_r: int | None = None) -> CountResult:
-    """Exact count by the engine ``choose_engine`` picks, within its limit.
+    """Exact count by the engine ``choose_engine`` picks, within its limit;
+    past it, zero when ``obstruction_2L`` fails, else the engine's refusal.
 
     On a named system the count must reach the published lower bound
     (``certs.lower_bound``), be zero exactly when the bound is, and be
@@ -285,8 +286,13 @@ def count(system, method: str = "auto", max_r: int | None = None) -> CountResult
     """
     system = as_system(system)
     engine, limit = choose_engine(system.r, method, max_r)
-    # Looked up as module globals at call time, so a wrapped engine runs.
-    result = (count_bruteforce if engine == "brute" else count_mitm)(system, limit)
+    start = time.perf_counter()
+    if system.r > limit and not obstruction_2L(system).passed:
+        # Past the limit, a failed 2L obstruction still proves the count zero.
+        result = CountResult(0, METHOD_OBSTRUCTION, time.perf_counter() - start)
+    else:
+        # Looked up as module globals at call time, so a wrapped engine runs.
+        result = (count_bruteforce if engine == "brute" else count_mitm)(system, limit)
     if system.id is not None:
         bound = certs.lower_bound(system.id)
         if result.value < bound or (result.value == 0) != (bound == 0):
@@ -513,3 +519,18 @@ def exists_strong_dependence(system) -> ExistenceResult:
     if witness is not None and any(row_sum(system.rows, system.ambient_dim, enumerate(witness))):
         raise InternalCheckError("the witness's signed sum over the roots is not zero")
     return ExistenceResult(witness is not None, witness, obstruction, method, cert)
+
+
+def analyze(system, method: str = "auto", max_r: int | None = None):
+    """``(existence, count, refusal)``: ``exists_strong_dependence``, then, where
+    a zero sum exists, ``count`` within the engine's limit (``auto`` skips past
+    it) or None, and a forced engine's ``ResourceLimitError`` as its text."""
+    system = as_system(system)
+    _, limit = choose_engine(system.r, method, max_r)
+    existence = exists_strong_dependence(system)
+    if not existence.exists or (method == "auto" and system.r > limit):
+        return existence, None, None
+    try:
+        return existence, count(system, method, max_r), None
+    except ResourceLimitError as exc:
+        return existence, None, str(exc)

@@ -9,6 +9,12 @@ Claims covered:
     - `analyze` JSON carries the fixed schema keys and the published values
       for E6 / E7 / E8, with the documented exit codes
     - forced methods that exceed limits exit 3 with a partial report
+    - `build_report` lays out `sigsum.analyze`: on every catalogue id, under
+      `auto`, a forced brute force or meet-in-the-middle and `max_r=0`, its
+      existence, obstruction, certificate, count, method, exit code and
+      stderr are the library's answer, and its exact count is `sigsum.count`'s
+    - `count` past its engine's limit answers 0 by the obstruction where the
+      obstruction fails (`count B 60`), and exits 3 where it passes (E8, C8)
     - `count --method mitm` counts D8 (r = 56) exactly once `--max-r` allows it
     - a root system over the memory budget is refused before it is built:
       every command that builds roots exits 3 with a `resource limit:` line
@@ -84,6 +90,11 @@ SCHEMA_KEYS = {
     "rank",
     "timings",
 }
+
+
+# analyze's options as build_report and sigsum.analyze take them
+ANALYSIS_OPTIONS = {"auto": {}, "brute": {"method": "brute"}, "mitm": {"method": "mitm"},
+                    "max_r_0": {"max_r": 0}}
 
 
 def run(*argv):
@@ -173,6 +184,26 @@ class TestAnalyze:
         assert {"count_ms", "existence_ms", "total_ms"} <= set(timings)
         assert 0 <= timings["existence_ms"] <= timings["total_ms"]
 
+    @pytest.mark.parametrize("options", ANALYSIS_OPTIONS.values(), ids=ANALYSIS_OPTIONS)
+    @pytest.mark.parametrize("fr", CATALOGUE, ids=str)
+    def test_report_is_the_library_analysis(self, fr, options, catalogue, capsys):
+        # the report lays out sigsum.analyze, and its exact count is count's
+        report, exit_code = cli.build_report(fr, **options)
+        stderr = capsys.readouterr().err
+        system = catalogue[str(fr)]
+        existence, result, refusal = sigsum.analyze(system, **options)
+        assert (report["exists"], report["obstruction"], report["certificate"]) == (
+            existence.exists, "pass" if existence.obstruction.passed else "fail",
+            cli._certificate_json(existence.certificate))
+        if result is not None:
+            assert result.value == sigsum.count(system, **options).value
+            shown = {"exact": result.value}, result.method
+        else:
+            shown = ({"lower_bound": certs.lower_bound(fr)} if existence.exists
+                     else {"zero": True}), existence.method
+        assert (report["count"], report["method"]) == shown
+        assert (exit_code, stderr) == ((3, f"resource limit: {refusal}\n") if refusal else (0, ""))
+
     def test_existence_path_calls_no_numpy(self, monkeypatch, lattice_ranks):
         class NoNumpy(types.ModuleType):
             """numpy, but only the two types that ``isinstance`` checks read."""
@@ -211,6 +242,14 @@ class TestCount:
 
     def test_over_limit_exits_3(self):
         assert run("count", "E", "8", "--json").exit_code == 3
+        assert run("count", "C", "8", "--json").exit_code == 3
+
+    def test_proved_zero_past_the_limit(self):
+        # exited 3, "meet-in-the-middle needs r <= 48", where analyze B 60
+        # reports the zero that the obstruction proves
+        report = run_json("count", "B", "60", "--json")
+        assert (report["count"], report["method"], report["r"]) == ({"exact": 0}, "obstruction", 3600)
+        assert run("count", "B", "60").output.startswith("count(B60) = 0 [obstruction, ")
 
     @pytest.mark.parametrize("argv", [("count", "G", "2"), ("analyze", "G", "2", "--json")],
                              ids=["count", "analyze"])

@@ -18,6 +18,8 @@ Claims covered:
       ``exec``, which build code when the module is imported
     - each error text of the sparse-row rule occurs once in the package, in
       ``rootsys``, whose ``check_row`` is the rule's one copy
+    - ``sigsum`` alone calls ``choose_engine`` and
+      ``exists_strong_dependence``: the CLI reports ``sigsum.analyze``
     - the ambient dimension is budgeted in ``rootsys`` alone: its error
       text occurs once, there, no other module passes an ``ambient_dim`` to
       ``check_budget``, and no module names ``check_row_sum``
@@ -156,6 +158,16 @@ def test_one_module_holds_the_row_rule():
     holders = {text: _holders(text) for text in ROW_RULE_TEXTS}
     assert all(len(found) == 1 and found[0].startswith("rootsys.py:")
                for found in holders.values()), holders
+
+
+def test_one_module_runs_the_analysis():
+    # cli.build_report chose the engine and proved existence itself, so a
+    # library caller could not get the CLI's answer
+    callers = [f"{name}.py:{node.lineno} {word}" for name, tree in MODULES.items()
+               if name != "sigsum" for node in ast.walk(tree) if isinstance(node, ast.Call)
+               for word in _names(node.func)
+               if word in ("choose_engine", "exists_strong_dependence")]
+    assert not callers
 
 
 def test_one_module_budgets_the_ambient_dimension():

@@ -49,7 +49,7 @@ def _commented_expressions():
 
 def test_library_example_values():
     module, cases = _commented_expressions()
-    assert [expected for _, expected in cases] == [13697920, True, True, 4]
+    assert [expected for _, expected in cases] == [13697920, 13697920, True, True, 4]
     namespace: dict = {}
     statements = [node for node in module.body if not isinstance(node, ast.Expr)]
     exec(compile(ast.Module(statements, type_ignores=[]), "README.md", "exec"), namespace)

@@ -39,6 +39,15 @@ Claims covered:
       internal error, and so is a count that the 2-part of the Weyl group's
       order does not divide: D4's count plus 2, 66, passes the bound and the
       oddness check and is caught naming 64; a bare matrix is not checked
+    - past its engine's limit ``count`` answers 0 by the obstruction where
+      the 2L obstruction fails (B60 under every method, B6 under
+      ``max_r=20``, 49 roots [1]) without building the dense roots, and
+      refuses where it passes (E8, C8, A4 under ``max_r=0``, 50 roots
+      [2]); brute force and meet-in-the-middle keep their own refusals
+    - ``analyze`` on a bare matrix proves existence by the witness search,
+      counts within the limit and, with no bound to fall back on, gives
+      None past it, or a forced engine's refusal as text; it refuses an
+      unknown method or a bad ``max_r`` before it proves existence
     - a limit of brute force or meet-in-the-middle, or a ``max_r`` of
       ``count``, that is not an integer >= 0 is refused; numpy integers
       are integers and ``max_r=None`` keeps each engine's own limit
@@ -962,6 +971,8 @@ class TestCountEntryPoint:
                 sigsum.choose_engine(6, method)
             with pytest.raises(ValueError, match="unknown counting method"):
                 sigsum.count(_sys("G", 2), method)
+            with pytest.raises(ValueError, match="unknown counting method"):
+                sigsum.analyze(_sys("B", 3), method)  # refused before existence
 
     @pytest.mark.parametrize("bad", [6.5, True, "x", -1, np.float64(6.0)],
                              ids=["float", "bool", "str", "negative", "np_float"])
@@ -970,6 +981,8 @@ class TestCountEntryPoint:
         for method in sigsum.METHODS:
             with pytest.raises(DimensionMismatchError, match="max_r must be an integer >= 0"):
                 sigsum.count(g2, method, bad)
+            with pytest.raises(DimensionMismatchError, match="max_r must be an integer >= 0"):
+                sigsum.analyze(g2, method, bad)
         assert sigsum.choose_engine(6, max_r=np.int64(6)) == ("brute", 6)
         assert sigsum.count(g2, max_r=None).value == sigsum.count(g2, max_r=np.int32(6)).value == 4
 
@@ -981,6 +994,41 @@ class TestCountEntryPoint:
         assert sigsum.count(a6).value == sigsum.count(a6, "brute").value
         with pytest.raises(ResourceLimitError, match="meet-in-the-middle needs r <= 19"):
             sigsum.count(d5, max_r=19)
+
+    def test_past_the_limit_a_failed_obstruction_counts_zero(self):
+        # count(B60) refused ("meet-in-the-middle needs r <= 48") the zero
+        # that the 2L obstruction proves
+        b60, b6 = _sys("B", 60), _sys("B", 6)  # r = 3600 and r = 36
+        for method in sigsum.METHODS:
+            result = sigsum.count(b60, method)
+            assert (result.value, result.method) == (0, sigsum.METHOD_OBSTRUCTION), method
+        assert "roots" not in vars(b60)
+        assert sigsum.count(b6, max_r=20).method == sigsum.METHOD_OBSTRUCTION
+        assert sigsum.count(b6).method == sigsum.METHOD_MITM  # within the limit, unchanged
+        assert sigsum.count([[1]] * 49).method == sigsum.METHOD_OBSTRUCTION  # 49 is not in 2Z
+        # where the obstruction passes, and in the engines, the refusal stands
+        for args, match in [((_sys("E", 8),), "r <= 48, got r = 120"),
+                            ((_sys("C", 8),), "r <= 48, got r = 64"),
+                            ((_sys("A", 4), "auto", 0), "r <= 0, got r = 10"),
+                            (([[2]] * 50,), "r <= 48, got r = 50")]:
+            with pytest.raises(ResourceLimitError, match=f"meet-in-the-middle needs {match}$"):
+                sigsum.count(*args)
+        with pytest.raises(ResourceLimitError, match="brute force needs r <= 26, got r = 3600"):
+            count_bruteforce(b60)
+        with pytest.raises(ResourceLimitError, match="meet-in-the-middle needs r <= 48"):
+            count_mitm(b60)
+
+    def test_analyze_on_a_bare_matrix(self):
+        # no id: the witness search proves existence, and no bound stands
+        # in for a count that did not run
+        roots = [[1, 1], [2, 3], [3, 4]]
+        existence, result, refusal = sigsum.analyze(roots)
+        assert (existence.exists, existence.method, existence.certificate) == (
+            True, sigsum.METHOD_MITM, None)
+        assert (result.value, result.method, refusal) == (2, sigsum.METHOD_BRUTE, None)
+        assert sigsum.analyze(roots, max_r=0)[1:] == (None, None)
+        assert sigsum.analyze(roots, "mitm", 0)[1:] == (
+            None, "meet-in-the-middle needs r <= 0, got r = 3")
 
     def test_engines_looked_up_at_call_time(self, monkeypatch):
         # A wrapper put on the module attribute must be the one that runs.
